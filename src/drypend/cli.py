@@ -59,13 +59,28 @@ class ValidationError(ValueError):
     pass
 
 
-_DEFAULT_TOL = {
-    "rel_tol": 1e-9,
-    "abs_tol": 1e-11,
-    "event_tol": 1e-10,
-    "stick_band": 1e-8,
-    "max_dt": 0.05,
-}
+_DEFAULT_TOL = Tolerances().to_dict()
+
+# the scenario fields whose numbers must all be finite
+_NUMERIC_FIELDS = ("params", "pivot", "tolerances", "horizon", "initial")
+
+
+def _reject_non_finite(value, where: str):
+    """Raise ValidationError naming the first NaN, infinity or float overflow
+    at or inside `value` (a JSON value found at `where`)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValidationError(f"{where} must be a finite number, got {value}")
 
 
 @dataclass
@@ -139,6 +154,8 @@ def load_scenario(path: str) -> Scenario:
         raise ParseError(f"scenario is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a JSON object")
+    for key in _NUMERIC_FIELDS:
+        _reject_non_finite(raw.get(key), key)
 
     name = raw.get("name", os.path.splitext(os.path.basename(path))[0])
     try:
@@ -399,8 +416,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     if args.horizon is not None:
-        if args.horizon <= 0:
-            print("scenario error: horizon must be positive", file=sys.stderr)
+        if not (0 < args.horizon < math.inf):
+            print("scenario error: horizon must be positive and finite", file=sys.stderr)
             return 2
         scen.horizon = args.horizon
     if args.strict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,12 +212,30 @@ _P = (
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
 
+# the tableau entries by name, for the written-out stages below
+(_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43), (
+    _A50, _A51, _A52, _A53, _A54
+) = _A[1:]
+_C1, _C2, _C3, _C4, _C5 = _C[1:]
+_B0, _B1, _B2, _B3, _B4, _B5 = _B
+_E0, _E1, _E2, _E3, _E4, _E5, _E6 = _E
+# the dense-output weights column by column (one column per power of theta)
+_P_COLS = tuple(zip(*_P))
+
 _MIN_STEP = 1e-14
 _MAX_EVENTS = 10 ** 6
 
+# An event scan is skipped only when the Bernstein coefficients of the
+# interpolant clear the event level by this multiple of the summed term
+# magnitudes.  That margin is about 1e4 times the rounding of both the
+# coefficients and of any value the scan itself would compute, so a skipped
+# scan is one that could not have found a sign change.  The absolute floor
+# covers the rounding of subnormal terms.
+_EXCLUSION_SLACK = 1e-12
+_EXCLUSION_FLOOR = 1e-300
 
-@dataclass(frozen=True)
-class DenseSegment:
+
+class DenseSegment(NamedTuple):
     """Quartic interpolant of one accepted step on [t0, t0 + h]."""
 
     t0: float
@@ -229,15 +247,13 @@ class DenseSegment:
 
     def eval(self, theta: float) -> tuple[float, float]:
         th = theta
-        acc_q = 0.0
-        acc_p = 0.0
-        # Horner in theta, highest power first
-        for cqi, cpi in zip(reversed(self.cq), reversed(self.cp)):
-            acc_q = acc_q * th + cqi
-            acc_p = acc_p * th + cpi
-        q = self.q0 + self.h * th * acc_q
-        p = self.p0 + self.h * th * acc_p
-        return q, p
+        c0, c1, c2, c3 = self.cq
+        d0, d1, d2, d3 = self.cp
+        # Horner in theta, highest power first, from an accumulator of 0.0
+        acc_q = (((0.0 * th + c3) * th + c2) * th + c1) * th + c0
+        acc_p = (((0.0 * th + d3) * th + d2) * th + d1) * th + d0
+        hth = self.h * th
+        return self.q0 + hth * acc_q, self.p0 + hth * acc_p
 
     def eval_at(self, t: float) -> tuple[float, float]:
         return self.eval((t - self.t0) / self.h)
@@ -249,54 +265,100 @@ class DenseSegment:
 
 def _field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
     l, g, mu = params.l, params.g, params.mu
+    mu_l, g_l = mu / l, g / l
+    accel, sin, cos = pivot.accel, math.sin, math.cos
 
     def f(t: float, q: float, p: float) -> tuple[float, float]:
-        a = pivot.accel(t)
-        mag = abs(a * math.cos(q) - l * p * p + g * math.sin(q))
-        return p, (a / l) * math.sin(q) - (mu / l) * mag * branch - (g / l) * math.cos(q)
+        a = accel(t)
+        s, c = sin(q), cos(q)
+        mag = abs(a * c - l * p * p + g * s)
+        return p, (a / l) * s - mu_l * mag * branch - g_l * c
 
     return f
 
 
-def _rk_step(f, t: float, q: float, p: float, h: float):
-    """One DOPRI5 step: returns (q1, p1, err_q, err_p, K)."""
-    kq = [0.0] * 7
-    kp = [0.0] * 7
-    kq[0], kp[0] = f(t, q, p)
-    for i in range(1, 6):
-        aq = q
-        ap = p
-        row = _A[i]
-        for j, a_ij in enumerate(row):
-            aq += h * a_ij * kq[j]
-            ap += h * a_ij * kp[j]
-        kq[i], kp[i] = f(t + _C[i] * h, aq, ap)
-    q1 = q
-    p1 = p
-    for i in range(6):
-        q1 += h * _B[i] * kq[i]
-        p1 += h * _B[i] * kp[i]
-    kq[6], kp[6] = f(t + h, q1, p1)
-    err_q = 0.0
-    err_p = 0.0
-    for i in range(7):
-        err_q += _E[i] * kq[i]
-        err_p += _E[i] * kp[i]
+def _rk_step(f, t: float, q: float, p: float, h: float, kq0: float, kp0: float):
+    """One DOPRI5 step from the first stage (kq0, kp0) = f(t, q, p).
+
+    Returns (q1, p1, err_q, err_p, K).  The last stage of K is the field at
+    the step end, which the next step may reuse as its first (FSAL).  Every
+    sum is written out in the order of the tableau, zero weights included,
+    so the arithmetic is that of a loop over the tableau.
+    """
+    w0 = h * _A10
+    kq1, kp1 = f(t + _C1 * h, q + w0 * kq0, p + w0 * kp0)
+    w0, w1 = h * _A20, h * _A21
+    kq2, kp2 = f(t + _C2 * h, q + w0 * kq0 + w1 * kq1, p + w0 * kp0 + w1 * kp1)
+    w0, w1, w2 = h * _A30, h * _A31, h * _A32
+    kq3, kp3 = f(
+        t + _C3 * h,
+        q + w0 * kq0 + w1 * kq1 + w2 * kq2,
+        p + w0 * kp0 + w1 * kp1 + w2 * kp2,
+    )
+    w0, w1, w2, w3 = h * _A40, h * _A41, h * _A42, h * _A43
+    kq4, kp4 = f(
+        t + _C4 * h,
+        q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3,
+        p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3,
+    )
+    w0, w1, w2, w3, w4 = h * _A50, h * _A51, h * _A52, h * _A53, h * _A54
+    kq5, kp5 = f(
+        t + _C5 * h,
+        q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4,
+        p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4,
+    )
+    w0, w1, w2, w3, w4, w5 = h * _B0, h * _B1, h * _B2, h * _B3, h * _B4, h * _B5
+    q1 = q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4 + w5 * kq5
+    p1 = p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4 + w5 * kp5
+    kq6, kp6 = f(t + h, q1, p1)
+    err_q = (
+        0.0 + _E0 * kq0 + _E1 * kq1 + _E2 * kq2 + _E3 * kq3 + _E4 * kq4 + _E5 * kq5 + _E6 * kq6
+    )
+    err_p = (
+        0.0 + _E0 * kp0 + _E1 * kp1 + _E2 * kp2 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6
+    )
+    kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6)
+    kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6)
     return q1, p1, h * err_q, h * err_p, (kq, kp)
 
 
 def _dense_coeffs(kq, kp) -> tuple[tuple, tuple]:
+    kq0, kq1, kq2, kq3, kq4, kq5, kq6 = kq
+    kp0, kp1, kp2, kp3, kp4, kp5, kp6 = kp
     cq = []
     cp = []
-    for col in range(4):
-        sq = 0.0
-        sp = 0.0
-        for i in range(7):
-            sq += kq[i] * _P[i][col]
-            sp += kp[i] * _P[i][col]
-        cq.append(sq)
-        cp.append(sp)
+    for w0, w1, w2, w3, w4, w5, w6 in _P_COLS:
+        cq.append(
+            0.0 + kq0 * w0 + kq1 * w1 + kq2 * w2 + kq3 * w3 + kq4 * w4 + kq5 * w5 + kq6 * w6
+        )
+        cp.append(
+            0.0 + kp0 * w0 + kp1 * w1 + kp2 * w2 + kp3 * w3 + kp4 * w4 + kp5 * w5 + kp6 * w6
+        )
     return tuple(cq), tuple(cp)
+
+
+def _bernstein_bounds(x0: float, h: float, c, theta_max: float):
+    """Enclosure of x(th) = x0 + h*th*(c0 + c1 th + c2 th^2 + c3 th^3) on [0, theta_max].
+
+    Returns (lo, hi, mag): the least and the greatest Bernstein coefficient
+    of the quartic on that interval, between which it stays (convex hull
+    property), and the sum of the magnitudes of its power-basis terms there,
+    which bounds the rounding error of both.
+    """
+    s = h * theta_max
+    b1 = s * c[0]
+    s *= theta_max
+    b2 = s * c[1]
+    s *= theta_max
+    b3 = s * c[2]
+    s *= theta_max
+    b4 = s * c[3]
+    x1 = x0 + 0.25 * b1
+    x2 = x0 + 0.5 * b1 + b2 / 6.0
+    x3 = x0 + 0.75 * b1 + 0.5 * b2 + 0.25 * b3
+    x4 = x0 + b1 + b2 + b3 + b4
+    mag = abs(x0) + abs(b1) + abs(b2) + abs(b3) + abs(b4)
+    return min(x0, x1, x2, x3, x4), max(x0, x1, x2, x3, x4), mag
 
 
 def _error_norm(err_q, err_p, q0, p0, q1, p1, tol: Tolerances) -> float:
@@ -305,9 +367,8 @@ def _error_norm(err_q, err_p, q0, p0, q1, p1, tol: Tolerances) -> float:
     return math.sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
 
 
-def _initial_step(f, t: float, q: float, p: float, tol: Tolerances) -> float:
-    """Hairer-style starting step: scale off the field magnitude at t0."""
-    dq, dp = f(t, q, p)
+def _initial_step(q: float, p: float, dq: float, dp: float, tol: Tolerances) -> float:
+    """Hairer-style starting step: scale off the field magnitude (dq, dp) at t0."""
     d0 = math.hypot(q, p)
     d1 = math.hypot(dq, dp)
     scale = tol.abs_tol + tol.rel_tol * max(d0, 1.0)
@@ -319,13 +380,15 @@ def _initial_step(f, t: float, q: float, p: float, tol: Tolerances) -> float:
     return max(min(h, tol.max_dt), _MIN_STEP * 10)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     state: State
     segment: DenseSegment
     h_used: float
     h_next: float
     hit_switch: bool
+    # ((t, q, p, branch), (dq, dp)): the field at the end of a full step,
+    # for step_smooth to reuse as the first stage of the next one
+    fsal: tuple | None = None
 
 
 def _poly_first_sign_change(seg: DenseSegment, sign0: float, theta_max: float = 1.0):
@@ -333,8 +396,15 @@ def _poly_first_sign_change(seg: DenseSegment, sign0: float, theta_max: float = 
 
     The quartic is scanned on a fixed subdivision; a transversal root cannot
     hide between scan points at the scales the step controller allows, and a
-    grazing double root is caught later by the stick-band projection.
+    grazing double root is caught later by the stick-band projection.  The
+    scan is skipped when the Bernstein coefficients of p on [0, theta_max]
+    all share one sign with room for rounding, since then no scan point can
+    change sign.
     """
+    lo, hi, mag = _bernstein_bounds(seg.p0, seg.h, seg.cp, theta_max)
+    slack = _EXCLUSION_SLACK * mag + _EXCLUSION_FLOOR
+    if lo > slack or hi < -slack:
+        return None
     n = 16
     prev_theta = 0.0
     prev_p = seg.p0
@@ -379,6 +449,7 @@ def step_smooth(
     tol: Tolerances,
     h: float | None = None,
     t_limit: float | None = None,
+    fsal: tuple | None = None,
 ) -> StepResult:
     """One accepted adaptive step of the current smooth branch.
 
@@ -386,6 +457,11 @@ def step_smooth(
     polynomial of the accepted step brackets p = 0 the step is shortened to
     end on the surface (|p| <= stick_band / 10), so no returned step
     straddles a sign change.
+
+    `fsal` is the `fsal` of the previous StepResult.  Its field value is
+    used as the first stage when it was taken at exactly this (t, q, p,
+    branch), which gives the same value the field would; the first stage is
+    also shared by rejected attempts and by the starting-step estimate.
     """
     if state.mode != SLIPPING:
         raise ValueError("step_smooth requires a slipping state")
@@ -394,8 +470,14 @@ def step_smooth(
         raise ValueError("step_smooth requires p != 0 when mu > 0")
     f = _field(params, pivot, branch)
     t, q, p = state.t, state.q, state.p
+    start = (t, q, p, branch)
+    # -0.0 == 0.0, so a start with a zero in it is not matched by value
+    if fsal is not None and fsal[0] == start and t != 0.0 and q != 0.0 and p != 0.0:
+        kq0, kp0 = fsal[1]
+    else:
+        kq0, kp0 = f(t, q, p)
     if h is None:
-        h = _initial_step(f, t, q, p, tol)
+        h = _initial_step(q, p, kq0, kp0, tol)
     h = min(h, tol.max_dt)
     if t_limit is not None:
         h = min(h, t_limit - t)
@@ -403,12 +485,12 @@ def step_smooth(
         raise ValueError("no room to step before t_limit")
 
     while True:
-        q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h)
+        q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h, kq0, kp0)
         err = _error_norm(err_q, err_p, q, p, q1, p1, tol)
         if err <= 1.0:
             break
         h *= max(0.2, 0.9 * err ** -0.2)
-        if h < _MIN_STEP:
+        if not h >= _MIN_STEP:  # also a NaN step
             raise StepUnderflow(f"step size underflow at t = {t}")
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     h_next = min(h * factor, tol.max_dt)
@@ -423,8 +505,12 @@ def step_smooth(
             if t_sw > t:  # guard against a root at the very start of the step
                 new = State(q=q_sw, p=p_sw, t=t_sw, mode=SLIPPING)
                 return StepResult(state=new, segment=seg, h_used=t_sw - t, h_next=h_next, hit_switch=True)
-    new = State(q=q1, p=p1, t=t + h, mode=SLIPPING)
-    return StepResult(state=new, segment=seg, h_used=h, h_next=h_next, hit_switch=False)
+    t1 = t + h
+    new = State(q=q1, p=p1, t=t1, mode=SLIPPING)
+    end = ((t1, q1, p1, branch), (kq[6], kp[6]))
+    return StepResult(
+        state=new, segment=seg, h_used=h, h_next=h_next, hit_switch=False, fsal=end
+    )
 
 
 def locate_switch(
@@ -449,7 +535,7 @@ def locate_switch(
     branch = 1.0 if s0.p > 0 else -1.0
     f = _field(params, pivot, branch)
     h = s1.t - s0.t
-    _, _, _, _, (kq, kp) = _rk_step(f, s0.t, s0.q, s0.p, h)
+    _, _, _, _, (kq, kp) = _rk_step(f, s0.t, s0.q, s0.p, h, *f(s0.t, s0.q, s0.p))
     cq, cp = _dense_coeffs(kq, kp)
     seg = DenseSegment(t0=s0.t, h=h, q0=s0.q, p0=s0.p, cq=cq, cp=cp)
     found = _poly_first_sign_change(seg, branch)
@@ -554,7 +640,15 @@ def slide_until_release(
 
 
 def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
-    """Earliest theta in (0, theta_end] where the dense q leaves [q_lo, q_hi]."""
+    """Earliest theta in (0, theta_end] where the dense q leaves [q_lo, q_hi].
+
+    The scan is skipped when the Bernstein coefficients of q on
+    [0, theta_end] lie inside (q_lo, q_hi) with room for rounding.
+    """
+    lo, hi, mag = _bernstein_bounds(seg.q0, seg.h, seg.cq, theta_end)
+    slack = _EXCLUSION_SLACK * (mag + abs(q_lo) + abs(q_hi)) + _EXCLUSION_FLOOR
+    if lo - q_lo > slack and q_hi - hi > slack:
+        return None
     n = 16
     prev_theta = 0.0
     prev_q = seg.q0
@@ -659,6 +753,7 @@ def integrate(
             return traj
 
     h_next = initial_dt
+    fsal = None
     n_events = 0
 
     def bump_events():
@@ -694,7 +789,8 @@ def integrate(
             continue
 
         # slipping
-        res = step_smooth(state, params, pivot, tol, h=h_next, t_limit=horizon)
+        res = step_smooth(state, params, pivot, tol, h=h_next, t_limit=horizon, fsal=fsal)
+        fsal = res.fsal
         seg = res.segment
         theta_end = res.h_used / seg.h if seg.h > 0 else 1.0
 

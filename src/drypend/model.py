@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,6 +94,8 @@ class ConstantPivot(PivotLaw):
         self.a = float(a)
 
     def accel(self, t):
+        if isinstance(t, float):
+            return self.a
         return self.a * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.a
 
     @property
@@ -117,7 +120,7 @@ class SinePivot(PivotLaw):
         self.phase = float(phase)
 
     def accel(self, t):
-        if np.ndim(t):
+        if not isinstance(t, float) and np.ndim(t):
             return self.amp * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
         return self.amp * math.sin(self.omega * t + self.phase)
 
@@ -166,6 +169,15 @@ class PolyPivot(PivotLaw):
         self._deriv = self._poly.deriv()
 
     def accel(self, t):
+        if isinstance(t, float):
+            # Polynomial.__call__ in pure Python: the map of the default
+            # domain onto itself (0.0 + 1.0 * t), then polyval's Horner loop
+            x = 0.0 + t
+            c = self.coeffs
+            acc = c[-1] + x * 0
+            for ck in c[-2::-1]:
+                acc = ck + acc * x
+            return np.float64(acc)
         out = self._poly(np.asarray(t, dtype=float)) if np.ndim(t) else self._poly(t)
         return out
 
@@ -177,8 +189,6 @@ class PolyPivot(PivotLaw):
             for r in deriv.roots():
                 if abs(r.imag) < 1e-12 and a <= r.real <= b:
                     cand.append(float(r.real))
-        elif deriv.degree() == 0 and len(cand) == 0:  # pragma: no cover
-            pass
         return max(abs(float(poly(c))) for c in cand)
 
     @property
@@ -215,8 +225,32 @@ class TablePivot(PivotLaw):
             raise ValueError("table pivot times must be strictly increasing")
         self.times = t
         self.values = v
+        self._knots = t.tolist()
+        self._knot_values = v.tolist()
 
     def accel(self, t):
+        if isinstance(t, float):
+            # np.interp at one point, step for step: clamped ends, knot
+            # values as they are, and the far end of the interval tried when
+            # the interpolation gives NaN
+            x = float(t)
+            ts, vs = self._knots, self._knot_values
+            if x != x:
+                return x
+            if x > ts[-1]:
+                return vs[-1]
+            if x < ts[0]:
+                return vs[0]
+            j = bisect_right(ts, x) - 1
+            if j == len(ts) - 1 or ts[j] == x:
+                return vs[j]
+            slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+            y = slope * (x - ts[j]) + vs[j]
+            if y != y:
+                y = slope * (x - ts[j + 1]) + vs[j + 1]
+                if y != y and vs[j] == vs[j + 1]:
+                    y = vs[j]
+            return y
         out = np.interp(t, self.times, self.values)
         return float(out) if np.ndim(t) == 0 else out
 

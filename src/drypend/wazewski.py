@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -436,18 +435,15 @@ def family_sweep(
     """
     _curves_disjoint(curves)
 
-    def run(c: SigmaCurve) -> SweepEntry:
+    entries = []
+    for c in curves:
         try:
-            return SweepEntry(curve=c, result=bisect_curve(
-                c, params, pivot, horizon, tol, max_iters=max_iters, strict=strict
-            ))
+            result = bisect_curve(c, params, pivot, horizon, tol, max_iters=max_iters, strict=strict)
         except (PreconditionFailed, IntegrationError) as exc:
-            return SweepEntry(curve=c, result=None, error=f"{type(exc).__name__}: {exc}")
-
-    if len(curves) == 1:
-        return [run(curves[0])]
-    with ThreadPoolExecutor(max_workers=min(4, len(curves))) as pool:
-        return list(pool.map(run, curves))
+            entries.append(SweepEntry(curve=c, result=None, error=f"{type(exc).__name__}: {exc}"))
+        else:
+            entries.append(SweepEntry(curve=c, result=result))
+    return entries
 
 
 def sweep_json(entries: Sequence[SweepEntry]) -> str:

@@ -1,0 +1,111 @@
+"""Non-finite numbers in a scenario are rejected with exit 2, never run.
+
+A NaN initial angle once made the first step size NaN, which no underflow
+test caught, and an infinite horizon never ends; either hung `simulate`.
+Each case runs the real CLI in a subprocess under a time limit, so a hang
+fails the test instead of stalling the suite.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+TIMEOUT_S = 60
+
+BASE = {
+    "params": {"mu": 0.3},
+    "pivot": {"kind": "sine", "amp": 2.0, "omega": 1.0},
+    "initial": {"kind": "point", "q0": 1.0, "p0": 0.2},
+    "horizon": 2.0,
+}
+CURVE = {"kind": "curve", "sigma": {"kind": "line"}, "family_shifts": [0.0, 0.1]}
+
+
+def _with(path, value, base=BASE):
+    """A deep copy of `base` with the dotted `path` set to `value`."""
+    scen = json.loads(json.dumps(base))
+    *head, last = path.split(".")
+    node = scen
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return scen
+
+
+def run_cli(tmp_path, command, scen, *flags):
+    path = tmp_path / "scenario.json"
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    path.write_text(json.dumps(scen))
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, "-m", "drypend.cli", command, str(path), "--out", str(tmp_path / "out"), *flags],
+        capture_output=True,
+        text=True,
+        timeout=TIMEOUT_S,
+        env=env,
+    )
+
+
+CASES = [
+    ("initial.q0", math.nan, "initial.q0"),
+    ("initial.p0", math.inf, "initial.p0"),
+    ("initial.t0", -math.inf, "initial.t0"),
+    ("horizon", math.inf, "horizon"),
+    ("horizon", math.nan, "horizon"),
+    ("params.mu", math.nan, "params.mu"),
+    ("params.l", math.inf, "params.l"),
+    ("pivot.amp", math.inf, "pivot.amp"),
+    ("pivot.omega", math.nan, "pivot.omega"),
+    ("tolerances", {"rel_tol": math.nan}, "tolerances.rel_tol"),
+    ("tolerances", {"max_dt": math.inf}, "tolerances.max_dt"),
+    ("initial.q0", 10 ** 400, "initial.q0"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", CASES, ids=[f"{c[0]}={c[1]}" for c in CASES])
+def test_non_finite_point_scenario_is_rejected(tmp_path, path, value, field):
+    proc = run_cli(tmp_path, "simulate", _with(path, value))
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "pivot, field",
+    [
+        ({"kind": "poly", "coeffs": [1.0, math.nan], "t_max": 10.0}, "pivot.coeffs[1]"),
+        ({"kind": "table", "times": [0.0, 1.0], "values": [0.0, math.inf]}, "pivot.values[1]"),
+        ({"kind": "table", "times": [0.0, math.inf], "values": [0.0, 1.0]}, "pivot.times[1]"),
+        ({"kind": "constant", "a": -math.inf}, "pivot.a"),
+    ],
+)
+def test_non_finite_pivot_field_is_rejected(tmp_path, pivot, field):
+    proc = run_cli(tmp_path, "verify", _with("pivot", pivot))
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+
+
+def test_non_finite_family_shift_is_rejected(tmp_path):
+    scen = _with("initial", _with("family_shifts", [0.0, math.nan], base=CURVE))
+    proc = run_cli(tmp_path, "sweep", scen)
+    assert proc.returncode == 2, proc.stderr
+    assert "initial.family_shifts[1]" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_horizon_override_must_be_positive_and_finite(tmp_path, value):
+    proc = run_cli(tmp_path, "simulate", BASE, "--horizon", value)
+    assert proc.returncode == 2, proc.stderr
+    assert "horizon" in proc.stderr
+
+
+def test_finite_scenario_still_runs(tmp_path):
+    proc = run_cli(tmp_path, "simulate", BASE)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trajectory.csv").exists()

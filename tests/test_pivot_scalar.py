@@ -1,0 +1,105 @@
+"""Each pivot law's scalar path against its array path, bit for bit.
+
+`accel` on a Python float (or an np.float64) takes a pure-Python path; on
+an array it takes numpy's.  The two must agree to the last bit, because the
+integrator uses the first and the verification checks use the second.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from drypend.model import ConstantPivot, PolyPivot, SinePivot, TablePivot
+
+PROPERTY = settings(max_examples=400, deadline=None)
+
+reals = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e300])
+
+
+def bits(x):
+    x = float(x)
+    return "nan" if x != x else struct.pack("<d", x)
+
+
+def assert_paths_agree(pivot, t):
+    array = pivot.accel(np.array([t]))[0]
+    assert bits(pivot.accel(float(t))) == bits(array)
+    assert bits(pivot.accel(np.float64(t))) == bits(array)
+
+
+@PROPERTY
+@given(a=reals, t=st.one_of(reals, specials))
+def test_constant(a, t):
+    assert_paths_agree(ConstantPivot(a), t)
+
+
+@PROPERTY
+@given(amp=reals, omega=reals, phase=reals, t=st.one_of(reals, specials))
+def test_sine(amp, omega, phase, t):
+    assume(math.isfinite(omega * t))
+    assert_paths_agree(SinePivot(amp, omega, phase), t)
+
+
+@PROPERTY
+@given(coeffs=st.lists(reals, min_size=1, max_size=4), t=st.one_of(reals, specials))
+@example(coeffs=[2.5], t=-0.0)
+@example(coeffs=[1.0, -3.0, 0.5, 0.25], t=-0.0)
+@example(coeffs=[-0.0], t=1.0)
+def test_poly(coeffs, t):
+    pivot = PolyPivot(coeffs)
+    with np.errstate(all="ignore"):
+        assert_paths_agree(pivot, t)
+        # the scalar path keeps the type numpy's Polynomial returns
+        assert type(pivot.accel(float(t))) is type(pivot._poly(float(t)))
+
+
+@pytest.mark.parametrize("coeffs", [[2.5], [1.0, -3.0, 0.5, 0.25]])
+def test_poly_degrees_zero_and_three(coeffs):
+    pivot = PolyPivot(coeffs)
+    for t in (-0.0, 0.0, 0.3, 1.0, 7.5, 999.0):
+        assert_paths_agree(pivot, t)
+
+
+@st.composite
+def tables(draw):
+    times = sorted(set(draw(st.lists(reals, min_size=2, max_size=10))))
+    assume(len(times) >= 2)
+    values = draw(st.lists(reals, min_size=len(times), max_size=len(times)))
+    return TablePivot(times, values)
+
+
+@PROPERTY
+@given(pivot=tables(), t=st.one_of(reals, specials), knot=st.integers(0, 9))
+def test_table(pivot, t, knot):
+    assert_paths_agree(pivot, t)
+    # on a knot, at both clamped ends and just outside them
+    times = pivot.times.tolist()
+    assert_paths_agree(pivot, times[knot % len(times)])
+    for end in (times[0], times[-1]):
+        assert_paths_agree(pivot, end)
+        assert_paths_agree(pivot, math.nextafter(end, -math.inf))
+        assert_paths_agree(pivot, math.nextafter(end, math.inf))
+
+
+def test_table_knots_clamping_and_signed_zero():
+    pivot = TablePivot([-1.0, 0.0, 0.5, 2.0], [4.0, -2.0, 1e-300, 3.0])
+    for t in (-0.0, 0.0, -1.0, 2.0, -5.0, 9.0, 0.25, 1.999, math.inf, -math.inf):
+        assert_paths_agree(pivot, t)
+    assert pivot.accel(-5.0) == 4.0 and pivot.accel(9.0) == 3.0
+    assert pivot.accel(-0.0) == -2.0
+    assert math.isnan(pivot.accel(math.nan))
+
+
+def test_table_with_infinite_values_takes_numpys_fallbacks():
+    # an infinite knot value makes the interpolation NaN one way; numpy then
+    # interpolates from the other end, and returns the flat value when the
+    # interval is flat
+    pivot = TablePivot([0.0, 1.0, 2.0, 3.0], [math.inf, math.inf, 1.0, -math.inf])
+    with np.errstate(all="ignore"):
+        for t in (0.25, 0.5, 1.5, 2.5, 3.0):
+            assert_paths_agree(pivot, t)

@@ -1,0 +1,441 @@
+"""The written-out DOPRI5 stepper against its looped reference, bit for bit.
+
+`refstepper` holds the looped stage sums, dense coefficients, Horner
+evaluation and 16-point event scans.  The package's versions must give the
+same bits (compared as IEEE 754 patterns, so -0.0 counts too), the
+first-same-as-last reuse must not change an integration, and the Bernstein
+test that lets the event scans be skipped must only skip scans that find
+nothing, while skipping most of them on ordinary runs.
+"""
+
+import contextlib
+import json
+import math
+import os
+import struct
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from drypend import integrator
+from drypend.integrator import DenseSegment, Tolerances, integrate
+from drypend.model import ConstantPivot, Params, PolyPivot, SinePivot, State, TablePivot
+
+import refstepper
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def bits(x):
+    """Exact identity of a float or a nested tuple of floats: type and bits.
+
+    All NaNs count as one: which operand's NaN a float operation passes on
+    differs between CPython's generic and specialised float instructions,
+    so the sign bit of a NaN depends on interpreter warm-up, and no output
+    shows it.
+    """
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    if x is None or isinstance(x, str):
+        return x
+    if x != x:
+        return type(x).__name__, "nan"
+    return type(x).__name__, struct.pack("<d", x)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def reals(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pivots(draw):
+    kind = draw(st.sampled_from(["constant", "sine", "poly", "table"]))
+    if kind == "constant":
+        return ConstantPivot(draw(reals(-30, 30)))
+    if kind == "sine":
+        return SinePivot(draw(reals(-30, 30)), draw(reals(0, 10)), draw(reals(-4, 4)))
+    if kind == "poly":
+        coeffs = draw(st.lists(reals(-5, 5), min_size=1, max_size=4))
+        return PolyPivot(coeffs, t_max=200.0)
+    times = sorted(set(draw(st.lists(reals(-1, 120), min_size=2, max_size=12))))
+    assume(len(times) >= 2)
+    values = draw(st.lists(reals(-30, 30), min_size=len(times), max_size=len(times)))
+    return TablePivot(times, values)
+
+
+@st.composite
+def stepper_cases(draw):
+    params = Params(
+        l=draw(reals(0.2, 3)), g=draw(reals(1, 20)), mu=draw(st.sampled_from([0.0, 0.3, 0.8]))
+    )
+    pivot = draw(pivots())
+    branch = draw(st.sampled_from([1.0, -1.0, 0.0]))
+    t = draw(st.one_of(reals(0, 100), st.sampled_from([0.0, -0.0])))
+    q = draw(st.one_of(reals(-4, 7), st.sampled_from([0.0, -0.0, math.pi / 2])))
+    p = draw(st.one_of(reals(-10, 10), st.sampled_from([0.0, -0.0, 1e-300, -5e-324])))
+    h = draw(st.one_of(reals(1e-12, 0.5), st.sampled_from([1e-14, 0.05])))
+    return params, pivot, branch, t, q, p, h
+
+
+# --- the stepper against the looped reference ------------------------------
+
+
+@PROPERTY
+@given(stepper_cases())
+def test_field_and_step_match_the_looped_reference(case):
+    params, pivot, branch, t, q, p, h = case
+    f_ref = refstepper._field(params, pivot, branch)
+    f_new = integrator._field(params, pivot, branch)
+    assert bits(f_new(t, q, p)) == bits(f_ref(t, q, p))
+
+    ref = refstepper._rk_step(f_ref, t, q, p, h)
+    new = integrator._rk_step(f_new, t, q, p, h, *f_new(t, q, p))
+    assert bits(new[:4]) == bits(ref[:4])
+    assert bits(new[4]) == bits(ref[4])
+
+    kq, kp = ref[4]
+    cq_ref, cp_ref = refstepper._dense_coeffs(kq, kp)
+    cq_new, cp_new = integrator._dense_coeffs(tuple(kq), tuple(kp))
+    assert bits((cq_new, cp_new)) == bits((cq_ref, cp_ref))
+
+    tol = Tolerances()
+    dq, dp = f_new(t, q, p)
+    assert bits(integrator._initial_step(q, p, dq, dp, tol)) == bits(
+        refstepper._initial_step(f_ref, t, q, p, tol)
+    )
+
+
+@PROPERTY
+@given(
+    coef=st.tuples(*[st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0]))] * 4),
+    t=st.one_of(finite, st.sampled_from([0.0, -0.0])),
+    q=st.one_of(finite, st.sampled_from([0.0, -0.0])),
+    p=st.one_of(finite, st.sampled_from([0.0, -0.0])),
+    h=st.one_of(finite, st.sampled_from([1e-14, 0.05, -0.0])),
+)
+@example(coef=(0.0, -0.0, 0.0, -0.0), t=0.0, q=-0.0, p=-0.0, h=0.05)
+def test_step_matches_the_looped_reference_on_linear_fields(coef, t, q, p, h):
+    """Fields far from the pendulum's: signed zeros, huge and tiny slopes."""
+    alpha, beta, gamma, delta = coef
+
+    def f(t, q, p):
+        return alpha * p + beta * t, gamma * q + delta
+
+    ref = refstepper._rk_step(f, t, q, p, h)
+    new = integrator._rk_step(f, t, q, p, h, *f(t, q, p))
+    assert bits(new[:4]) == bits(ref[:4])
+    assert bits(new[4]) == bits(ref[4])
+    kq, kp = ref[4]
+    assert bits(integrator._dense_coeffs(tuple(kq), tuple(kp))) == bits(
+        refstepper._dense_coeffs(kq, kp)
+    )
+
+
+def _segments(t0, h, q0, p0, cq, cp):
+    return (
+        integrator.DenseSegment(t0=t0, h=h, q0=q0, p0=p0, cq=cq, cp=cp),
+        refstepper.DenseSegment(t0=t0, h=h, q0=q0, p0=p0, cq=cq, cp=cp),
+    )
+
+
+coeffs4 = st.tuples(finite, finite, finite, finite)
+
+
+@PROPERTY
+@given(
+    h=st.one_of(reals(1e-12, 1.0), finite),
+    q0=finite,
+    p0=finite,
+    cq=coeffs4,
+    cp=coeffs4,
+    theta=st.one_of(reals(0, 1), st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 16]), finite),
+)
+@example(h=0.1, q0=-0.0, p0=-0.0, cq=(-0.0,) * 4, cp=(-0.0,) * 4, theta=0.5)
+def test_dense_eval_matches_the_looped_horner(h, q0, p0, cq, cp, theta):
+    new, ref = _segments(0.0, h, q0, p0, cq, cp)
+    assert bits(new.eval(theta)) == bits(ref.eval(theta))
+
+
+@st.composite
+def stepped_segments(draw):
+    """A dense segment built by one real step of a drawn field."""
+    params, pivot, branch, t, q, p, h = draw(stepper_cases())
+    f = integrator._field(params, pivot, branch)
+    _, _, _, _, (kq, kp) = integrator._rk_step(f, t, q, p, h, *f(t, q, p))
+    cq, cp = integrator._dense_coeffs(kq, kp)
+    return t, h, q, p, cq, cp
+
+
+@st.composite
+def adversarial_segments(draw):
+    """Quartics p(th) and q(th) that sit on or graze their event levels.
+
+    The power-basis form p0 + a1 th + ... + a4 th^4 is drawn through its
+    roots: a double root (a grazing touch of p = 0), p0 a few ulps from 0,
+    or an arbitrary quartic, then written as dense coefficients a_k / h.
+    """
+    h = draw(reals(1e-6, 0.2))
+    shape = draw(st.sampled_from(["double", "tiny_p0", "free"]))
+    scale = draw(reals(1e-3, 50))
+    if shape == "double":
+        r = draw(reals(0, 1.2))
+        s1, s2 = draw(reals(-3, 3)), draw(reals(-3, 3))
+        # scale * (th - r)^2 * (th - s1) * (th - s2), expanded
+        poly = np.polynomial.Polynomial.fromroots([r, r, s1, s2]) * scale
+        a = list(poly.coef)
+    elif shape == "tiny_p0":
+        a = [draw(st.integers(-4, 4)) * 5e-324] + [draw(reals(-scale, scale)) for _ in range(4)]
+    else:
+        a = [draw(reals(-scale, scale)) for _ in range(5)]
+    a = [float(x) for x in a] + [0.0] * (5 - len(a))
+    cp = tuple(ak / h for ak in a[1:])
+    q_span = draw(reals(0.01, 4))
+    cq = tuple(draw(reals(-q_span, q_span)) / h for _ in range(4))
+    q0 = draw(st.one_of(reals(-0.5, math.pi + 0.5), st.sampled_from([0.0, math.pi, 1e-300])))
+    return draw(reals(0, 50)), h, q0, a[0], cq, cp
+
+
+@contextlib.contextmanager
+def counted_evals():
+    """Count DenseSegment.eval calls made inside the block."""
+    calls = [0]
+    original = DenseSegment.eval
+
+    def counting(self, theta):
+        calls[0] += 1
+        return original(self, theta)
+
+    DenseSegment.eval = counting
+    try:
+        yield calls
+    finally:
+        DenseSegment.eval = original
+
+
+theta_maxes = st.one_of(st.just(1.0), reals(1e-9, 1.0), st.sampled_from([1 - 2 ** -52, 0.5]))
+
+
+@PROPERTY
+@given(seg=st.one_of(stepped_segments(), adversarial_segments()), theta_max=theta_maxes)
+def test_event_scans_match_the_reference(seg, theta_max):
+    new, ref = _segments(*seg)
+    sign0 = 1.0 if new.p0 > 0 else -1.0
+    assert bits(integrator._poly_first_sign_change(new, sign0, theta_max)) == bits(
+        refstepper._poly_first_sign_change(ref, sign0, theta_max)
+    )
+    for q_lo, q_hi in ((0.0, math.pi), (-1.0, 0.5), (new.q0 - 1e-9, new.q0 + 1e-9)):
+        assert bits(integrator._guard_exit(new, theta_max, q_lo, q_hi)) == bits(
+            refstepper._guard_exit(ref, theta_max, q_lo, q_hi)
+        )
+
+
+# --- the Bernstein exclusion: sound, and not vacuous ------------------------
+
+
+def test_bernstein_bounds_are_the_bernstein_coefficients():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x0, h, theta_max = rng.normal(), rng.uniform(0.01, 1), rng.uniform(0.1, 1)
+        c = tuple(rng.normal(size=4) * 10)
+        b = [F(x0)] + [F(h) * F(c[k]) * F(theta_max) ** (k + 1) for k in range(4)]
+        # degree-4 Bernstein coefficient i: sum over k <= i of C(i,k)/C(4,k) b_k
+        binom = math.comb
+        exact = [sum(F(binom(i, k), binom(4, k)) * b[k] for k in range(i + 1)) for i in range(5)]
+        lo, hi, mag = integrator._bernstein_bounds(x0, h, c, theta_max)
+        assert lo == pytest.approx(float(min(exact)), rel=1e-12, abs=1e-12)
+        assert hi == pytest.approx(float(max(exact)), rel=1e-12, abs=1e-12)
+        assert mag == pytest.approx(float(sum(abs(v) for v in b)), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps, skipped", [(1e-14, False), (-1e-14, False), (1e-9, True)])
+def test_exclusion_keeps_its_rounding_margin(eps, skipped):
+    # p(th) = eps + (1 - th)^4 stays within |eps| of zero at th = 1, and the
+    # sum of its term magnitudes is 16: only a margin well above 16e-12
+    # lets the scan be skipped
+    h = 0.5
+    cp = (-4.0 / h, 6.0 / h, -4.0 / h, 1.0 / h)
+    seg = DenseSegment(t0=0.0, h=h, q0=1.0, p0=1.0 + eps, cp=cp, cq=(0.0,) * 4)
+    with counted_evals() as calls:
+        integrator._poly_first_sign_change(seg, 1.0)
+    assert (calls[0] == 0) == skipped
+    # the same for the guard: q(th) = q_lo + eps + (1 - th)^4
+    seg = DenseSegment(t0=0.0, h=h, q0=2.0 + eps, p0=1.0, cp=(0.0,) * 4, cq=cp)
+    with counted_evals() as calls:
+        integrator._guard_exit(seg, 1.0, 1.0, 5.0)
+    assert (calls[0] == 0) == skipped
+
+
+def _dense_sign_change(values, start):
+    """Whether a sequence of computed values leaves the sign of `start`."""
+    return any(v == 0.0 or (v > 0) != (start > 0) for v in values)
+
+
+@PROPERTY
+@given(seg=st.one_of(adversarial_segments(), stepped_segments()), theta_max=theta_maxes)
+@example(seg=(0.0, 0.01, 1.0, 5e-324, (1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)), theta_max=1.0)
+def test_exclusion_only_skips_scans_that_find_nothing(seg, theta_max):
+    new, ref = _segments(*seg)
+    grid = [theta_max * i / 1000 for i in range(1, 1001)]
+
+    with counted_evals() as calls:
+        found = integrator._poly_first_sign_change(new, 1.0, theta_max)
+    if calls[0] == 0:  # the Bernstein test excluded a root
+        assert found is None
+        assert refstepper._poly_first_sign_change(ref, 1.0, theta_max) is None
+        assert not _dense_sign_change([ref.eval(th)[1] for th in grid], new.p0)
+
+    for q_lo, q_hi in ((0.0, math.pi), (new.q0 - 1e-6, new.q0 + 1e-3)):
+        if not q_lo < q_hi:
+            continue
+        with counted_evals() as calls:
+            exit_hit = integrator._guard_exit(new, theta_max, q_lo, q_hi)
+        if calls[0] == 0:
+            assert exit_hit is None
+            assert refstepper._guard_exit(ref, theta_max, q_lo, q_hi) is None
+            qs = [ref.eval(th)[0] for th in grid]
+            assert all(q_lo < qv < q_hi for qv in qs)
+
+
+def _scan_counts(scan_name, run):
+    """(scans called, scans that evaluated the interpolant) during run()."""
+    original = getattr(integrator, scan_name)
+    counts = [0, 0]
+
+    def scan(*args):
+        with counted_evals() as calls:
+            out = original(*args)
+        counts[0] += 1
+        counts[1] += calls[0] > 0
+        return out
+
+    setattr(integrator, scan_name, scan)
+    try:
+        run()
+    finally:
+        setattr(integrator, scan_name, original)
+    return counts
+
+
+def _load(name):
+    with open(os.path.join(SCENARIOS, name)) as fh:
+        return json.load(fh)
+
+
+def test_exclusion_skips_most_root_scans_on_swing_capture():
+    spec = _load("swing_capture.json")
+    params = Params(**spec["params"])
+    pivot = SinePivot(spec["pivot"]["amp"], spec["pivot"]["omega"], spec["pivot"]["phase"])
+    start = State(q=spec["initial"]["q0"], p=spec["initial"]["p0"], t=0.0)
+    scans, ran = _scan_counts(
+        "_poly_first_sign_change", lambda: integrate(start, params, pivot, spec["horizon"])
+    )
+    assert scans > 100
+    assert ran < 0.1 * scans
+
+
+def test_exclusion_skips_most_guard_scans():
+    # a frictionless swing through the hanging position that stays inside
+    # the guard interval for the whole run
+    params = Params(mu=0.0)
+    pivot = SinePivot(0.5, 1.5)
+    start = State(q=1.2, p=0.4, t=0.0)
+    scans, ran = _scan_counts(
+        "_guard_exit",
+        lambda: integrate(start, params, pivot, 15.0, region_guard=(-5.0, 2.0)),
+    )
+    assert scans > 100
+    assert ran < 0.1 * scans
+
+
+# --- first-same-as-last reuse ----------------------------------------------
+
+
+def _without_fsal(monkeypatch):
+    original = integrator.step_smooth
+
+    def step_smooth(*args, fsal=None, **kwargs):
+        return original(*args, fsal=None, **kwargs)
+
+    monkeypatch.setattr(integrator, "step_smooth", step_smooth)
+
+
+FSAL_CASES = [
+    (Params(mu=0.5), SinePivot(6.0, 1.0), State(q=math.pi / 2, p=0.0, t=0.0), 12.0, None),
+    (Params(mu=0.4), SinePivot(20.0, 2.0, 0.3), State(q=1.0, p=-1.0, t=0.0), 30.0, None),
+    (
+        Params(mu=0.3),
+        TablePivot([0.0, 0.5, 1.3, 2.0, 4.0], [3.0, -9.0, 12.0, 0.0, -4.0]),
+        State(q=1.2, p=0.7, t=0.0),
+        8.0,
+        None,
+    ),
+    (Params(mu=0.2), PolyPivot([1.0, -0.5, 0.05], t_max=20.0), State(q=2.0, p=0.5, t=0.0), 6.0, None),
+    (Params(mu=0.0), SinePivot(2.0, 1.5), State(q=1.2, p=0.4, t=0.0), 15.0, (0.0, math.pi)),
+    (Params(mu=0.0), ConstantPivot(0.0), State(q=1.0, p=0.0, t=0.0), 10.0, None),
+]
+
+
+@pytest.mark.parametrize("params, pivot, start, horizon, guard", FSAL_CASES)
+def test_fsal_reuse_leaves_the_integration_unchanged(monkeypatch, params, pivot, start, horizon, guard):
+    record = [horizon * k / 37 for k in range(38)]
+
+    def run():
+        calls = [0]
+        original = type(pivot).accel
+
+        def counting(self, t):
+            calls[0] += 1
+            return original(self, t)
+
+        monkeypatch.setattr(type(pivot), "accel", counting)
+        traj = integrate(start, params, pivot, horizon, region_guard=guard, record_at=record)
+        monkeypatch.setattr(type(pivot), "accel", original)
+        return traj, calls[0]
+
+    with_reuse, n_with = run()
+    _without_fsal(monkeypatch)
+    without_reuse, n_without = run()
+
+    assert bits(with_reuse.samples) == bits(without_reuse.samples)
+    assert [e.to_dict() for e in with_reuse.events] == [e.to_dict() for e in without_reuse.events]
+    assert bits([(s.t, s.q, s.p, s.mode) for s in with_reuse.recorded]) == bits(
+        [(s.t, s.q, s.p, s.mode) for s in without_reuse.recorded]
+    )
+    assert n_with < n_without
+
+
+def test_fsal_stage_is_not_used_for_another_start():
+    params, pivot, tol = Params(mu=0.5), SinePivot(3.0, 1.0), Tolerances()
+    first = integrator.step_smooth(State(q=1.0, p=0.5, t=0.0), params, pivot, tol)
+    (t1, q1, p1, branch), (dq, dp) = first.fsal
+    assert (t1, q1, p1) == (first.state.t, first.state.q, first.state.p)
+    # a stage taken at another point is ignored, so the step is unchanged
+    wrong = ((t1, q1, p1, branch), (dq + 1.0, dp - 1.0))
+    moved = State(q=q1, p=p1 * (1 + 2 ** -52), t=t1)
+    assert bits(integrator.step_smooth(moved, params, pivot, tol, fsal=wrong).state.p) == bits(
+        integrator.step_smooth(moved, params, pivot, tol).state.p
+    )
+    # -0.0 == 0.0, but a stage taken at q = 0.0 is not reused at q = -0.0
+    zero = State(q=-0.0, p=0.5, t=1.0)
+    at_plus_zero = ((1.0, 0.0, 0.5, 1.0), (dq + 1.0, dp - 1.0))
+    assert bits(integrator.step_smooth(zero, params, pivot, tol, fsal=at_plus_zero).state.q) == bits(
+        integrator.step_smooth(zero, params, pivot, tol).state.q
+    )
+    # on its own start it is the field value there, so it gives the same step
+    same = integrator.step_smooth(first.state, params, pivot, tol, h=first.h_next, fsal=first.fsal)
+    fresh = integrator.step_smooth(first.state, params, pivot, tol, h=first.h_next)
+    assert bits((same.state.t, same.state.q, same.state.p)) == bits(
+        (fresh.state.t, fresh.state.q, fresh.state.p)
+    )
+
+
+def test_nan_step_raises_instead_of_looping():
+    with pytest.raises(integrator.StepUnderflow):
+        integrator.step_smooth(State(q=math.nan, p=0.5, t=0.0), Params(), ConstantPivot(0.0), Tolerances())
