@@ -28,7 +28,6 @@ from .integrator import (
     Trajectory,
     classify_switch,
     integrate,
-    locate_switch,
     slide_until_release,
     step_smooth,
 )

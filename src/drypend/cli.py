@@ -59,8 +59,6 @@ class ValidationError(ValueError):
     pass
 
 
-_DEFAULT_TOL = Tolerances().to_dict()
-
 # the scenario fields whose numbers must all be finite
 _NUMERIC_FIELDS = ("params", "pivot", "tolerances", "horizon", "initial")
 
@@ -81,6 +79,19 @@ def _reject_non_finite(value, where: str):
             finite = False
         if not finite:
             raise ValidationError(f"{where} must be a finite number, got {value}")
+
+
+def _number(value, where: str) -> float:
+    """`value` as a float; ValidationError naming `where` unless it is a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, where: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ValidationError(f"{where} must be a list of numbers, got {values!r}")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 @dataclass
@@ -132,10 +143,11 @@ def _build_curve(spec: dict, shift: float = 0.0) -> SigmaCurve:
     kind = spec.get("kind")
     try:
         if kind == "line":
-            return SigmaCurve.line(shift=spec.get("shift", 0.0) + shift)
+            base = _number(spec.get("shift", 0.0), "initial.sigma.shift")
+            return SigmaCurve.line(shift=base + shift)
         if kind == "table":
-            qs = spec["q"]
-            ps = [v + shift for v in spec["p"]]
+            qs = _numbers(spec.get("q"), "initial.sigma.q")
+            ps = [v + shift for v in _numbers(spec.get("p"), "initial.sigma.p")]
             name = "table" if shift == 0.0 else f"table{shift:+g}"
             return SigmaCurve.from_table(qs, ps, name=name)
     except CurveValidationError as exc:
@@ -167,14 +179,12 @@ def load_scenario(path: str) -> Scenario:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"pivot: {exc}") from exc
 
-    tol_spec = dict(_DEFAULT_TOL)
-    tol_spec.update(raw.get("tolerances", {}))
     try:
-        tolerances = Tolerances(**tol_spec)
+        tolerances = Tolerances(**raw.get("tolerances", {}))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"tolerances: {exc}") from exc
 
-    horizon = float(raw.get("horizon", 50.0))
+    horizon = _number(raw.get("horizon", 50.0), "horizon")
     if not (horizon > 0):
         raise ValidationError("horizon must be positive")
 
@@ -188,13 +198,15 @@ def load_scenario(path: str) -> Scenario:
     if initial["kind"] == "point":
         norm_initial = {
             "kind": "point",
-            "q0": float(initial["q0"]),
-            "p0": float(initial.get("p0", 0.0)),
-            "t0": float(initial.get("t0", 0.0)),
+            "q0": _number(initial.get("q0"), "initial.q0"),
+            "p0": _number(initial.get("p0", 0.0), "initial.p0"),
+            "t0": _number(initial.get("t0", 0.0), "initial.t0"),
         }
     elif initial["kind"] == "curve":
         sigma = initial.get("sigma", {"kind": "line", "shift": 0.0})
-        shifts = [float(s) for s in initial.get("family_shifts", [0.0])]
+        if not isinstance(sigma, dict):
+            raise ValidationError(f"initial.sigma must be an object, got {sigma!r}")
+        shifts = _numbers(initial.get("family_shifts", [0.0]), "initial.family_shifts")
         for s in shifts:
             _build_curve(sigma, shift=s)  # raises ValidationError on bad curves
         norm_initial = {"kind": "curve", "sigma": sigma, "family_shifts": shifts}

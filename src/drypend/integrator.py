@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .model import (
     Params,
     PivotLaw,
     State,
-    _accel_branch,
+    branch_field,
     fingerprint_of,
     limit_fields,
     p_star,
@@ -60,10 +60,6 @@ class ChatterLimit(IntegrationError):
 
 class TrapViolation(IntegrationError):
     """A produced trajectory violated the velocity trap |p| <= p_star."""
-
-
-class BracketInvalid(ValueError):
-    """locate_switch was handed a bracket without a switching point."""
 
 
 @dataclass(frozen=True)
@@ -263,20 +259,6 @@ class DenseSegment(NamedTuple):
         return self.t0 + self.h
 
 
-def _field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
-    l, g, mu = params.l, params.g, params.mu
-    mu_l, g_l = mu / l, g / l
-    accel, sin, cos = pivot.accel, math.sin, math.cos
-
-    def f(t: float, q: float, p: float) -> tuple[float, float]:
-        a = accel(t)
-        s, c = sin(q), cos(q)
-        mag = abs(a * c - l * p * p + g * s)
-        return p, (a / l) * s - mu_l * mag * branch - g_l * c
-
-    return f
-
-
 def _rk_step(f, t: float, q: float, p: float, h: float, kq0: float, kp0: float):
     """One DOPRI5 step from the first stage (kq0, kp0) = f(t, q, p).
 
@@ -468,7 +450,7 @@ def step_smooth(
     branch = 1.0 if state.p > 0 else (-1.0 if state.p < 0 else 0.0)
     if branch == 0.0 and params.mu != 0.0:
         raise ValueError("step_smooth requires p != 0 when mu > 0")
-    f = _field(params, pivot, branch)
+    f = branch_field(params, pivot, branch)
     t, q, p = state.t, state.q, state.p
     start = (t, q, p, branch)
     # -0.0 == 0.0, so a start with a zero in it is not matched by value
@@ -511,46 +493,6 @@ def step_smooth(
     return StepResult(
         state=new, segment=seg, h_used=h, h_next=h_next, hit_switch=False, fsal=end
     )
-
-
-def locate_switch(
-    bracket: tuple[State, State],
-    params: Params,
-    pivot: PivotLaw,
-    tol: Tolerances,
-) -> State:
-    """Localize the p = 0 point inside a one-step bracket.
-
-    The bracket must come from a single smooth stretch: the step is redone
-    at the recorded width to rebuild the dense interpolant, and the root is
-    bisected on it down to event_tol.
-    """
-    s0, s1 = bracket
-    if s1.t <= s0.t:
-        raise BracketInvalid("bracket must advance in time")
-    sign_change = (s0.p > 0) != (s1.p > 0) or s1.p == 0.0
-    enters_band = abs(s1.p) <= tol.stick_band
-    if not (sign_change or enters_band):
-        raise BracketInvalid("no sign change or stick-band entry across the bracket")
-    branch = 1.0 if s0.p > 0 else -1.0
-    f = _field(params, pivot, branch)
-    h = s1.t - s0.t
-    _, _, _, _, (kq, kp) = _rk_step(f, s0.t, s0.q, s0.p, h, *f(s0.t, s0.q, s0.p))
-    cq, cp = _dense_coeffs(kq, kp)
-    seg = DenseSegment(t0=s0.t, h=h, q0=s0.q, p0=s0.p, cq=cq, cp=cp)
-    found = _poly_first_sign_change(seg, branch)
-    if found is None:
-        # tangential approach: take the closest-to-surface interpolant point
-        best = min(
-            (seg.eval(i / 128) + (i / 128,) for i in range(129)),
-            key=lambda qpth: abs(qpth[1]),
-        )
-        q_m, p_m, th_m = best
-        if abs(p_m) <= tol.stick_band / 10:
-            return State(q=q_m, p=p_m, t=seg.t0 + th_m * seg.h, mode=SLIPPING)
-        raise BracketInvalid("interpolant shows no switching point in the bracket")
-    t_sw, q_sw, p_sw = _bisect_switch(seg, tol, found)
-    return State(q=q_sw, p=p_sw, t=t_sw, mode=SLIPPING)
 
 
 @dataclass(frozen=True)
@@ -615,11 +557,9 @@ def slide_until_release(
 
     dt = _release_scan_step(params, pivot, q, tol)
     t_lo = t0
-    m_lo = margin(t_lo)
     while t_lo < horizon:
         t_hi = min(t_lo + dt, horizon)
-        m_hi = margin(t_hi)
-        if m_hi > 0.0:
+        if margin(t_hi) > 0.0:
             # bisect the first sign change; keep the released side on top
             lo, hi = t_lo, t_hi
             while hi - lo > tol.event_tol:
@@ -632,7 +572,7 @@ def slide_until_release(
             direction = 1 if drift > 0 else -1
             released = State(q=q, p=0.0, t=hi, mode=STUCK)
             return released, Event(t=hi, q=q, kind=STICK_RELEASE, direction=direction)
-        t_lo, m_lo = t_hi, m_hi
+        t_lo = t_hi
     return (
         State(q=q, p=0.0, t=horizon, mode=STUCK),
         Event(t=horizon, q=q, kind=HORIZON),
@@ -906,7 +846,7 @@ def trajectory_residuals(traj: Trajectory, params: Params, pivot: PivotLaw) -> f
         tm = 0.5 * (t0 + t1)
         qm = 0.5 * (q0 + q1)
         pm = 0.5 * (p0 + p1)
-        fq, fp = pm, float(_accel_branch(params, pivot, qm, pm, tm, branch))
+        fq, fp = branch_field(params, pivot, branch)(tm, qm, pm)
         rq = abs((q1 - q0) / dt - fq)
         rp = abs((p1 - p0) / dt - fp)
         scale = dt * dt * (1.0 + abs(fp))

@@ -13,7 +13,11 @@ friction term is set-valued and the right-hand side becomes the convex
 interval between the two one-sided limits; `limit_fields`, `filippov_set`
 and `stiction_holds` expose that structure.
 
-All functions accept scalars or numpy arrays in the (q, p, t) slots.
+The field is written in three kernels only: `branch_field` (scalar, one
+friction branch, stepped by the integrator), `accel_slipping` (arrays,
+p != 0) and `stiction_drift_and_bound` (on p = 0), from which the one-sided
+limits and the stiction test are both taken.  Apart from `branch_field`,
+functions accept scalars or numpy arrays in the (q, p, t) slots.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -170,14 +174,16 @@ class PolyPivot(PivotLaw):
 
     def accel(self, t):
         if isinstance(t, float):
-            # Polynomial.__call__ in pure Python: the map of the default
-            # domain onto itself (0.0 + 1.0 * t), then polyval's Horner loop
+            # Polynomial.__call__ in pure Python (the map of the default domain
+            # onto itself, 0.0 + 1.0 * t, then polyval's Horner loop), as a
+            # Python float: a numpy scalar would be carried into q and p and
+            # written as "np.float64(...)" into trajectory CSV files
             x = 0.0 + t
             c = self.coeffs
             acc = c[-1] + x * 0
             for ck in c[-2::-1]:
                 acc = ck + acc * x
-            return np.float64(acc)
+            return float(acc)
         out = self._poly(np.asarray(t, dtype=float)) if np.ndim(t) else self._poly(t)
         return out
 
@@ -332,23 +338,49 @@ def normal_force_mag(params: Params, pivot: PivotLaw, q, p, t):
     return params.m * np.abs(a * np.cos(q) - params.l * np.square(p) + params.g * np.sin(q))
 
 
-def _accel_branch(params: Params, pivot: PivotLaw, q, p, t, branch):
-    """dp/dt on one smooth branch, with the friction sign frozen to `branch`.
+def branch_field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
+    """The scalar kernel: f(t, q, p) -> (dq/dt, dp/dt) with the friction sign
+    frozen to `branch`.
 
     This is the smooth extension of the slipping field across p = 0; the
     integrator steps it between events.
     """
-    a = pivot.accel(t)
     l, g, mu = params.l, params.g, params.mu
-    mag = np.abs(a * np.cos(q) - l * np.square(p) + g * np.sin(q))
-    return (a / l) * np.sin(q) - (mu / l) * mag * branch - (g / l) * np.cos(q)
+    mu_l, g_l = mu / l, g / l
+    accel, sin, cos = pivot.accel, math.sin, math.cos
+
+    def f(t: float, q: float, p: float) -> tuple[float, float]:
+        a = accel(t)
+        s, c = sin(q), cos(q)
+        mag = abs(a * c - l * p * p + g * s)
+        return p, (a / l) * s - mu_l * mag * branch - g_l * c
+
+    return f
 
 
 def accel_slipping(params: Params, pivot: PivotLaw, q, p, t):
-    """dp/dt for p != 0 (friction sign taken from p)."""
+    """The array kernel: dp/dt for p != 0 (friction sign taken from p)."""
     if np.any(np.asarray(p) == 0.0):
         raise ValueError("accel_slipping is undefined at p = 0; use filippov_set")
-    return _accel_branch(params, pivot, q, p, t, np.sign(p))
+    a = pivot.accel(t)
+    l, g, mu = params.l, params.g, params.mu
+    mag = np.abs(a * np.cos(q) - l * p * p + g * np.sin(q))
+    return (a / l) * np.sin(q) - (mu / l) * mag * np.sign(p) - (g / l) * np.cos(q)
+
+
+def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q, t):
+    """The on-surface kernel: drift dp/dt and friction capacity on p = 0.
+
+    The one-sided limits are drift -/+ bound, and static friction holds iff
+    |drift| <= bound.  Both rules read this one pair, and the sign of a
+    rounded sum or difference is exact, so f_plus <= 0 <= f_minus and
+    |drift| <= bound are the same predicate in floating point too.
+    """
+    a = pivot.accel(t)
+    l, g, mu = params.l, params.g, params.mu
+    drift = (a / l) * np.sin(q) - (g / l) * np.cos(q)
+    bound = (mu / l) * np.abs(a * np.cos(q) + g * np.sin(q))
+    return drift, bound
 
 
 def limit_fields(params: Params, pivot: PivotLaw, q, t):
@@ -357,10 +389,7 @@ def limit_fields(params: Params, pivot: PivotLaw, q, t):
     f_plus_p is the limit from p > 0, f_minus_p from p < 0; always
     f_plus_p <= f_minus_p, the gap being twice the friction bound.
     """
-    a = pivot.accel(t)
-    l, g, mu = params.l, params.g, params.mu
-    drift = (a / l) * np.sin(q) - (g / l) * np.cos(q)
-    bound = (mu / l) * np.abs(a * np.cos(q) + g * np.sin(q))
+    drift, bound = stiction_drift_and_bound(params, pivot, q, t)
     return drift - bound, drift + bound
 
 
@@ -371,15 +400,6 @@ def filippov_set(params: Params, pivot: PivotLaw, state: State) -> FilippovSet:
         return FilippovSet(q_dot=state.p, p_dot_lo=a, p_dot_hi=a)
     f_plus, f_minus = limit_fields(params, pivot, state.q, state.t)
     return FilippovSet(q_dot=0.0, p_dot_lo=float(f_plus), p_dot_hi=float(f_minus))
-
-
-def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q, t):
-    """Drift dp/dt and friction capacity on p = 0 (release when |drift| > bound)."""
-    a = pivot.accel(t)
-    l, g, mu = params.l, params.g, params.mu
-    drift = (a * np.sin(q) - g * np.cos(q)) / l
-    bound = (mu / l) * np.abs(a * np.cos(q) + g * np.sin(q))
-    return drift, bound
 
 
 def stiction_holds(params: Params, pivot: PivotLaw, q, t):

@@ -72,6 +72,8 @@ def phase_portrait_svg(traj: Trajectory, title: str = "") -> str:
         f'transform="rotate(-90 16 {_H / 2})">p (rad/s)</text>'
     )
     if title:
+        # escaped by hand: xml.sax.saxutils imports urllib.request and ssl
+        title = str(title).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{_W / 2}" y="24" font-size="14" text-anchor="middle">{title}</text>')
 
     # one polyline per contiguous run of a single mode

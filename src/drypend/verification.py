@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Params, PivotLaw, State, limit_fields
+from .model import Params, PivotLaw, State, accel_slipping, limit_fields
 from .integrator import Tolerances, integrate
 
 
@@ -90,15 +90,6 @@ class CheckReport:
         }
 
 
-def _field_arrays(params: Params, pivot: PivotLaw, q, p, t):
-    """Vectorized right-hand side (dq, dp) off the surface."""
-    a = np.asarray(pivot.accel(t), dtype=float)
-    l, g, mu = params.l, params.g, params.mu
-    mag = np.abs(a * np.cos(q) - l * p * p + g * np.sin(q))
-    dp = (a / l) * np.sin(q) - (mu / l) * mag * np.sign(p) - (g / l) * np.cos(q)
-    return p, dp
-
-
 def smooth_lipschitz_bound(
     params: Params, pivot: PivotLaw, p_max: float, t0: float, t1: float
 ) -> float:
@@ -116,20 +107,16 @@ def smooth_lipschitz_bound(
 def check_jump_inequality(params: Params, pivot: PivotLaw, grid: SampleGrid) -> CheckReport:
     """f_minus_p - f_plus_p >= 0 everywhere, equal to twice the friction bound.
 
-    The gap is compared against its closed form (2 mu / l)|a cos q + g sin q|;
-    agreement is relative to the local field scale since the gap itself
-    passes through zero.
+    The model's limits are compared against the gap's closed form
+    (2 mu / l)|a cos q + g sin q|; agreement is relative to the local field
+    scale since the gap itself passes through zero.
     """
     q = grid.q_points[:, None]
     t = grid.t_points[None, :]
+    f_plus, f_minus = limit_fields(params, pivot, q, t)
     a = np.asarray(pivot.accel(grid.t_points), dtype=float)[None, :]
-    l, g, mu = params.l, params.g, params.mu
-    drift = (a / l) * np.sin(q) - (g / l) * np.cos(q)
-    bound = (mu / l) * np.abs(a * np.cos(q) + g * np.sin(q))
-    f_plus = drift - bound
-    f_minus = drift + bound
     gap = f_minus - f_plus
-    closed = 2.0 * bound
+    closed = 2.0 * ((params.mu / params.l) * np.abs(a * np.cos(q) + params.g * np.sin(q)))
     scale = np.maximum(np.abs(f_plus), np.abs(f_minus))
     scale = np.maximum(scale, closed)
     scale[scale == 0.0] = 1.0
@@ -191,11 +178,11 @@ def check_one_sided_lipschitz(
     if not (l_est > 0):
         raise ValueError("l_est must be positive")
     q1, p1, q2, p2, t = _pair_sets(params, grid, fingerprint or "default")
-    f1q, f1p = _field_arrays(params, pivot, q1, p1, t)
-    f2q, f2p = _field_arrays(params, pivot, q2, p2, t)
+    f1p = accel_slipping(params, pivot, q1, p1, t)
+    f2p = accel_slipping(params, pivot, q2, p2, t)
     dq = q1 - q2
     dp = p1 - p2
-    dot = dq * (f1q - f2q) + dp * (f1p - f2p)
+    dot = dq * dp + dp * (f1p - f2p)
     nsq = dq * dq + dp * dp
     ratio = dot / nsq
     worst = int(np.argmax(ratio))
@@ -278,7 +265,7 @@ def check_upper_semicontinuity(
     f_plus, f_minus = float(f_plus), float(f_minus)
     betas = []
     for p_k in p_sequence:
-        _, dp = _field_arrays(params, pivot, np.array([q]), np.array([p_k]), np.array([t]))
+        dp = accel_slipping(params, pivot, np.array([q]), np.array([p_k]), np.array([t]))
         a = float(dp[0])
         overshoot = max(0.0, f_plus - a, a - f_minus)
         betas.append(math.hypot(p_k, overshoot))

@@ -201,41 +201,22 @@ def classify_exit(
     merged = Trajectory()
     state = State(q=q0, p=p0, t=t0, mode=SLIPPING)
 
+    def exited(side: str, event: Event) -> ExitReport:
+        outcome = EXIT_LOW if side == SIDE_LOW else EXIT_HIGH
+        return ExitReport(outcome, q0, p0, t0, horizon, strict, event, merged)
+
     for _ in range(64):  # corner re-entries are physically scarce
         traj = integrate(state, params, pivot, horizon, tol, region_guard=(Q_LO, Q_HI))
         _merge(merged, traj)
         last = traj.events[-1] if traj.events else None
-        if last is None or last.kind == HORIZON:
-            return _survival_report(q0, p0, t0, horizon, strict, merged)
-        if last.kind != REGION_EXIT:
+        if last is None or last.kind != REGION_EXIT:
             return _survival_report(q0, p0, t0, horizon, strict, merged)
 
         side = last.side
         exit_state = traj.final
-        if strict:
-            return ExitReport(
-                outcome=EXIT_LOW if side == SIDE_LOW else EXIT_HIGH,
-                q0=q0,
-                p0=p0,
-                t0=t0,
-                horizon=horizon,
-                strict=strict,
-                exit_event=last,
-                trajectory=merged,
-            )
-
-        # closed-region corner handling
-        if abs(exit_state.p) > tol.stick_band:
-            return ExitReport(
-                outcome=EXIT_LOW if side == SIDE_LOW else EXIT_HIGH,
-                q0=q0,
-                p0=p0,
-                t0=t0,
-                horizon=horizon,
-                strict=strict,
-                exit_event=last,
-                trajectory=merged,
-            )
+        # an exit, unless closed-region corner handling applies: p inside the stick band
+        if strict or abs(exit_state.p) > tol.stick_band:
+            return exited(side, last)
         q_b = Q_LO if side == SIDE_LOW else Q_HI
         t_b = exit_state.t
         outward = -1 if side == SIDE_LOW else 1
@@ -247,16 +228,7 @@ def classify_exit(
             if ev.kind == HORIZON:
                 return _survival_report(q0, p0, t0, horizon, strict, merged)
             if ev.direction == outward:
-                return ExitReport(
-                    outcome=EXIT_LOW if side == SIDE_LOW else EXIT_HIGH,
-                    q0=q0,
-                    p0=p0,
-                    t0=t0,
-                    horizon=horizon,
-                    strict=strict,
-                    exit_event=Event(t=released.t, q=q_b, kind=REGION_EXIT, side=side),
-                    trajectory=merged,
-                )
+                return exited(side, Event(t=released.t, q=q_b, kind=REGION_EXIT, side=side))
             state = State(
                 q=q_b, p=ev.direction * tol.stick_band / 2, t=released.t, mode=SLIPPING
             )
@@ -264,16 +236,7 @@ def classify_exit(
             # no stiction at the corner: both limit fields point one way
             dec = classify_switch(params, pivot, q_b, t_b)
             if dec.direction == outward:
-                return ExitReport(
-                    outcome=EXIT_LOW if side == SIDE_LOW else EXIT_HIGH,
-                    q0=q0,
-                    p0=p0,
-                    t0=t0,
-                    horizon=horizon,
-                    strict=strict,
-                    exit_event=last,
-                    trajectory=merged,
-                )
+                return exited(side, last)
             state = State(
                 q=q_b, p=dec.direction * tol.stick_band / 2, t=t_b, mode=SLIPPING
             )

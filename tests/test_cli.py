@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from xml.etree import ElementTree
 
 import pytest
 
@@ -14,6 +15,7 @@ from drypend.cli import (
     load_scenario,
     main,
 )
+from drypend.integrator import Trajectory
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -133,6 +135,24 @@ class TestSimulate:
         svg = (tmp_path / "out" / "phase.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "polyline" in svg
+
+    def test_svg_escapes_the_scenario_name(self, tmp_path):
+        scen = load_scenario(write_scenario(tmp_path, horizon=1.0))
+        scen.name = name = "a<b & c"
+        cmd_simulate(scen, str(tmp_path / "out"), svg=True)
+        root = ElementTree.parse(tmp_path / "out" / "phase.svg").getroot()
+        assert name in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+    def test_poly_pivot_trajectory_reads_back(self, tmp_path):
+        pivot = {"kind": "poly", "coeffs": [0.5, -0.2, 0.01], "t_max": 100}
+        initial = {"kind": "point", "q0": 1.0, "p0": 0.3}
+        scen = load_scenario(
+            write_scenario(tmp_path, params={"mu": 0.3}, pivot=pivot, initial=initial, horizon=20)
+        )
+        assert cmd_simulate(scen, str(tmp_path / "out")) == 0
+        with open(tmp_path / "out" / "trajectory.csv") as fh:
+            traj = Trajectory.read_csv(fh)
+        assert len(traj.samples) > 10 and "np.float64" not in traj.to_csv()
 
 
 class TestShoot:

@@ -1,9 +1,10 @@
-"""Non-finite numbers in a scenario are rejected with exit 2, never run.
+"""Non-finite or non-numeric scenario numbers are rejected with exit 2, never run.
 
 A NaN initial angle once made the first step size NaN, which no underflow
-test caught, and an infinite horizon never ends; either hung `simulate`.
-Each case runs the real CLI in a subprocess under a time limit, so a hang
-fails the test instead of stalling the suite.
+test caught, and an infinite horizon never ends; either hung `simulate`.  A
+missing or non-numeric number ended in a traceback.  Each case runs the real
+CLI in a subprocess under a time limit, so a hang fails the test instead of
+stalling the suite.
 """
 
 import json
@@ -109,3 +110,40 @@ def test_finite_scenario_still_runs(tmp_path):
     proc = run_cli(tmp_path, "simulate", BASE)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def _assert_rejected(proc, field):
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        ("initial", {"kind": "point", "p0": 0.2}, "initial.q0"),
+        ("initial.p0", "fast", "initial.p0"),
+        ("initial.t0", [0.0], "initial.t0"),
+        ("initial.q0", "1.0", "initial.q0"),
+        ("horizon", "inf", "horizon"),  # float("inf") once ran forever
+    ],
+)
+def test_non_numeric_point_scenario_is_rejected(tmp_path, path, value, field):
+    _assert_rejected(run_cli(tmp_path, "simulate", _with(path, value)), field)
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        ("sigma", {"kind": "table", "q": [0.0, 3.2], "p": ["x", 1]}, "initial.sigma.p[0]"),
+        ("sigma", {"kind": "table", "q": [0.0, None], "p": [-1, 1]}, "initial.sigma.q[1]"),
+        ("sigma", {"kind": "table", "p": [-1, 1]}, "initial.sigma.q"),
+        ("sigma", {"kind": "line", "shift": "x"}, "initial.sigma.shift"),
+        ("sigma", "line", "initial.sigma"),
+        ("family_shifts", [0.0, "x"], "initial.family_shifts[1]"),
+        ("family_shifts", 0.1, "initial.family_shifts"),
+    ],
+)
+def test_non_numeric_curve_input_is_rejected(tmp_path, path, value, field):
+    scen = _with("initial", _with(path, value, base=CURVE))
+    _assert_rejected(run_cli(tmp_path, "sweep", scen), field)

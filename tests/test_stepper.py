@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from drypend import integrator
+from drypend import integrator, model
 from drypend.integrator import DenseSegment, Tolerances, integrate
 from drypend.model import ConstantPivot, Params, PolyPivot, SinePivot, State, TablePivot
 
@@ -92,7 +92,7 @@ def stepper_cases(draw):
 def test_field_and_step_match_the_looped_reference(case):
     params, pivot, branch, t, q, p, h = case
     f_ref = refstepper._field(params, pivot, branch)
-    f_new = integrator._field(params, pivot, branch)
+    f_new = model.branch_field(params, pivot, branch)
     assert bits(f_new(t, q, p)) == bits(f_ref(t, q, p))
 
     ref = refstepper._rk_step(f_ref, t, q, p, h)
@@ -167,7 +167,7 @@ def test_dense_eval_matches_the_looped_horner(h, q0, p0, cq, cp, theta):
 def stepped_segments(draw):
     """A dense segment built by one real step of a drawn field."""
     params, pivot, branch, t, q, p, h = draw(stepper_cases())
-    f = integrator._field(params, pivot, branch)
+    f = model.branch_field(params, pivot, branch)
     _, _, _, _, (kq, kp) = integrator._rk_step(f, t, q, p, h, *f(t, q, p))
     cq, cp = integrator._dense_coeffs(kq, kp)
     return t, h, q, p, cq, cp

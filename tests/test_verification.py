@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drypend.model import ConstantPivot, Params, SinePivot, State, limit_fields
+from drypend.model import ConstantPivot, Params, SinePivot, State, accel_slipping, limit_fields
 from drypend.integrator import Tolerances
 from drypend.verification import (
     SampleGrid,
@@ -93,12 +93,10 @@ class TestOneSidedLipschitz:
         assert r.details["violations"] > 0
         # recorded worst pair reproduces its ratio
         wc = r.worst_case
-        from drypend.verification import _field_arrays
-
-        f1 = _field_arrays(P, ZERO, np.array([wc["q1"]]), np.array([wc["p1"]]), np.array([wc["t"]]))
-        f2 = _field_arrays(P, ZERO, np.array([wc["q2"]]), np.array([wc["p2"]]), np.array([wc["t"]]))
+        f1 = accel_slipping(P, ZERO, np.array([wc["q1"]]), np.array([wc["p1"]]), np.array([wc["t"]]))
+        f2 = accel_slipping(P, ZERO, np.array([wc["q2"]]), np.array([wc["p2"]]), np.array([wc["t"]]))
         dq, dp = wc["q1"] - wc["q2"], wc["p1"] - wc["p2"]
-        dot = dq * float(f1[0][0] - f2[0][0]) + dp * float(f1[1][0] - f2[1][0])
+        dot = dq * dp + dp * float(f1[0] - f2[0])
         ratio = dot / (dq * dq + dp * dp)
         assert ratio == pytest.approx(r.estimated_constant, rel=1e-12)
 
