@@ -3,6 +3,10 @@
 Event-driven integration of the set-valued equations of motion, shooting
 for never-falling trajectories, and empirical verification of the
 structural inequalities the method rests on.
+
+The verification checks live in `drypend.verification`, which is not
+imported here: they are numpy's only array users, and the other commands
+run without numpy.
 """
 
 from .model import (
@@ -18,7 +22,6 @@ from .model import (
     energy,
     filippov_set,
     limit_fields,
-    normal_force_mag,
     p_star,
     stiction_holds,
 )
@@ -39,14 +42,6 @@ from .wazewski import (
     classify_exit,
     family_sweep,
     recheck_witness,
-)
-from .verification import (
-    CheckReport,
-    SampleGrid,
-    check_continuous_dependence,
-    check_jump_inequality,
-    check_one_sided_lipschitz,
-    check_upper_semicontinuity,
 )
 
 __version__ = "0.1.0"

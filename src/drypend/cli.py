@@ -18,28 +18,17 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (
     ConstantPivot,
     Params,
     PivotLaw,
+    PolyPivot,
     State,
     energy,
     fingerprint_of,
     pivot_from_dict,
 )
 from .integrator import IntegrationError, Tolerances, integrate
-from .verification import (
-    CheckReport,
-    SampleGrid,
-    check_continuous_dependence,
-    check_jump_inequality,
-    check_one_sided_lipschitz,
-    check_upper_semicontinuity,
-    smooth_lipschitz_bound,
-    summary_table,
-)
 from .wazewski import (
     CurveValidationError,
     PreconditionFailed,
@@ -59,39 +48,73 @@ class ValidationError(ValueError):
     pass
 
 
-# the scenario fields whose numbers must all be finite
-_NUMERIC_FIELDS = ("params", "pivot", "tolerances", "horizon", "initial")
-
-
-def _reject_non_finite(value, where: str):
-    """Raise ValidationError naming the first NaN, infinity or float overflow
-    at or inside `value` (a JSON value found at `where`)."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, f"{where}.{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_non_finite(item, f"{where}[{i}]")
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ValidationError(f"{where} must be a finite number, got {value}")
-
-
 def _number(value, where: str) -> float:
-    """`value` as a float; ValidationError naming `where` unless it is a number."""
+    """`value` as a float; ValidationError naming `where` unless it is a finite
+    JSON number (a numeric string such as "inf" is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"{where} must be a finite number, got {value}")
+    return number
 
 
 def _numbers(values, where: str) -> list[float]:
     if not isinstance(values, list):
         raise ValidationError(f"{where} must be a list of numbers, got {values!r}")
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _number_fields(raw: dict, key: str) -> dict:
+    """The object raw[key] (empty if absent), each value checked by `_number`
+    and kept as written, so that an integer stays one in the normalized
+    scenario."""
+    fields = raw.get(key, {})
+    if not isinstance(fields, dict):
+        raise ValidationError(f"{key} must be an object, got {fields!r}")
+    for name, value in fields.items():
+        _number(value, f"{key}.{name}")
+    return fields
+
+
+# the numbers of each pivot kind; coeffs, times and values are lists
+_PIVOT_NUMBERS = {
+    "constant": ("a",),
+    "sine": ("amp", "omega", "phase"),
+    "poly": ("coeffs", "t_max"),
+    "table": ("times", "values"),
+}
+
+
+def _parse_pivot(spec) -> PivotLaw:
+    if not isinstance(spec, dict):
+        raise ValidationError(f"pivot must be an object, got {spec!r}")
+    spec = dict(spec)
+    for key in _PIVOT_NUMBERS.get(spec.get("kind"), ()):
+        if key in spec:
+            parse = _numbers if key in ("coeffs", "times", "values") else _number
+            spec[key] = parse(spec[key], f"pivot.{key}")
+    try:
+        return pivot_from_dict(spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"pivot: {exc}") from exc
+
+
+def _check_horizon(pivot: PivotLaw, horizon: float):
+    """The pivot's bounds, which the velocity trap relies on, must hold on
+    [0, horizon]."""
+    if not (0 < horizon < math.inf):
+        raise ValidationError("horizon must be positive and finite")
+    if isinstance(pivot, PolyPivot) and horizon > pivot.t_max:
+        raise ValidationError(
+            f"pivot.t_max = {pivot.t_max} must cover the horizon {horizon}: "
+            "a poly pivot's bounds hold only on [0, t_max]"
+        )
+    if not pivot.check_sup_bound(0.0, horizon):
+        raise ValidationError("pivot sup_bound fails to dominate |accel| on the horizon")
 
 
 @dataclass
@@ -155,8 +178,9 @@ def _build_curve(spec: dict, shift: float = 0.0) -> SigmaCurve:
     raise ValidationError(f"unknown curve kind: {kind!r}")
 
 
-def load_scenario(path: str) -> Scenario:
-    """Read, default-fill and validate one scenario file."""
+def load_scenario(path: str, horizon: float | None = None) -> Scenario:
+    """Read, default-fill and validate one scenario file; `horizon`, if given,
+    replaces the file's before the validation."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -166,27 +190,23 @@ def load_scenario(path: str) -> Scenario:
         raise ParseError(f"scenario is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ParseError("scenario must be a JSON object")
-    for key in _NUMERIC_FIELDS:
-        _reject_non_finite(raw.get(key), key)
 
     name = raw.get("name", os.path.splitext(os.path.basename(path))[0])
+    params_fields = _number_fields(raw, "params")
     try:
-        params = Params(**raw.get("params", {}))
+        params = Params(**params_fields)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"params: {exc}") from exc
+    pivot = _parse_pivot(raw.get("pivot", {"kind": "constant", "a": 0.0}))
+    tolerance_fields = _number_fields(raw, "tolerances")
     try:
-        pivot = pivot_from_dict(raw.get("pivot", {"kind": "constant", "a": 0.0}))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"pivot: {exc}") from exc
-
-    try:
-        tolerances = Tolerances(**raw.get("tolerances", {}))
+        tolerances = Tolerances(**tolerance_fields)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"tolerances: {exc}") from exc
 
-    horizon = _number(raw.get("horizon", 50.0), "horizon")
-    if not (horizon > 0):
-        raise ValidationError("horizon must be positive")
+    file_horizon = _number(raw.get("horizon", 50.0), "horizon")
+    if horizon is None:
+        horizon = file_horizon
 
     mode = raw.get("mode", "closed")
     if mode not in ("closed", "strict"):
@@ -213,7 +233,8 @@ def load_scenario(path: str) -> Scenario:
     else:
         raise ValidationError(f"initial kind must be 'point' or 'curve', got {initial['kind']!r}")
 
-    scen = Scenario(
+    _check_horizon(pivot, horizon)
+    return Scenario(
         name=name,
         params=params,
         pivot=pivot,
@@ -222,9 +243,6 @@ def load_scenario(path: str) -> Scenario:
         tolerances=tolerances,
         mode=mode,
     )
-    if not scen.pivot.check_sup_bound(0.0, horizon):
-        raise ValidationError("pivot sup_bound fails to dominate |accel| on the horizon")
-    return scen
 
 
 def _write_atomic(path: str, data: str):
@@ -271,8 +289,9 @@ def cmd_simulate(scen: Scenario, out_dir: str, svg: bool = False) -> int:
             os.path.join(out_dir, "phase.svg"), phase_portrait_svg(traj, title=scen.name)
         )
     if scen.params.mu == 0.0 and isinstance(scen.pivot, ConstantPivot) and scen.pivot.a == 0.0:
-        e0 = float(energy(scen.params, traj.q[0], traj.p[0]))
-        drift = float(np.max(np.abs(energy(scen.params, traj.q, traj.p) - e0)))
+        _, q0, p0, _ = traj.samples[0]
+        e0 = energy(scen.params, q0, p0)
+        drift = max(abs(energy(scen.params, q, p) - e0) for _, q, p, _ in traj.samples)
         rel = drift / max(abs(e0), 1e-30)
         print(f"energy drift (relative): {rel:.3e}")
     print(f"wrote {len(traj.samples)} samples, {len(traj.events)} events to {out_dir}")
@@ -343,6 +362,17 @@ _CHECK_NAMES = ("jump", "lipschitz", "dependence", "semicontinuity")
 
 
 def cmd_verify(scen: Scenario, out_dir: str, checks: list[str] | None = None) -> int:
+    from .verification import (
+        CheckReport,
+        SampleGrid,
+        check_continuous_dependence,
+        check_jump_inequality,
+        check_one_sided_lipschitz,
+        check_upper_semicontinuity,
+        smooth_lipschitz_bound,
+        summary_table,
+    )
+
     selected = checks or list(_CHECK_NAMES)
     unknown = [c for c in selected if c not in _CHECK_NAMES]
     if unknown:
@@ -423,15 +453,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        scen = load_scenario(args.scenario)
+        scen = load_scenario(args.scenario, horizon=args.horizon)
     except (ParseError, ValidationError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    if args.horizon is not None:
-        if not (0 < args.horizon < math.inf):
-            print("scenario error: horizon must be positive and finite", file=sys.stderr)
-            return 2
-        scen.horizon = args.horizon
     if args.strict:
         scen.mode = "strict"
 

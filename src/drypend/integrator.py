@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .model import (
     SLIPPING,
     STUCK,
@@ -133,21 +131,24 @@ class Trajectory:
     def append(self, t: float, q: float, p: float, mode: str):
         self.samples.append((t, q, p, mode))
 
+    # numpy arrays, for array code; the commands read `samples`
     @property
-    def t(self) -> np.ndarray:
+    def t(self):
+        import numpy as np
+
         return np.array([s[0] for s in self.samples])
 
     @property
-    def q(self) -> np.ndarray:
+    def q(self):
+        import numpy as np
+
         return np.array([s[1] for s in self.samples])
 
     @property
-    def p(self) -> np.ndarray:
-        return np.array([s[2] for s in self.samples])
+    def p(self):
+        import numpy as np
 
-    @property
-    def modes(self) -> list[str]:
-        return [s[3] for s in self.samples]
+        return np.array([s[2] for s in self.samples])
 
     @property
     def final(self) -> State:

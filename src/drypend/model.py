@@ -17,7 +17,11 @@ The field is written in three kernels only: `branch_field` (scalar, one
 friction branch, stepped by the integrator), `accel_slipping` (arrays,
 p != 0) and `stiction_drift_and_bound` (on p = 0), from which the one-sided
 limits and the stiction test are both taken.  Apart from `branch_field`,
-functions accept scalars or numpy arrays in the (q, p, t) slots.
+functions accept scalars or numpy arrays in the (q, p, t) slots.  numpy is
+imported only where arrays are used (the array kernel, the pivot laws' array
+paths and `PolyPivot`); on Python floats the module runs without it, taking
+`math.sin`/`math.cos`, which agree with numpy's bit for bit on floats
+(pinned by tests/test_backends.py).
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 # Mode labels; these exact strings go into CSV output.
 SLIPPING = "slip"
@@ -65,7 +68,9 @@ class PivotLaw:
     Subclasses provide `accel`, an exact or conservative `sup_bound` and a
     Lipschitz constant `lipschitz_bound`.  `sup_bound` must over-estimate
     max |a| on the interval: the velocity trap threshold computed from it is
-    only valid as an upper bound.
+    only valid as an upper bound.  `accel` maps a number to a float and a
+    list to a list in pure Python, and anything else through numpy, so
+    that `check_sup_bound` samples the law in one call without numpy.
     """
 
     kind = "abstract"
@@ -85,8 +90,61 @@ class PivotLaw:
 
     def check_sup_bound(self, t0: float, t1: float, n: int = 1001) -> bool:
         """Sampled sanity check that sup_bound dominates |accel| on [t0, t1]."""
-        ts = np.linspace(t0, t1, n)
-        return bool(np.all(np.abs(self.accel(ts)) <= self.sup_bound(t0, t1) + 1e-12))
+        values = self.accel(linspace(t0, t1, n))
+        bound = self.sup_bound(t0, t1) + 1e-12
+        return all(abs(a) <= bound for a in values)
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) as a list of floats, by numpy's
+    arithmetic: i * step + start, with (i / div) * delta + start when the
+    step underflows to 0, and the last point exactly `stop`."""
+    if num < 2:
+        raise ValueError("linspace needs at least two points")
+    start, stop = float(start), float(stop)
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        out = [i / div * delta + start for i in range(num)]
+    else:
+        out = [i * step + start for i in range(num)]
+    out[-1] = stop
+    return out
+
+
+def interp(x: float, xs: list[float], ys: list[float]) -> float:
+    """np.interp(x, xs, ys) at one point, step for step: clamped ends, knot
+    values as they are, and the far end of the interval tried when the
+    interpolation gives NaN.  `xs` must be strictly increasing."""
+    x = float(x)
+    if x != x:
+        return x
+    if x > xs[-1]:
+        return ys[-1]
+    if x < xs[0]:
+        return ys[0]
+    j = bisect_right(xs, x) - 1
+    if j == len(xs) - 1 or xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    y = slope * (x - xs[j]) + ys[j]
+    if y != y:
+        y = slope * (x - xs[j + 1]) + ys[j + 1]
+        if y != y and ys[j] == ys[j + 1]:
+            y = ys[j]
+    return y
+
+
+def real_list(values, what: str) -> list[float]:
+    """`values` as a list of floats; ValueError naming `what` unless it is a
+    sequence of real numbers (a numeric string is not one)."""
+    try:
+        if all(isinstance(v, numbers.Real) for v in values):
+            return [float(v) for v in values]
+    except TypeError:  # not iterable
+        pass
+    raise ValueError(f"{what} must be a sequence of numbers, got {values!r}")
 
 
 class ConstantPivot(PivotLaw):
@@ -98,8 +156,12 @@ class ConstantPivot(PivotLaw):
         self.a = float(a)
 
     def accel(self, t):
-        if isinstance(t, float):
+        if isinstance(t, (float, int)):
             return self.a
+        if isinstance(t, list):
+            return [self.a] * len(t)
+        import numpy as np
+
         return self.a * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.a
 
     @property
@@ -124,9 +186,13 @@ class SinePivot(PivotLaw):
         self.phase = float(phase)
 
     def accel(self, t):
-        if not isinstance(t, float) and np.ndim(t):
-            return self.amp * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
-        return self.amp * math.sin(self.omega * t + self.phase)
+        if isinstance(t, (float, int)):
+            return self.amp * math.sin(self.omega * t + self.phase)
+        if isinstance(t, list):
+            return [self.amp * math.sin(self.omega * x + self.phase) for x in t]
+        import numpy as np
+
+        return self.amp * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
 
     @property
     def lipschitz_bound(self) -> float:
@@ -167,6 +233,8 @@ class PolyPivot(PivotLaw):
             raise ValueError("poly pivot needs at least one coefficient")
         if not (t_max > 0):
             raise ValueError("t_max must be positive")
+        import numpy as np
+
         self.coeffs = tuple(float(c) for c in coeffs)
         self.t_max = float(t_max)
         self._poly = np.polynomial.Polynomial(self.coeffs)
@@ -184,8 +252,9 @@ class PolyPivot(PivotLaw):
             for ck in c[-2::-1]:
                 acc = ck + acc * x
             return float(acc)
-        out = self._poly(np.asarray(t, dtype=float)) if np.ndim(t) else self._poly(t)
-        return out
+        import numpy as np
+
+        return self._poly(np.asarray(t, dtype=float)) if np.ndim(t) else self._poly(t)
 
     @staticmethod
     def _abs_max(poly, a: float, b: float) -> float:
@@ -223,58 +292,40 @@ class TablePivot(PivotLaw):
     kind = "table"
 
     def __init__(self, times: Sequence[float], values: Sequence[float]):
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
+        self.times = real_list(times, "table pivot times")
+        self.values = real_list(values, "table pivot values")
+        if len(self.times) < 2 or len(self.times) != len(self.values):
             raise ValueError("table pivot needs matching 1-d times/values with >= 2 knots")
-        if np.any(np.diff(t) <= 0):
+        ts, vs = self.times, self.values
+        if any(t1 - t0 <= 0 for t0, t1 in zip(ts, ts[1:])):
             raise ValueError("table pivot times must be strictly increasing")
-        self.times = t
-        self.values = v
-        self._knots = t.tolist()
-        self._knot_values = v.tolist()
+        # computed once: the release scan reads it for every stuck stretch
+        self._lipschitz = max(
+            abs((v1 - v0) / (t1 - t0)) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])
+        )
 
     def accel(self, t):
-        if isinstance(t, float):
-            # np.interp at one point, step for step: clamped ends, knot
-            # values as they are, and the far end of the interval tried when
-            # the interpolation gives NaN
-            x = float(t)
-            ts, vs = self._knots, self._knot_values
-            if x != x:
-                return x
-            if x > ts[-1]:
-                return vs[-1]
-            if x < ts[0]:
-                return vs[0]
-            j = bisect_right(ts, x) - 1
-            if j == len(ts) - 1 or ts[j] == x:
-                return vs[j]
-            slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
-            y = slope * (x - ts[j]) + vs[j]
-            if y != y:
-                y = slope * (x - ts[j + 1]) + vs[j + 1]
-                if y != y and vs[j] == vs[j + 1]:
-                    y = vs[j]
-            return y
-        out = np.interp(t, self.times, self.values)
-        return float(out) if np.ndim(t) == 0 else out
+        if isinstance(t, (float, int)):
+            return interp(t, self.times, self.values)
+        if isinstance(t, list):
+            return [interp(x, self.times, self.values) for x in t]
+        import numpy as np
+
+        return np.interp(t, self.times, self.values)
 
     @property
     def lipschitz_bound(self) -> float:
-        return float(np.max(np.abs(np.diff(self.values) / np.diff(self.times))))
+        return self._lipschitz
 
     def sup_bound(self, t0, t1):
         if t1 < t0:
             raise ValueError("empty interval")
-        inside = self.values[(self.times >= t0) & (self.times <= t1)]
         cand = [abs(self.accel(t0)), abs(self.accel(t1))]
-        if inside.size:
-            cand.append(float(np.max(np.abs(inside))))
+        cand += [abs(v) for t, v in zip(self.times, self.values) if t0 <= t <= t1]
         return max(cand)
 
     def to_dict(self):
-        return {"kind": self.kind, "times": self.times.tolist(), "values": self.values.tolist()}
+        return {"kind": self.kind, "times": list(self.times), "values": list(self.values)}
 
 
 def pivot_from_dict(spec: dict) -> PivotLaw:
@@ -291,24 +342,30 @@ def pivot_from_dict(spec: dict) -> PivotLaw:
     raise ValueError(f"unknown pivot law kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class State:
-    """Phase point (q, p) at time t plus the motion mode.
-
-    q is stored unwrapped; any reduction modulo 2*pi is for display only.
-    Stuck states have p = 0 exactly.
-    """
-
+class _StateFields(NamedTuple):
     q: float
     p: float
     t: float
     mode: str = SLIPPING
 
-    def __post_init__(self):
-        if self.mode not in (SLIPPING, STUCK):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == STUCK and self.p != 0.0:
-            raise ValueError("stuck state must have p = 0 exactly")
+
+class State(_StateFields):
+    """Phase point (q, p) at time t plus the motion mode.
+
+    q is stored unwrapped; any reduction modulo 2*pi is for display only.
+    Stuck states have p = 0 exactly.  An immutable tuple: the integrator
+    builds one per step, and a frozen dataclass cost up to twice as much.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, q: float, p: float, t: float, mode: str = SLIPPING):
+        if mode != SLIPPING:
+            if mode != STUCK:
+                raise ValueError(f"unknown mode {mode!r}")
+            if p != 0.0:
+                raise ValueError("stuck state must have p = 0 exactly")
+        return tuple.__new__(cls, (q, p, t, mode))
 
 
 @dataclass(frozen=True)
@@ -332,10 +389,13 @@ class FilippovSet:
         return self.p_dot_lo == self.p_dot_hi
 
 
-def normal_force_mag(params: Params, pivot: PivotLaw, q, p, t):
-    """Magnitude of the rod constraint force: m |a(t) cos q - l p^2 + g sin q|."""
-    a = pivot.accel(t)
-    return params.m * np.abs(a * np.cos(q) - params.l * np.square(p) + params.g * np.sin(q))
+def _sin_cos(q):
+    """(sin, cos) for angles q: math's for a Python float, numpy's otherwise."""
+    if isinstance(q, float):
+        return math.sin, math.cos
+    import numpy as np
+
+    return np.sin, np.cos
 
 
 def branch_field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
@@ -360,6 +420,8 @@ def branch_field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
 
 def accel_slipping(params: Params, pivot: PivotLaw, q, p, t):
     """The array kernel: dp/dt for p != 0 (friction sign taken from p)."""
+    import numpy as np
+
     if np.any(np.asarray(p) == 0.0):
         raise ValueError("accel_slipping is undefined at p = 0; use filippov_set")
     a = pivot.accel(t)
@@ -378,8 +440,10 @@ def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q, t):
     """
     a = pivot.accel(t)
     l, g, mu = params.l, params.g, params.mu
-    drift = (a / l) * np.sin(q) - (g / l) * np.cos(q)
-    bound = (mu / l) * np.abs(a * np.cos(q) + g * np.sin(q))
+    sin, cos = _sin_cos(q)
+    s, c = sin(q), cos(q)
+    drift = (a / l) * s - (g / l) * c
+    bound = (mu / l) * abs(a * c + g * s)
     return drift, bound
 
 
@@ -409,7 +473,7 @@ def stiction_holds(params: Params, pivot: PivotLaw, q, t):
     same as 0 being contained in [f_plus_p, f_minus_p].
     """
     drift, bound = stiction_drift_and_bound(params, pivot, q, t)
-    return np.abs(drift) <= bound
+    return abs(drift) <= bound
 
 
 def p_star(params: Params, pivot: PivotLaw, t0: float, t1: float) -> float:
@@ -432,7 +496,8 @@ def energy(params: Params, q, p):
     Conserved along solutions only when mu = 0 and the pivot is inertial
     (a(t) = 0); used as a drift oracle in that limit.
     """
-    return 0.5 * params.l ** 2 * np.square(p) + params.g * params.l * np.sin(q)
+    sin, _ = _sin_cos(q)
+    return 0.5 * params.l ** 2 * (p * p) + params.g * params.l * sin(q)
 
 
 def fingerprint_of(*parts: dict) -> str:

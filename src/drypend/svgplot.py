@@ -29,11 +29,9 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def phase_portrait_svg(traj: Trajectory, title: str = "") -> str:
     """q on the horizontal axis, p on the vertical, colored by mode."""
-    qs = traj.q
-    ps = traj.p
-    modes = traj.modes
-    q_lo, q_hi = float(qs.min()), float(qs.max())
-    p_lo, p_hi = float(ps.min()), float(ps.max())
+    _, qs, ps, modes = zip(*traj.samples)
+    q_lo, q_hi = min(qs), max(qs)
+    p_lo, p_hi = min(ps), max(ps)
     if q_hi - q_lo < 1e-9:
         q_lo, q_hi = q_lo - 0.5, q_hi + 0.5
     if p_hi - p_lo < 1e-9:

@@ -20,9 +20,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .model import SLIPPING, STUCK, Params, PivotLaw, State, stiction_holds
+from .model import (
+    SLIPPING,
+    STUCK,
+    Params,
+    PivotLaw,
+    State,
+    interp,
+    linspace,
+    real_list,
+    stiction_holds,
+)
 from .integrator import (
     HORIZON,
     REGION_EXIT,
@@ -76,12 +84,12 @@ class SigmaCurve:
             raise CurveValidationError(f"sigma endpoint sign: sigma(0) = {lo} must be < 0")
         if not (hi > 0.0):
             raise CurveValidationError(f"sigma endpoint sign: sigma(pi) = {hi} must be > 0")
-        qs = np.linspace(Q_LO, Q_HI, 257)
-        vals = np.array([self.sigma(float(qv)) for qv in qs])
-        if not np.all(np.isfinite(vals)):
+        qs = linspace(Q_LO, Q_HI, 257)
+        vals = [float(self.sigma(q)) for q in qs]
+        if not all(math.isfinite(v) for v in vals):
             raise CurveValidationError("sigma must be finite on [0, pi]")
-        slopes = np.abs(np.diff(vals)) / np.diff(qs)
-        object.__setattr__(self, "lipschitz_estimate", float(np.max(slopes)))
+        slopes = [abs(v1 - v0) / (q1 - q0) for q0, q1, v0, v1 in zip(qs, qs[1:], vals, vals[1:])]
+        object.__setattr__(self, "lipschitz_estimate", max(slopes))
 
     def __call__(self, q: float) -> float:
         return float(self.sigma(q))
@@ -96,15 +104,18 @@ class SigmaCurve:
 
     @staticmethod
     def from_table(qs: Sequence[float], ps: Sequence[float], name: str = "table") -> "SigmaCurve":
-        q_arr = np.asarray(qs, dtype=float)
-        p_arr = np.asarray(ps, dtype=float)
-        if q_arr.ndim != 1 or q_arr.size < 2 or q_arr.shape != p_arr.shape:
+        try:
+            q_knots = real_list(qs, "curve table q")
+            p_knots = real_list(ps, "curve table p")
+        except ValueError as exc:
+            raise CurveValidationError(str(exc)) from exc
+        if len(q_knots) < 2 or len(q_knots) != len(p_knots):
             raise CurveValidationError("curve table needs matching 1-d q/p with >= 2 knots")
-        if np.any(np.diff(q_arr) <= 0):
+        if any(q1 - q0 <= 0 for q0, q1 in zip(q_knots, q_knots[1:])):
             raise CurveValidationError("curve table q values must be strictly increasing")
-        if not (q_arr[0] <= Q_LO and q_arr[-1] >= Q_HI):
+        if not (q_knots[0] <= Q_LO and q_knots[-1] >= Q_HI):
             raise CurveValidationError("curve table must cover [0, pi]")
-        return SigmaCurve(sigma=lambda q: float(np.interp(q, q_arr, p_arr)), name=name)
+        return SigmaCurve(sigma=lambda q: interp(q, q_knots, p_knots), name=name)
 
 
 @dataclass
@@ -158,7 +169,6 @@ def _merge(dst: Trajectory, src: Trajectory):
 
 
 def _survival_report(q0, p0, t0, horizon, strict, traj) -> ExitReport:
-    qs = traj.q
     final = traj.final
     stuck_q = final.q if final.mode == STUCK else None
     return ExitReport(
@@ -171,7 +181,7 @@ def _survival_report(q0, p0, t0, horizon, strict, traj) -> ExitReport:
         exit_event=None,
         trajectory=traj,
         stuck_q=stuck_q,
-        min_boundary_distance=float(np.min(np.minimum(qs - Q_LO, Q_HI - qs))),
+        min_boundary_distance=min(min(q - Q_LO, Q_HI - q) for _, q, _, _ in traj.samples),
     )
 
 
@@ -363,12 +373,12 @@ def recheck_witness(
 
 
 def _curves_disjoint(curves: Sequence[SigmaCurve], n: int = 257) -> None:
-    qs = np.linspace(Q_LO, Q_HI, n)
-    tables = [np.array([c(float(qv)) for qv in qs]) for c in curves]
+    qs = linspace(Q_LO, Q_HI, n)
+    tables = [[c(q) for q in qs] for c in curves]
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
-            diff = tables[i] - tables[j]
-            if np.min(np.abs(diff)) == 0.0 or np.min(diff) < 0.0 < np.max(diff):
+            diff = [a - b for a, b in zip(tables[i], tables[j])]
+            if min(map(abs, diff)) == 0.0 or min(diff) < 0.0 < max(diff):
                 raise CurveValidationError(
                     f"curves {curves[i].name!r} and {curves[j].name!r} intersect on [0, pi]"
                 )

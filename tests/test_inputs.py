@@ -126,6 +126,9 @@ def _assert_rejected(proc, field):
         ("initial.t0", [0.0], "initial.t0"),
         ("initial.q0", "1.0", "initial.q0"),
         ("horizon", "inf", "horizon"),  # float("inf") once ran forever
+        ("pivot", {"kind": "constant", "a": "inf"}, "pivot.a"),  # once a math domain error
+        ("pivot", {"kind": "table", "times": [0, "inf"], "values": [0, 1]}, "pivot.times[1]"),
+        ("tolerances", {"max_dt": "0.05"}, "tolerances.max_dt"),
     ],
 )
 def test_non_numeric_point_scenario_is_rejected(tmp_path, path, value, field):
@@ -147,3 +150,15 @@ def test_non_numeric_point_scenario_is_rejected(tmp_path, path, value, field):
 def test_non_numeric_curve_input_is_rejected(tmp_path, path, value, field):
     scen = _with("initial", _with(path, value, base=CURVE))
     _assert_rejected(run_cli(tmp_path, "sweep", scen), field)
+
+
+POLY_T10 = {"kind": "poly", "coeffs": [0.5, -0.2, 0.01], "t_max": 10}
+
+
+@pytest.mark.parametrize("horizon, flags", [(50.0, ()), (5.0, ("--horizon", "50"))])
+def test_poly_pivot_must_cover_the_horizon(tmp_path, horizon, flags):
+    # its Lipschitz and sup bounds, which the velocity trap relies on, hold
+    # only on [0, t_max]; a --horizon override is validated like the file's
+    scen = {**_with("pivot", POLY_T10), "horizon": horizon}
+    _assert_rejected(run_cli(tmp_path, "simulate", scen, *flags), "pivot.t_max")
+    assert run_cli(tmp_path, "simulate", scen, "--horizon", "10").returncode == 0

@@ -14,7 +14,6 @@ from drypend.model import (
     accel_slipping,
     filippov_set,
     limit_fields,
-    normal_force_mag,
     p_star,
     pivot_from_dict,
     stiction_holds,
@@ -83,19 +82,6 @@ class TestPivotLaws:
         for pv in (ConstantPivot(1), SinePivot(2, 3, 0.1), PolyPivot([1, 2]), TablePivot([0, 1], [1, 2])):
             clone = pivot_from_dict(pv.to_dict())
             assert clone.to_dict() == pv.to_dict()
-
-
-class TestNormalForce:
-    def test_gravity_only_at_apex(self):
-        assert normal_force_mag(P, ZERO, math.pi / 2, 0.0, 0.0) == pytest.approx(9.8)
-
-    def test_vanishes_at_horizontal_rest(self):
-        assert normal_force_mag(P, ZERO, 0.0, 0.0, 0.0) == 0.0
-
-    def test_hand_computed_mix(self):
-        # m |a cos q - l p^2 + g sin q| = 2 |3 - 0.5*4 + 0| = 2
-        params = Params(l=0.5, m=2.0, g=9.8, mu=0.5)
-        assert normal_force_mag(params, ConstantPivot(3.0), 0.0, 2.0, 0.0) == pytest.approx(2.0)
 
 
 class TestAccelSlipping:
@@ -238,6 +224,18 @@ class TestState:
     def test_angle_not_wrapped(self):
         s = State(q=12.7, p=0.0, t=0.0)
         assert s.q == 12.7
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            State(q=1.0, p=0.0, t=0.0, mode="sliding")
+
+    def test_immutable_value_with_keyword_repr(self):
+        s = State(q=1.0, p=0.0, t=2.0, mode="stuck")
+        assert repr(s) == "State(q=1.0, p=0.0, t=2.0, mode='stuck')"
+        assert s == State(1.0, 0.0, 2.0, "stuck") and s.mode == "stuck"
+        assert State(q=1.0, p=0.5, t=0.0).mode == "slip"
+        with pytest.raises(AttributeError):
+            s.p = 1.0
 
 
 class TestEnergy:

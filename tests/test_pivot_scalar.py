@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from drypend.model import ConstantPivot, PolyPivot, SinePivot, TablePivot
+from drypend.model import ConstantPivot, PolyPivot, SinePivot, TablePivot, interp
 
 PROPERTY = settings(max_examples=400, deadline=None)
 
@@ -73,17 +73,24 @@ def tables(draw):
     return TablePivot(times, values)
 
 
+def assert_table_agrees(pivot, t):
+    assert_paths_agree(pivot, t)
+    # the replica itself, which SigmaCurve.from_table shares with the table law
+    expected = np.interp(t, pivot.times, pivot.values)
+    assert bits(interp(t, pivot.times, pivot.values)) == bits(expected)
+
+
 @PROPERTY
 @given(pivot=tables(), t=st.one_of(reals, specials), knot=st.integers(0, 9))
 def test_table(pivot, t, knot):
-    assert_paths_agree(pivot, t)
+    assert_table_agrees(pivot, t)
     # on a knot, at both clamped ends and just outside them
-    times = pivot.times.tolist()
-    assert_paths_agree(pivot, times[knot % len(times)])
+    times = list(pivot.times)
+    assert_table_agrees(pivot, times[knot % len(times)])
     for end in (times[0], times[-1]):
-        assert_paths_agree(pivot, end)
-        assert_paths_agree(pivot, math.nextafter(end, -math.inf))
-        assert_paths_agree(pivot, math.nextafter(end, math.inf))
+        assert_table_agrees(pivot, end)
+        assert_table_agrees(pivot, math.nextafter(end, -math.inf))
+        assert_table_agrees(pivot, math.nextafter(end, math.inf))
 
 
 def test_table_knots_clamping_and_signed_zero():
