@@ -18,7 +18,6 @@ from .model import (
     SinePivot,
     State,
     TablePivot,
-    accel_slipping,
     energy,
     filippov_set,
     limit_fields,

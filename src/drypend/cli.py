@@ -113,8 +113,6 @@ def _check_horizon(pivot: PivotLaw, horizon: float):
             f"pivot.t_max = {pivot.t_max} must cover the horizon {horizon}: "
             "a poly pivot's bounds hold only on [0, t_max]"
         )
-    if not pivot.check_sup_bound(0.0, horizon):
-        raise ValidationError("pivot sup_bound fails to dominate |accel| on the horizon")
 
 
 @dataclass

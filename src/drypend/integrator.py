@@ -374,7 +374,7 @@ class StepResult(NamedTuple):
     fsal: tuple | None = None
 
 
-def _poly_first_sign_change(seg: DenseSegment, sign0: float, theta_max: float = 1.0):
+def _poly_first_sign_change(seg: DenseSegment, theta_max: float = 1.0):
     """Smallest theta in (0, theta_max] where the dense p changes sign, or None.
 
     The quartic is scanned on a fixed subdivision; a transversal root cannot
@@ -482,7 +482,7 @@ def step_smooth(
     seg = DenseSegment(t0=t, h=h, q0=q, p0=p, cq=cq, cp=cp)
 
     if params.mu != 0.0 and branch != 0.0:
-        bracket = _poly_first_sign_change(seg, branch)
+        bracket = _poly_first_sign_change(seg)
         if bracket is not None:
             t_sw, q_sw, p_sw = _bisect_switch(seg, tol, bracket)
             if t_sw > t:  # guard against a root at the very start of the step
@@ -514,6 +514,12 @@ def classify_switch(params: Params, pivot: PivotLaw, q: float, t: float) -> Swit
     if f_plus <= 0.0 <= f_minus:
         return SwitchDecision(kind="stick", direction=0)
     return SwitchDecision(kind="crossing", direction=1 if f_plus > 0 else -1)
+
+
+def reseed(q: float, t: float, direction: int, tol: Tolerances) -> State:
+    """The slipping state a crossing or a release leaves on: half the stick
+    band off the surface, on the side of `direction`."""
+    return State(q=q, p=direction * tol.stick_band / 2, t=t, mode=SLIPPING)
 
 
 def _release_scan_step(params: Params, pivot: PivotLaw, q: float, tol: Tolerances) -> float:
@@ -618,12 +624,11 @@ def integrate(
     params: Params,
     pivot: PivotLaw,
     horizon: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     region_guard: tuple[float, float] | None = None,
     *,
     record_at: Sequence[float] | None = None,
     initial_dt: float | None = None,
-    validate: bool = True,
 ) -> Trajectory:
     """Drive the mode machine from `initial` until `horizon` or a guard exit.
 
@@ -634,11 +639,9 @@ def integrate(
     with a RegionExit event the moment q leaves [q_lo, q_hi].
 
     The output is reproducible bit-for-bit for identical inputs.  When
-    validate is true and mu > 0, the velocity trap (|p| can never re-exceed
-    p_star once below it) is asserted on the finished trajectory.
+    mu > 0, the velocity trap (|p| can never re-exceed p_star once below it)
+    is asserted on the finished trajectory.
     """
-    if tol is None:
-        tol = Tolerances()
     if not (horizon > initial.t):
         raise ValueError("horizon must exceed the initial time")
     if region_guard is not None and not (region_guard[0] < region_guard[1]):
@@ -669,12 +672,10 @@ def integrate(
             state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
             entry_event = Event(t=state.t, q=state.q, kind=STICK_ENTRY)
         else:
-            state = State(
-                q=state.q, p=dec.direction * tol.stick_band / 2, t=state.t, mode=SLIPPING
-            )
+            state = reseed(state.q, state.t, dec.direction, tol)
     if state.mode == STUCK and not bool(stiction_holds(params, pivot, state.q, state.t)):
         dec = classify_switch(params, pivot, state.q, state.t)
-        state = State(q=state.q, p=dec.direction * tol.stick_band / 2, t=state.t, mode=SLIPPING)
+        state = reseed(state.q, state.t, dec.direction, tol)
         entry_event = None
 
     traj.append(state.t, state.q, state.p, state.mode)
@@ -718,13 +719,8 @@ def integrate(
             traj.events.append(ev)
             bump_events()
             if ev.kind == HORIZON:
-                return _finish(traj, params, pivot, tol, horizon, validate)
-            state = State(
-                q=q_stuck,
-                p=ev.direction * tol.stick_band / 2,
-                t=released.t,
-                mode=SLIPPING,
-            )
+                return _finish(traj, params, pivot, horizon)
+            state = reseed(q_stuck, released.t, ev.direction, tol)
             traj.append(state.t, state.q, state.p, state.mode)
             h_next = None
             continue
@@ -746,7 +742,7 @@ def integrate(
             traj.append(t_x, q_x, p_x, SLIPPING)
             traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
             bump_events()
-            return _finish(traj, params, pivot, tol, horizon, validate)
+            return _finish(traj, params, pivot, horizon)
 
         record_upto(res.state.t, lambda rt: (*seg.eval_at(rt), SLIPPING))
         state = res.state
@@ -765,12 +761,7 @@ def integrate(
                     Event(t=state.t, q=state.q, kind=CROSSING, direction=dec.direction)
                 )
                 bump_events()
-                state = State(
-                    q=state.q,
-                    p=dec.direction * tol.stick_band / 2,
-                    t=state.t,
-                    mode=SLIPPING,
-                )
+                state = reseed(state.q, state.t, dec.direction, tol)
                 traj.append(state.t, state.q, state.p, state.mode)
             h_next = None
             continue
@@ -788,11 +779,11 @@ def integrate(
             h_next = None
 
     traj.events.append(Event(t=state.t, q=state.q, kind=HORIZON))
-    return _finish(traj, params, pivot, tol, horizon, validate)
+    return _finish(traj, params, pivot, horizon)
 
 
-def _finish(traj, params, pivot, tol, horizon, validate):
-    if validate and params.mu > 0.0:
+def _finish(traj, params, pivot, horizon):
+    if params.mu > 0.0:
         check_escape_trap(traj, params, pivot, horizon, raise_on_fail=True)
     return traj
 

@@ -13,13 +13,13 @@ friction term is set-valued and the right-hand side becomes the convex
 interval between the two one-sided limits; `limit_fields`, `filippov_set`
 and `stiction_holds` expose that structure.
 
-The field is written in three kernels only: `branch_field` (scalar, one
-friction branch, stepped by the integrator), `accel_slipping` (arrays,
-p != 0) and `stiction_drift_and_bound` (on p = 0), from which the one-sided
-limits and the stiction test are both taken.  Apart from `branch_field`,
-functions accept scalars or numpy arrays in the (q, p, t) slots.  numpy is
-imported only where arrays are used (the array kernel, the pivot laws' array
-paths and `PolyPivot`); on Python floats the module runs without it, taking
+The field is written in two kernels only: `branch_field` (off the surface,
+one friction branch; the integrator steps it on floats and the checks
+evaluate it on arrays) and `stiction_drift_and_bound` (on p = 0), from which
+the one-sided limits and the stiction test are both taken.  Functions accept
+Python floats or numpy arrays in the (q, p, t) slots.  numpy is imported
+only where arrays are used (the kernels and the pivot laws on arrays, and
+`PolyPivot`); on Python floats the module runs without it, taking
 `math.sin`/`math.cos`, which agree with numpy's bit for bit on floats
 (pinned by tests/test_backends.py).
 """
@@ -68,9 +68,8 @@ class PivotLaw:
     Subclasses provide `accel`, an exact or conservative `sup_bound` and a
     Lipschitz constant `lipschitz_bound`.  `sup_bound` must over-estimate
     max |a| on the interval: the velocity trap threshold computed from it is
-    only valid as an upper bound.  `accel` maps a number to a float and a
-    list to a list in pure Python, and anything else through numpy, so
-    that `check_sup_bound` samples the law in one call without numpy.
+    only valid as an upper bound.  `accel` takes a float or a numpy array:
+    a float is evaluated in pure Python, an array through numpy.
     """
 
     kind = "abstract"
@@ -87,12 +86,6 @@ class PivotLaw:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    def check_sup_bound(self, t0: float, t1: float, n: int = 1001) -> bool:
-        """Sampled sanity check that sup_bound dominates |accel| on [t0, t1]."""
-        values = self.accel(linspace(t0, t1, n))
-        bound = self.sup_bound(t0, t1) + 1e-12
-        return all(abs(a) <= bound for a in values)
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -158,8 +151,6 @@ class ConstantPivot(PivotLaw):
     def accel(self, t):
         if isinstance(t, (float, int)):
             return self.a
-        if isinstance(t, list):
-            return [self.a] * len(t)
         import numpy as np
 
         return self.a * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.a
@@ -188,8 +179,6 @@ class SinePivot(PivotLaw):
     def accel(self, t):
         if isinstance(t, (float, int)):
             return self.amp * math.sin(self.omega * t + self.phase)
-        if isinstance(t, list):
-            return [self.amp * math.sin(self.omega * x + self.phase) for x in t]
         import numpy as np
 
         return self.amp * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
@@ -258,10 +247,20 @@ class PolyPivot(PivotLaw):
 
     @staticmethod
     def _abs_max(poly, a: float, b: float) -> float:
+        import numpy as np
+
         cand = [a, b]
         deriv = poly.deriv()
         if deriv.degree() >= 1:
-            for r in deriv.roots():
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    roots = deriv.roots()
+            except np.linalg.LinAlgError:
+                # a leading coefficient tiny against the others overflows the
+                # companion matrix; bound |poly| by its terms' magnitudes
+                x = max(abs(a), abs(b))
+                return sum(abs(float(c)) * x ** k for k, c in enumerate(poly.coef))
+            for r in roots:
                 if abs(r.imag) < 1e-12 and a <= r.real <= b:
                     cand.append(float(r.real))
         return max(abs(float(poly(c))) for c in cand)
@@ -307,8 +306,6 @@ class TablePivot(PivotLaw):
     def accel(self, t):
         if isinstance(t, (float, int)):
             return interp(t, self.times, self.values)
-        if isinstance(t, list):
-            return [interp(x, self.times, self.values) for x in t]
         import numpy as np
 
         return np.interp(t, self.times, self.values)
@@ -398,36 +395,27 @@ def _sin_cos(q):
     return np.sin, np.cos
 
 
-def branch_field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
-    """The scalar kernel: f(t, q, p) -> (dq/dt, dp/dt) with the friction sign
-    frozen to `branch`.
+def branch_field(params: Params, pivot: PivotLaw, branch) -> Callable:
+    """The slipping kernel: f(t, q, p) -> (dq/dt, dp/dt) with the friction
+    sign frozen to `branch`.
 
     This is the smooth extension of the slipping field across p = 0; the
-    integrator steps it between events.
+    integrator steps it between events with a float `branch`, and the checks
+    evaluate it on arrays with `branch = np.sign(p)`.  The sine and cosine
+    are chosen once, from the type of `branch`.
     """
     l, g, mu = params.l, params.g, params.mu
     mu_l, g_l = mu / l, g / l
-    accel, sin, cos = pivot.accel, math.sin, math.cos
+    accel = pivot.accel
+    sin, cos = _sin_cos(branch)
 
-    def f(t: float, q: float, p: float) -> tuple[float, float]:
+    def f(t, q, p):
         a = accel(t)
         s, c = sin(q), cos(q)
         mag = abs(a * c - l * p * p + g * s)
         return p, (a / l) * s - mu_l * mag * branch - g_l * c
 
     return f
-
-
-def accel_slipping(params: Params, pivot: PivotLaw, q, p, t):
-    """The array kernel: dp/dt for p != 0 (friction sign taken from p)."""
-    import numpy as np
-
-    if np.any(np.asarray(p) == 0.0):
-        raise ValueError("accel_slipping is undefined at p = 0; use filippov_set")
-    a = pivot.accel(t)
-    l, g, mu = params.l, params.g, params.mu
-    mag = np.abs(a * np.cos(q) - l * p * p + g * np.sin(q))
-    return (a / l) * np.sin(q) - (mu / l) * mag * np.sign(p) - (g / l) * np.cos(q)
 
 
 def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q, t):
@@ -460,7 +448,7 @@ def limit_fields(params: Params, pivot: PivotLaw, q, t):
 def filippov_set(params: Params, pivot: PivotLaw, state: State) -> FilippovSet:
     """Convexified right-hand side at `state`; an interval only on p = 0."""
     if state.p != 0.0:
-        a = float(accel_slipping(params, pivot, state.q, state.p, state.t))
+        _, a = branch_field(params, pivot, math.copysign(1.0, state.p))(state.t, state.q, state.p)
         return FilippovSet(q_dot=state.p, p_dot_lo=a, p_dot_hi=a)
     f_plus, f_minus = limit_fields(params, pivot, state.q, state.t)
     return FilippovSet(q_dot=0.0, p_dot_lo=float(f_plus), p_dot_hi=float(f_minus))

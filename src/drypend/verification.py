@@ -9,13 +9,12 @@ are falsification tests with explicit constants, not proofs.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Params, PivotLaw, State, accel_slipping, limit_fields
+from .model import Params, PivotLaw, State, branch_field, limit_fields
 from .integrator import Tolerances, integrate
 
 
@@ -178,8 +177,8 @@ def check_one_sided_lipschitz(
     if not (l_est > 0):
         raise ValueError("l_est must be positive")
     q1, p1, q2, p2, t = _pair_sets(params, grid, fingerprint or "default")
-    f1p = accel_slipping(params, pivot, q1, p1, t)
-    f2p = accel_slipping(params, pivot, q2, p2, t)
+    _, f1p = branch_field(params, pivot, np.sign(p1))(t, q1, p1)
+    _, f2p = branch_field(params, pivot, np.sign(p2))(t, q2, p2)
     dq = q1 - q2
     dp = p1 - p2
     dot = dq * dp + dp * (f1p - f2p)
@@ -210,7 +209,7 @@ def check_continuous_dependence(
     base_ic: State,
     horizon: float,
     deltas: list[float],
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> CheckReport:
     """Sup-norm distance of perturbed trajectories must shrink with the
     perturbation radius (non-strict monotonicity, 10% slack)."""
@@ -218,8 +217,6 @@ def check_continuous_dependence(
         raise ValueError("deltas must be non-negative")
     if any(deltas[i + 1] >= deltas[i] for i in range(len(deltas) - 1)):
         raise ValueError("deltas must be strictly decreasing")
-    if tol is None:
-        tol = Tolerances()
     grid = list(np.linspace(base_ic.t, horizon, 257))
     base = integrate(base_ic, params, pivot, horizon, tol, record_at=grid)
     base_qp = np.array([(s.q, s.p) for s in base.recorded])
@@ -265,8 +262,7 @@ def check_upper_semicontinuity(
     f_plus, f_minus = float(f_plus), float(f_minus)
     betas = []
     for p_k in p_sequence:
-        dp = accel_slipping(params, pivot, np.array([q]), np.array([p_k]), np.array([t]))
-        a = float(dp[0])
+        _, a = branch_field(params, pivot, math.copysign(1.0, p_k))(t, q, p_k)
         overshoot = max(0.0, f_plus - a, a - f_minus)
         betas.append(math.hypot(p_k, overshoot))
     slope = max(b / abs(p) for b, p in zip(betas, p_sequence))
@@ -289,7 +285,3 @@ def summary_table(reports: list[CheckReport]) -> str:
         const = "-" if r.estimated_constant is None else f"{r.estimated_constant:.6g}"
         lines.append(f"{r.name:<26} {str(r.passed):<8} {r.margin:<14.6g} {const}")
     return "\n".join(lines)
-
-
-def reports_json(reports: list[CheckReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)

@@ -41,6 +41,7 @@ from .integrator import (
     Trajectory,
     classify_switch,
     integrate,
+    reseed,
     slide_until_release,
 )
 
@@ -191,7 +192,7 @@ def classify_exit(
     params: Params,
     pivot: PivotLaw,
     horizon: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     strict: bool = False,
     t0: float = 0.0,
 ) -> ExitReport:
@@ -205,8 +206,6 @@ def classify_exit(
     """
     if not (Q_LO <= q0 <= Q_HI):
         raise ValueError(f"q0 = {q0} outside [0, pi]")
-    if tol is None:
-        tol = Tolerances()
     p0 = curve(q0)
     merged = Trajectory()
     state = State(q=q0, p=p0, t=t0, mode=SLIPPING)
@@ -239,17 +238,13 @@ def classify_exit(
                 return _survival_report(q0, p0, t0, horizon, strict, merged)
             if ev.direction == outward:
                 return exited(side, Event(t=released.t, q=q_b, kind=REGION_EXIT, side=side))
-            state = State(
-                q=q_b, p=ev.direction * tol.stick_band / 2, t=released.t, mode=SLIPPING
-            )
+            state = reseed(q_b, released.t, ev.direction, tol)
         else:
             # no stiction at the corner: both limit fields point one way
             dec = classify_switch(params, pivot, q_b, t_b)
             if dec.direction == outward:
                 return exited(side, last)
-            state = State(
-                q=q_b, p=dec.direction * tol.stick_band / 2, t=t_b, mode=SLIPPING
-            )
+            state = reseed(q_b, t_b, dec.direction, tol)
         if state.t >= horizon:
             return _survival_report(q0, p0, t0, horizon, strict, merged)
     raise IntegrationError("corner re-entry count exceeded; tolerances suspect")
@@ -293,7 +288,7 @@ def bisect_curve(
     params: Params,
     pivot: PivotLaw,
     horizon: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     max_iters: int = 80,
     strict: bool = False,
     t0: float = 0.0,
@@ -307,8 +302,6 @@ def bisect_curve(
     floor reached is reported as inconclusive, never asserted: finite
     precision cannot certify membership at an isolated non-falling point.
     """
-    if tol is None:
-        tol = Tolerances()
 
     def classify(q0: float) -> ExitReport:
         return classify_exit(q0, curve, params, pivot, horizon, tol, strict=strict, t0=t0)
@@ -358,7 +351,7 @@ def recheck_witness(
     curve: SigmaCurve,
     params: Params,
     pivot: PivotLaw,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     factor: float = 10.0,
 ) -> ExitReport:
     """Re-integrate a witness at tightened tolerances; the region membership
@@ -366,7 +359,7 @@ def recheck_witness(
     report = result_or_report.witness if isinstance(result_or_report, BisectionResult) else result_or_report
     if report is None or not report.is_witness:
         raise ValueError("no witness to recheck")
-    tight = (tol or Tolerances()).scaled(factor)
+    tight = tol.scaled(factor)
     return classify_exit(
         report.q0, curve, params, pivot, report.horizon, tight, strict=report.strict, t0=report.t0
     )
@@ -396,7 +389,7 @@ def family_sweep(
     params: Params,
     pivot: PivotLaw,
     horizon: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     max_iters: int = 80,
     strict: bool = False,
 ) -> list[SweepEntry]:

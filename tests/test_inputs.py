@@ -112,6 +112,14 @@ def test_finite_scenario_still_runs(tmp_path):
     assert (tmp_path / "out" / "trajectory.csv").exists()
 
 
+def test_poly_with_a_negligible_leading_coefficient_runs(tmp_path):
+    # numpy's root finder once raised LinAlgError on this law, a traceback
+    pivot = {"kind": "poly", "coeffs": [0.0, 1.0, 1.0, 1e-320], "t_max": 100.0}
+    proc = run_cli(tmp_path, "simulate", _with("pivot", pivot))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def _assert_rejected(proc, field):
     assert proc.returncode == 2, proc.stderr
     assert field in proc.stderr

@@ -1,9 +1,8 @@
-"""The three field kernels of `drypend.model` against each other.
+"""The two field kernels of `drypend.model`.
 
-The scalar kernel (`branch_field`) and the array kernel (`accel_slipping`)
-are written out apart, one on Python floats for the stepper and one on
-numpy arrays for the checks, so they agree to rounding only.  The stick/cross
-rule and the stiction test both read the on-surface kernel
+The slipping kernel (`branch_field`) is stepped on Python floats and
+evaluated by the checks on numpy arrays, and the two must agree bit for bit.
+The stick/cross rule and the stiction test both read the on-surface kernel
 (`stiction_drift_and_bound`), so they must agree exactly.
 """
 
@@ -22,7 +21,6 @@ from drypend.model import (
     ConstantPivot,
     Params,
     SinePivot,
-    accel_slipping,
     branch_field,
     limit_fields,
     stiction_drift_and_bound,
@@ -30,7 +28,7 @@ from drypend.model import (
 )
 from drypend.verification import SampleGrid, check_jump_inequality
 
-from test_stepper import PROPERTY, pivots, reals
+from test_stepper import PROPERTY, bits, pivots, reals
 
 # l = 0.7: the stick/cross rule and the stiction test once took the drift in
 # two arithmetic orders, which here rounded to opposite sides of the bound
@@ -77,22 +75,35 @@ def _term_size(params, a, q, p):
     return abs(a) / l * s + mu / l * (abs(a) * c + l * p * p + g * s) + g / l * c
 
 
-# a few ulps per term: math.sin and np.sin, and the scalar and array paths
-# of the pivot laws, may each round differently
+# a few ulps per term: the slipping and the on-surface kernel take the
+# terms in different orders
 ULPS = 8 * sys.float_info.epsilon
+
+points = st.lists(
+    st.tuples(reals(-4, 7), st.one_of(reals(-10, 10), st.just(0.0)), reals(0, 100)),
+    min_size=1,
+    max_size=8,
+)
 
 
 @PROPERTY
-@given(params=params_st, pivot=pivots(), q=reals(-4, 7), p=reals(-10, 10), t=reals(0, 100))
-def test_scalar_and_array_kernels_agree(params, pivot, q, p, t):
-    tol = ULPS * _term_size(params, pivot.accel(t), q, p) + 1e-300
-    if p != 0.0:
-        branch = 1.0 if p > 0 else -1.0
-        dq, dp = branch_field(params, pivot, branch)(t, q, p)
-        arr = accel_slipping(params, pivot, np.array([q]), np.array([p]), np.array([t]))
-        assert dq == p
-        assert abs(dp - float(arr[0])) <= tol
-    # on p = 0 the two branches are the one-sided limits
+@given(params=params_st, pivot=pivots(), qpt=points, branch=st.sampled_from([1.0, -1.0]))
+def test_scalar_and_array_kernels_agree(params, pivot, qpt, branch):
+    q, p, t = (np.array(axis) for axis in zip(*qpt))
+    dqs, dps = branch_field(params, pivot, np.full(len(qpt), branch))(t, q, p)
+    signed = branch_field(params, pivot, np.sign(p))(t, q, p)[1]
+    for i, (qi, pi, ti) in enumerate(qpt):
+        dq, dp = branch_field(params, pivot, branch)(ti, qi, pi)
+        assert type(dp) is float
+        assert bits(dq) == bits(float(dqs[i])) and bits(dp) == bits(float(dps[i]))
+        if pi != 0.0:
+            _, dp = branch_field(params, pivot, math.copysign(1.0, pi))(ti, qi, pi)
+            assert bits(dp) == bits(float(signed[i]))
+
+
+@PROPERTY
+@given(params=params_st, pivot=pivots(), q=reals(-4, 7), t=reals(0, 100))
+def test_branches_on_the_surface_are_the_one_sided_limits(params, pivot, q, t):
     f_plus, f_minus = limit_fields(params, pivot, np.array([q]), np.array([t]))
     tol = ULPS * _term_size(params, pivot.accel(t), q, 0.0) + 1e-300
     assert abs(branch_field(params, pivot, 1.0)(t, q, 0.0)[1] - float(f_plus[0])) <= tol

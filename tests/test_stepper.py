@@ -227,7 +227,7 @@ theta_maxes = st.one_of(st.just(1.0), reals(1e-9, 1.0), st.sampled_from([1 - 2 *
 def test_event_scans_match_the_reference(seg, theta_max):
     new, ref = _segments(*seg)
     sign0 = 1.0 if new.p0 > 0 else -1.0
-    assert bits(integrator._poly_first_sign_change(new, sign0, theta_max)) == bits(
+    assert bits(integrator._poly_first_sign_change(new, theta_max)) == bits(
         refstepper._poly_first_sign_change(ref, sign0, theta_max)
     )
     for q_lo, q_hi in ((0.0, math.pi), (-1.0, 0.5), (new.q0 - 1e-9, new.q0 + 1e-9)):
@@ -263,7 +263,7 @@ def test_exclusion_keeps_its_rounding_margin(eps, skipped):
     cp = (-4.0 / h, 6.0 / h, -4.0 / h, 1.0 / h)
     seg = DenseSegment(t0=0.0, h=h, q0=1.0, p0=1.0 + eps, cp=cp, cq=(0.0,) * 4)
     with counted_evals() as calls:
-        integrator._poly_first_sign_change(seg, 1.0)
+        integrator._poly_first_sign_change(seg)
     assert (calls[0] == 0) == skipped
     # the same for the guard: q(th) = q_lo + eps + (1 - th)^4
     seg = DenseSegment(t0=0.0, h=h, q0=2.0 + eps, p0=1.0, cp=(0.0,) * 4, cq=cp)
@@ -285,7 +285,7 @@ def test_exclusion_only_skips_scans_that_find_nothing(seg, theta_max):
     grid = [theta_max * i / 1000 for i in range(1, 1001)]
 
     with counted_evals() as calls:
-        found = integrator._poly_first_sign_change(new, 1.0, theta_max)
+        found = integrator._poly_first_sign_change(new, theta_max)
     if calls[0] == 0:  # the Bernstein test excluded a root
         assert found is None
         assert refstepper._poly_first_sign_change(ref, 1.0, theta_max) is None

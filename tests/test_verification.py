@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from drypend.model import ConstantPivot, Params, SinePivot, State, accel_slipping, limit_fields
+from drypend.model import ConstantPivot, Params, SinePivot, State, branch_field, limit_fields
 from drypend.integrator import Tolerances
 from drypend.verification import (
     SampleGrid,
@@ -93,10 +93,10 @@ class TestOneSidedLipschitz:
         assert r.details["violations"] > 0
         # recorded worst pair reproduces its ratio
         wc = r.worst_case
-        f1 = accel_slipping(P, ZERO, np.array([wc["q1"]]), np.array([wc["p1"]]), np.array([wc["t"]]))
-        f2 = accel_slipping(P, ZERO, np.array([wc["q2"]]), np.array([wc["p2"]]), np.array([wc["t"]]))
+        _, f1 = branch_field(P, ZERO, math.copysign(1.0, wc["p1"]))(wc["t"], wc["q1"], wc["p1"])
+        _, f2 = branch_field(P, ZERO, math.copysign(1.0, wc["p2"]))(wc["t"], wc["q2"], wc["p2"])
         dq, dp = wc["q1"] - wc["q2"], wc["p1"] - wc["p2"]
-        dot = dq * dp + dp * float(f1[0] - f2[0])
+        dot = dq * dp + dp * (f1 - f2)
         ratio = dot / (dq * dq + dp * dp)
         assert ratio == pytest.approx(r.estimated_constant, rel=1e-12)
 
