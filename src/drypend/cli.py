@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import dataclass
 
 from .model import (
+    PIVOT_KINDS,
     ConstantPivot,
     Params,
     PivotLaw,
@@ -34,6 +35,7 @@ from .wazewski import (
     PreconditionFailed,
     SigmaCurve,
     bisect_curve,
+    check_disjoint,
     family_sweep,
     sweep_json,
 )
@@ -68,51 +70,56 @@ def _numbers(values, where: str) -> list[float]:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
-def _number_fields(raw: dict, key: str) -> dict:
-    """The object raw[key] (empty if absent), each value checked by `_number`
-    and kept as written, so that an integer stays one in the normalized
-    scenario."""
+def _config(raw: dict, key: str, config):
+    """The dataclass `config` (Params or Tolerances) built from the object
+    raw[key], empty if absent; each value is checked by `_number` and kept as
+    written, so that an integer stays one in the normalized scenario."""
     fields = raw.get(key, {})
     if not isinstance(fields, dict):
         raise ValidationError(f"{key} must be an object, got {fields!r}")
     for name, value in fields.items():
         _number(value, f"{key}.{name}")
-    return fields
-
-
-# the numbers of each pivot kind; coeffs, times and values are lists
-_PIVOT_NUMBERS = {
-    "constant": ("a",),
-    "sine": ("amp", "omega", "phase"),
-    "poly": ("coeffs", "t_max"),
-    "table": ("times", "values"),
-}
+    try:
+        return config(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def _parse_pivot(spec) -> PivotLaw:
     if not isinstance(spec, dict):
         raise ValidationError(f"pivot must be an object, got {spec!r}")
     spec = dict(spec)
-    for key in _PIVOT_NUMBERS.get(spec.get("kind"), ()):
-        if key in spec:
-            parse = _numbers if key in ("coeffs", "times", "values") else _number
-            spec[key] = parse(spec[key], f"pivot.{key}")
+    kind = spec.get("kind")
+    if isinstance(kind, str) and kind in PIVOT_KINDS:
+        _, fields, lists = PIVOT_KINDS[kind]
+        for name in fields:
+            if name in spec:
+                parse = _numbers if name in lists else _number
+                spec[name] = parse(spec[name], f"pivot.{name}")
     try:
         return pivot_from_dict(spec)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"pivot: {exc}") from exc
 
 
-def _check_horizon(pivot: PivotLaw, horizon: float):
-    """The pivot's bounds, which the velocity trap relies on, must hold on
-    [0, horizon]."""
+def _check_horizon(pivot: PivotLaw, t0: float, horizon: float):
+    """The rules that tie fields together.  The run covers [t0, horizon], and
+    the pivot's bounds, which the velocity trap relies on, must hold there."""
     if not (0 < horizon < math.inf):
         raise ValidationError("horizon must be positive and finite")
-    if isinstance(pivot, PolyPivot) and horizon > pivot.t_max:
-        raise ValidationError(
-            f"pivot.t_max = {pivot.t_max} must cover the horizon {horizon}: "
-            "a poly pivot's bounds hold only on [0, t_max]"
-        )
+    if not (t0 < horizon):
+        raise ValidationError(f"initial.t0 = {t0} must be below the horizon {horizon}")
+    if isinstance(pivot, PolyPivot):
+        if t0 < 0:
+            raise ValidationError(
+                f"initial.t0 = {t0} must not be negative: "
+                "a poly pivot's bounds hold only on [0, t_max]"
+            )
+        if horizon > pivot.t_max:
+            raise ValidationError(
+                f"pivot.t_max = {pivot.t_max} must cover the horizon {horizon}: "
+                "a poly pivot's bounds hold only on [0, t_max]"
+            )
 
 
 @dataclass
@@ -124,6 +131,8 @@ class Scenario:
     horizon: float
     tolerances: Tolerances
     mode: str  # "closed" | "strict"
+    start: State | None = None  # built from a point spec
+    family: list[SigmaCurve] | None = None  # built from a curve spec, one per shift
 
     @property
     def strict(self) -> bool:
@@ -145,26 +154,24 @@ class Scenario:
         return fingerprint_of(self.normalized())
 
     def initial_state(self) -> State:
-        if self.initial["kind"] != "point":
+        if self.start is None:
             raise ValidationError("this command needs a point initial condition")
-        return State(q=self.initial["q0"], p=self.initial["p0"], t=self.initial["t0"])
+        return self.start
 
     def curves(self) -> list[SigmaCurve]:
-        if self.initial["kind"] != "curve":
+        if self.family is None:
             raise ValidationError("this command needs a curve initial condition")
-        spec = self.initial["sigma"]
-        shifts = self.initial.get("family_shifts", [0.0])
-        out = []
-        for s in shifts:
-            out.append(_build_curve(spec, shift=s))
-        return out
+        return self.family
 
 
-def _build_curve(spec: dict, shift: float = 0.0) -> SigmaCurve:
+_DEFAULT_SIGMA = {"kind": "line", "shift": 0.0}
+
+
+def _build_curve(spec: dict, shift: float) -> SigmaCurve:
     kind = spec.get("kind")
     try:
         if kind == "line":
-            base = _number(spec.get("shift", 0.0), "initial.sigma.shift")
+            base = _number(spec.get("shift", _DEFAULT_SIGMA["shift"]), "initial.sigma.shift")
             return SigmaCurve.line(shift=base + shift)
         if kind == "table":
             qs = _numbers(spec.get("q"), "initial.sigma.q")
@@ -176,9 +183,26 @@ def _build_curve(spec: dict, shift: float = 0.0) -> SigmaCurve:
     raise ValidationError(f"unknown curve kind: {kind!r}")
 
 
+def _build_family(initial: dict) -> tuple[dict, list[SigmaCurve]]:
+    """The normalized curve spec and its curves, one per family shift."""
+    sigma = initial.get("sigma", dict(_DEFAULT_SIGMA))
+    if not isinstance(sigma, dict):
+        raise ValidationError(f"initial.sigma must be an object, got {sigma!r}")
+    shifts = _numbers(initial.get("family_shifts", [0.0]), "initial.family_shifts")
+    if not shifts:
+        raise ValidationError("initial.family_shifts must not be empty")
+    family = [_build_curve(sigma, shift=s) for s in shifts]
+    try:
+        check_disjoint(family)
+    except CurveValidationError as exc:
+        raise ValidationError(f"initial.family_shifts: {exc}") from exc
+    return {"kind": "curve", "sigma": sigma, "family_shifts": shifts}, family
+
+
 def load_scenario(path: str, horizon: float | None = None) -> Scenario:
-    """Read, default-fill and validate one scenario file; `horizon`, if given,
-    replaces the file's before the validation."""
+    """Read, default-fill and validate one scenario file, and build its start
+    state or curves; `horizon`, if given, replaces the file's before the
+    validation."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -190,17 +214,9 @@ def load_scenario(path: str, horizon: float | None = None) -> Scenario:
         raise ParseError("scenario must be a JSON object")
 
     name = raw.get("name", os.path.splitext(os.path.basename(path))[0])
-    params_fields = _number_fields(raw, "params")
-    try:
-        params = Params(**params_fields)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"params: {exc}") from exc
+    params = _config(raw, "params", Params)
     pivot = _parse_pivot(raw.get("pivot", {"kind": "constant", "a": 0.0}))
-    tolerance_fields = _number_fields(raw, "tolerances")
-    try:
-        tolerances = Tolerances(**tolerance_fields)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"tolerances: {exc}") from exc
+    tolerances = _config(raw, "tolerances", Tolerances)
 
     file_horizon = _number(raw.get("horizon", 50.0), "horizon")
     if horizon is None:
@@ -213,6 +229,7 @@ def load_scenario(path: str, horizon: float | None = None) -> Scenario:
     initial = raw.get("initial")
     if not isinstance(initial, dict) or "kind" not in initial:
         raise ValidationError("initial must be an object with a 'kind'")
+    start = family = None
     if initial["kind"] == "point":
         norm_initial = {
             "kind": "point",
@@ -220,18 +237,13 @@ def load_scenario(path: str, horizon: float | None = None) -> Scenario:
             "p0": _number(initial.get("p0", 0.0), "initial.p0"),
             "t0": _number(initial.get("t0", 0.0), "initial.t0"),
         }
+        start = State(q=norm_initial["q0"], p=norm_initial["p0"], t=norm_initial["t0"])
     elif initial["kind"] == "curve":
-        sigma = initial.get("sigma", {"kind": "line", "shift": 0.0})
-        if not isinstance(sigma, dict):
-            raise ValidationError(f"initial.sigma must be an object, got {sigma!r}")
-        shifts = _numbers(initial.get("family_shifts", [0.0]), "initial.family_shifts")
-        for s in shifts:
-            _build_curve(sigma, shift=s)  # raises ValidationError on bad curves
-        norm_initial = {"kind": "curve", "sigma": sigma, "family_shifts": shifts}
+        norm_initial, family = _build_family(initial)
     else:
         raise ValidationError(f"initial kind must be 'point' or 'curve', got {initial['kind']!r}")
 
-    _check_horizon(pivot, horizon)
+    _check_horizon(pivot, start.t if start is not None else 0.0, horizon)
     return Scenario(
         name=name,
         params=params,
@@ -240,6 +252,8 @@ def load_scenario(path: str, horizon: float | None = None) -> Scenario:
         horizon=horizon,
         tolerances=tolerances,
         mode=mode,
+        start=start,
+        family=family,
     )
 
 
@@ -288,9 +302,12 @@ def cmd_simulate(scen: Scenario, out_dir: str, svg: bool = False) -> int:
         )
     if scen.params.mu == 0.0 and isinstance(scen.pivot, ConstantPivot) and scen.pivot.a == 0.0:
         _, q0, p0, _ = traj.samples[0]
-        e0 = energy(scen.params, q0, p0)
-        drift = max(abs(energy(scen.params, q, p) - e0) for _, q, p, _ in traj.samples)
-        rel = drift / max(abs(e0), 1e-30)
+        try:
+            e0 = energy(scen.params, q0, p0)
+            drift = max(abs(energy(scen.params, q, p) - e0) for _, q, p, _ in traj.samples)
+            rel = drift / max(abs(e0), 1e-30)
+        except OverflowError:  # l ** 2 past the float range
+            rel = math.inf
         print(f"energy drift (relative): {rel:.3e}")
     print(f"wrote {len(traj.samples)} samples, {len(traj.events)} events to {out_dir}")
     return 0
@@ -341,14 +358,9 @@ def cmd_shoot(scen: Scenario, out_dir: str) -> int:
 
 
 def cmd_sweep(scen: Scenario, out_dir: str) -> int:
-    curves = scen.curves()
-    try:
-        entries = family_sweep(
-            curves, scen.params, scen.pivot, scen.horizon, scen.tolerances, strict=scen.strict
-        )
-    except CurveValidationError as exc:
-        print(f"sweep validation failed: {exc}", file=sys.stderr)
-        return 2
+    entries = family_sweep(
+        scen.curves(), scen.params, scen.pivot, scen.horizon, scen.tolerances, strict=scen.strict
+    )
     _emit_common(scen, out_dir)
     _write_atomic(os.path.join(out_dir, "sweep.json"), sweep_json(entries))
     found = sum(1 for e in entries if e.result is not None and e.result.witness is not None)
@@ -376,36 +388,39 @@ def cmd_verify(scen: Scenario, out_dir: str, checks: list[str] | None = None) ->
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    grid = SampleGrid.for_scenario(
-        scen.fingerprint, t_range=(0.0, min(scen.horizon, 20.0))
-    )
+    window = min(scen.horizon, 20.0)  # the pointwise checks sample t in [0, window]
+    grid = SampleGrid.for_scenario(scen.fingerprint, t_range=(0.0, window))
     reports: list[CheckReport] = []
     if "jump" in selected:
         reports.append(check_jump_inequality(scen.params, scen.pivot, grid))
     if "lipschitz" in selected:
-        l_est = smooth_lipschitz_bound(
-            scen.params, scen.pivot, p_max=4.0, t0=0.0, t1=min(scen.horizon, 20.0)
-        )
+        try:
+            l_est = smooth_lipschitz_bound(scen.params, scen.pivot, p_max=4.0, t0=0.0, t1=window)
+        except OverflowError:  # it squares the field's bounds
+            print("verification failed: the field's Lipschitz bound overflows", file=sys.stderr)
+            return 2
         reports.append(
             check_one_sided_lipschitz(
                 scen.params, scen.pivot, grid, l_est, fingerprint=scen.fingerprint
             )
         )
     if "dependence" in selected:
-        if scen.initial["kind"] == "point":
-            base = scen.initial_state()
-        else:
-            base = State(q=math.pi / 2, p=0.0, t=0.0)
-        reports.append(
-            check_continuous_dependence(
-                scen.params,
-                scen.pivot,
-                base,
-                horizon=min(scen.horizon, 5.0),
-                deltas=[1e-6, 1e-8, 1e-10],
-                tol=scen.tolerances,
+        # from the point start (the apex for a curve scenario), over at most 5 s
+        base = scen.start if scen.start is not None else State(q=math.pi / 2, p=0.0, t=0.0)
+        try:
+            reports.append(
+                check_continuous_dependence(
+                    scen.params,
+                    scen.pivot,
+                    base,
+                    horizon=min(scen.horizon, base.t + 5.0),
+                    deltas=[1e-6, 1e-8, 1e-10],
+                    tol=scen.tolerances,
+                )
             )
-        )
+        except IntegrationError as exc:
+            print(f"verification failed: {exc}", file=sys.stderr)
+            return 2
     if "semicontinuity" in selected:
         reports.append(
             check_upper_semicontinuity(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -76,30 +76,21 @@ class Tolerances:
     max_dt: float = 0.05
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "event_tol", "stick_band", "max_dt"):
-            if not (getattr(self, name) > 0):
+        for name, value in self.to_dict().items():
+            if not (value > 0):
                 raise ValueError(f"{name} must be strictly positive")
         if self.stick_band < 10 * self.abs_tol:
             raise ValueError("stick_band must be at least 10 * abs_tol")
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Same controls with rel/abs/event tolerances tightened by `factor`."""
-        return Tolerances(
-            rel_tol=self.rel_tol / factor,
-            abs_tol=self.abs_tol / factor,
-            event_tol=self.event_tol / factor,
-            stick_band=max(self.stick_band / factor, 10 * self.abs_tol / factor),
-            max_dt=self.max_dt,
-        )
+        """Same controls with every tolerance but the step cap `max_dt`
+        tightened by `factor`."""
+        tightened = {name: value / factor for name, value in self.to_dict().items()}
+        tightened["max_dt"] = self.max_dt
+        return replace(self, **tightened)
 
     def to_dict(self) -> dict:
-        return {
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "event_tol": self.event_tol,
-            "stick_band": self.stick_band,
-            "max_dt": self.max_dt,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -155,17 +146,9 @@ class Trajectory:
         t, q, p, mode = self.samples[-1]
         return State(q=q, p=p, t=t, mode=mode)
 
-    def write_csv(self, fh):
-        fh.write("t,q,p,mode\n")
-        for t, q, p, mode in self.samples:
-            fh.write(f"{t!r},{q!r},{p!r},{mode}\n")
-
     def to_csv(self) -> str:
-        import io
-
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
+        rows = [f"{t!r},{q!r},{p!r},{mode}\n" for t, q, p, mode in self.samples]
+        return "t,q,p,mode\n" + "".join(rows)
 
     @staticmethod
     def read_csv(fh) -> "Trajectory":
@@ -254,10 +237,6 @@ class DenseSegment(NamedTuple):
 
     def eval_at(self, t: float) -> tuple[float, float]:
         return self.eval((t - self.t0) / self.h)
-
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.h
 
 
 def _rk_step(f, t: float, q: float, p: float, h: float, kq0: float, kp0: float):
@@ -496,14 +475,9 @@ def step_smooth(
     )
 
 
-@dataclass(frozen=True)
-class SwitchDecision:
-    kind: str  # "stick" | "crossing"
-    direction: int  # sign of p on the far side for crossings; 0 for stick
-
-
-def classify_switch(params: Params, pivot: PivotLaw, q: float, t: float) -> SwitchDecision:
-    """Stick/cross decision on the surface p = 0 from the limit fields.
+def classify_switch(params: Params, pivot: PivotLaw, q: float, t: float) -> int:
+    """Stick/cross decision on the surface p = 0 from the limit fields: 0 to
+    stick, else the sign of p on the far side of a crossing.
 
     Sticking iff 0 lies between the one-sided limits (boundary equality
     counts as sticking; release detection then acts immediately).  Otherwise
@@ -512,8 +486,8 @@ def classify_switch(params: Params, pivot: PivotLaw, q: float, t: float) -> Swit
     """
     f_plus, f_minus = limit_fields(params, pivot, q, t)
     if f_plus <= 0.0 <= f_minus:
-        return SwitchDecision(kind="stick", direction=0)
-    return SwitchDecision(kind="crossing", direction=1 if f_plus > 0 else -1)
+        return 0
+    return 1 if f_plus > 0 else -1
 
 
 def reseed(q: float, t: float, direction: int, tol: Tolerances) -> State:
@@ -571,6 +545,8 @@ def slide_until_release(
             lo, hi = t_lo, t_hi
             while hi - lo > tol.event_tol:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # an event_tol below the spacing of doubles
+                    break
                 if margin(mid) > 0.0:
                     hi = mid
                 else:
@@ -640,7 +616,8 @@ def integrate(
 
     The output is reproducible bit-for-bit for identical inputs.  When
     mu > 0, the velocity trap (|p| can never re-exceed p_star once below it)
-    is asserted on the finished trajectory.
+    is asserted on the finished trajectory.  A motion that leaves the float
+    range raises IntegrationError, as a step that underflows does.
     """
     if not (horizon > initial.t):
         raise ValueError("horizon must exceed the initial time")
@@ -667,15 +644,15 @@ def integrate(
 
     # normalize an on-surface start
     if not frictionless and state.mode == SLIPPING and abs(state.p) <= tol.stick_band:
-        dec = classify_switch(params, pivot, state.q, state.t)
-        if dec.kind == "stick":
+        direction = classify_switch(params, pivot, state.q, state.t)
+        if direction == 0:
             state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
             entry_event = Event(t=state.t, q=state.q, kind=STICK_ENTRY)
         else:
-            state = reseed(state.q, state.t, dec.direction, tol)
+            state = reseed(state.q, state.t, direction, tol)
     if state.mode == STUCK and not bool(stiction_holds(params, pivot, state.q, state.t)):
-        dec = classify_switch(params, pivot, state.q, state.t)
-        state = reseed(state.q, state.t, dec.direction, tol)
+        direction = classify_switch(params, pivot, state.q, state.t)
+        state = reseed(state.q, state.t, direction, tol)
         entry_event = None
 
     traj.append(state.t, state.q, state.p, state.mode)
@@ -704,82 +681,88 @@ def integrate(
         if n_events > _MAX_EVENTS:
             raise ChatterLimit("event count exceeded 1e6")
 
-    while state.t < horizon:
-        if state.mode == STUCK:
-            q_stuck = state.q
-            t_entry = state.t
-            released, ev = slide_until_release(state, params, pivot, horizon, tol)
-            # dense samples across the stuck stretch so gaps stay <= max_dt
-            t_next_sample = t_entry + tol.max_dt
-            while t_next_sample < released.t:
-                traj.append(t_next_sample, q_stuck, 0.0, STUCK)
-                t_next_sample += tol.max_dt
-            record_upto(released.t, lambda rt: (q_stuck, 0.0, STUCK))
-            traj.append(released.t, q_stuck, 0.0, STUCK)
-            traj.events.append(ev)
-            bump_events()
-            if ev.kind == HORIZON:
+    try:
+        while state.t < horizon:
+            if state.mode == STUCK:
+                q_stuck = state.q
+                t_entry = state.t
+                released, ev = slide_until_release(state, params, pivot, horizon, tol)
+                # dense samples across the stuck stretch so gaps stay <= max_dt
+                t_next_sample = t_entry + tol.max_dt
+                while t_next_sample < released.t:
+                    traj.append(t_next_sample, q_stuck, 0.0, STUCK)
+                    t_next_sample += tol.max_dt
+                record_upto(released.t, lambda rt: (q_stuck, 0.0, STUCK))
+                traj.append(released.t, q_stuck, 0.0, STUCK)
+                traj.events.append(ev)
+                bump_events()
+                if ev.kind == HORIZON:
+                    return _finish(traj, params, pivot, horizon)
+                state = reseed(q_stuck, released.t, ev.direction, tol)
+                traj.append(state.t, state.q, state.p, state.mode)
+                h_next = None
+                continue
+
+            # slipping
+            res = step_smooth(state, params, pivot, tol, h=h_next, t_limit=horizon, fsal=fsal)
+            fsal = res.fsal
+            seg = res.segment
+            theta_end = res.h_used / seg.h if seg.h > 0 else 1.0
+
+            exit_hit = None
+            if region_guard is not None:
+                exit_hit = _guard_exit(seg, theta_end, region_guard[0], region_guard[1])
+            if exit_hit is not None:
+                theta_x, side = exit_hit
+                t_x = seg.t0 + theta_x * seg.h
+                q_x, p_x = seg.eval(theta_x)
+                record_upto(t_x, lambda rt: (*seg.eval_at(rt), SLIPPING))
+                traj.append(t_x, q_x, p_x, SLIPPING)
+                traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
+                bump_events()
                 return _finish(traj, params, pivot, horizon)
-            state = reseed(q_stuck, released.t, ev.direction, tol)
+
+            record_upto(res.state.t, lambda rt: (*seg.eval_at(rt), SLIPPING))
+            state = res.state
+            h_next = res.h_next
+
+            if res.hit_switch:
+                direction = classify_switch(params, pivot, state.q, state.t)
+                if direction == 0:
+                    state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
+                    traj.append(state.t, state.q, 0.0, STUCK)
+                    traj.events.append(Event(t=state.t, q=state.q, kind=STICK_ENTRY))
+                    bump_events()
+                else:
+                    traj.append(state.t, state.q, state.p, SLIPPING)
+                    traj.events.append(
+                        Event(t=state.t, q=state.q, kind=CROSSING, direction=direction)
+                    )
+                    bump_events()
+                    state = reseed(state.q, state.t, direction, tol)
+                    traj.append(state.t, state.q, state.p, state.mode)
+                h_next = None
+                continue
+
             traj.append(state.t, state.q, state.p, state.mode)
-            h_next = None
-            continue
-
-        # slipping
-        res = step_smooth(state, params, pivot, tol, h=h_next, t_limit=horizon, fsal=fsal)
-        fsal = res.fsal
-        seg = res.segment
-        theta_end = res.h_used / seg.h if seg.h > 0 else 1.0
-
-        exit_hit = None
-        if region_guard is not None:
-            exit_hit = _guard_exit(seg, theta_end, region_guard[0], region_guard[1])
-        if exit_hit is not None:
-            theta_x, side = exit_hit
-            t_x = seg.t0 + theta_x * seg.h
-            q_x, p_x = seg.eval(theta_x)
-            record_upto(t_x, lambda rt: (*seg.eval_at(rt), SLIPPING))
-            traj.append(t_x, q_x, p_x, SLIPPING)
-            traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
-            bump_events()
-            return _finish(traj, params, pivot, horizon)
-
-        record_upto(res.state.t, lambda rt: (*seg.eval_at(rt), SLIPPING))
-        state = res.state
-        h_next = res.h_next
-
-        if res.hit_switch:
-            dec = classify_switch(params, pivot, state.q, state.t)
-            if dec.kind == "stick":
+            if (
+                not frictionless
+                and abs(state.p) < tol.stick_band
+                and bool(stiction_holds(params, pivot, state.q, state.t))
+            ):
                 state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
                 traj.append(state.t, state.q, 0.0, STUCK)
                 traj.events.append(Event(t=state.t, q=state.q, kind=STICK_ENTRY))
                 bump_events()
-            else:
-                traj.append(state.t, state.q, state.p, SLIPPING)
-                traj.events.append(
-                    Event(t=state.t, q=state.q, kind=CROSSING, direction=dec.direction)
-                )
-                bump_events()
-                state = reseed(state.q, state.t, dec.direction, tol)
-                traj.append(state.t, state.q, state.p, state.mode)
-            h_next = None
-            continue
+                h_next = None
 
-        traj.append(state.t, state.q, state.p, state.mode)
-        if (
-            not frictionless
-            and abs(state.p) < tol.stick_band
-            and bool(stiction_holds(params, pivot, state.q, state.t))
-        ):
-            state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
-            traj.append(state.t, state.q, 0.0, STUCK)
-            traj.events.append(Event(t=state.t, q=state.q, kind=STICK_ENTRY))
-            bump_events()
-            h_next = None
-
-    traj.events.append(Event(t=state.t, q=state.q, kind=HORIZON))
-    return _finish(traj, params, pivot, horizon)
+        traj.events.append(Event(t=state.t, q=state.q, kind=HORIZON))
+        return _finish(traj, params, pivot, horizon)
+    except (ArithmeticError, ValueError) as exc:
+        # math.sin of an angle, or a float power, that left the float range
+        raise IntegrationError(
+            f"the motion left the float range near t = {state.t}: {exc}"
+        ) from exc
 
 
 def _finish(traj, params, pivot, horizon):

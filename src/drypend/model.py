@@ -31,7 +31,7 @@ import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
 # Mode labels; these exact strings go into CSV output.
@@ -49,17 +49,15 @@ class Params:
     mu: float = 0.5
 
     def __post_init__(self):
-        if not (self.l > 0):
-            raise ValueError(f"l must be positive, got {self.l}")
-        if not (self.m > 0):
-            raise ValueError(f"m must be positive, got {self.m}")
-        if not (self.g > 0):
-            raise ValueError(f"g must be positive, got {self.g}")
-        if not (self.mu >= 0):
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        for name, value in self.to_dict().items():
+            if name == "mu":
+                if not (value >= 0):
+                    raise ValueError(f"mu must be >= 0, got {value}")
+            elif not (value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
 
     def to_dict(self) -> dict:
-        return {"l": self.l, "m": self.m, "g": self.g, "mu": self.mu}
+        return asdict(self)
 
 
 class PivotLaw:
@@ -85,7 +83,12 @@ class PivotLaw:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        _, fields, lists = PIVOT_KINDS[self.kind]
+        out = {"kind": self.kind}
+        for name in fields:
+            value = getattr(self, name)
+            out[name] = list(value) if name in lists else value
+        return out
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -145,7 +148,7 @@ class ConstantPivot(PivotLaw):
 
     kind = "constant"
 
-    def __init__(self, a: float = 0.0):
+    def __init__(self, a: float):
         self.a = float(a)
 
     def accel(self, t):
@@ -161,9 +164,6 @@ class ConstantPivot(PivotLaw):
 
     def sup_bound(self, t0, t1):
         return abs(self.a)
-
-    def to_dict(self):
-        return {"kind": self.kind, "a": self.a}
 
 
 class SinePivot(PivotLaw):
@@ -203,9 +203,6 @@ class SinePivot(PivotLaw):
         if lo <= math.pi / 2 + k * math.pi <= hi:
             return abs(self.amp)
         return abs(self.amp) * max(abs(math.sin(lo)), abs(math.sin(hi)))
-
-    def to_dict(self):
-        return {"kind": self.kind, "amp": self.amp, "omega": self.omega, "phase": self.phase}
 
 
 class PolyPivot(PivotLaw):
@@ -276,9 +273,6 @@ class PolyPivot(PivotLaw):
             raise ValueError("empty interval")
         return self._abs_max(self._poly, t0, t1)
 
-    def to_dict(self):
-        return {"kind": self.kind, "coeffs": list(self.coeffs), "t_max": self.t_max}
-
 
 class TablePivot(PivotLaw):
     """Tabulated samples with linear interpolation, clamped outside the knots.
@@ -321,22 +315,29 @@ class TablePivot(PivotLaw):
         cand += [abs(v) for t, v in zip(self.times, self.values) if t0 <= t <= t1]
         return max(cand)
 
-    def to_dict(self):
-        return {"kind": self.kind, "times": list(self.times), "values": list(self.values)}
+
+# The scenario schema of each pivot kind: its class, its fields (the
+# constructor's arguments, whose defaults the constructor holds) and the
+# fields that are lists of numbers.
+PIVOT_KINDS = {
+    law.kind: (law, fields, lists)
+    for law, fields, lists in (
+        (ConstantPivot, ("a",), ()),
+        (SinePivot, ("amp", "omega", "phase"), ()),
+        (PolyPivot, ("coeffs", "t_max"), ("coeffs",)),
+        (TablePivot, ("times", "values"), ("times", "values")),
+    )
+}
 
 
 def pivot_from_dict(spec: dict) -> PivotLaw:
-    """Build a pivot law from its serialized form."""
+    """Build a pivot law from its serialized form; an absent field takes the
+    constructor's default."""
     kind = spec.get("kind")
-    if kind == "constant":
-        return ConstantPivot(spec["a"])
-    if kind == "sine":
-        return SinePivot(spec["amp"], spec["omega"], spec.get("phase", 0.0))
-    if kind == "poly":
-        return PolyPivot(spec["coeffs"], spec.get("t_max", 1000.0))
-    if kind == "table":
-        return TablePivot(spec["times"], spec["values"])
-    raise ValueError(f"unknown pivot law kind: {kind!r}")
+    if not isinstance(kind, str) or kind not in PIVOT_KINDS:
+        raise ValueError(f"unknown pivot law kind: {kind!r}")
+    law, fields, _ = PIVOT_KINDS[kind]
+    return law(**{name: spec[name] for name in fields if name in spec})
 
 
 class _StateFields(NamedTuple):

@@ -32,10 +32,13 @@ def phase_portrait_svg(traj: Trajectory, title: str = "") -> str:
     _, qs, ps, modes = zip(*traj.samples)
     q_lo, q_hi = min(qs), max(qs)
     p_lo, p_hi = min(ps), max(ps)
+    # widen a flat axis, by more than the spacing of doubles at its value
     if q_hi - q_lo < 1e-9:
-        q_lo, q_hi = q_lo - 0.5, q_hi + 0.5
+        pad = max(0.5, 1e-9 * abs(q_lo))
+        q_lo, q_hi = q_lo - pad, q_hi + pad
     if p_hi - p_lo < 1e-9:
-        p_lo, p_hi = p_lo - 0.5, p_hi + 0.5
+        pad = max(0.5, 1e-9 * abs(p_lo))
+        p_lo, p_hi = p_lo - pad, p_hi + pad
 
     def sx(q):
         return _MARGIN + (q - q_lo) / (q_hi - q_lo) * (_W - 2 * _MARGIN)

@@ -50,11 +50,7 @@ Q_HI = math.pi
 
 EXIT_LOW = "exit_low"
 EXIT_HIGH = "exit_high"
-NON_FALLING = "non_falling"
-STUCK_INSIDE = "stuck_inside"
-
-# outcomes that certify a never-falling trajectory over the horizon
-WITNESS_OUTCOMES = (NON_FALLING, STUCK_INSIDE)
+NON_FALLING = "non_falling"  # the one outcome that certifies a witness
 
 
 class PreconditionFailed(RuntimeError):
@@ -140,7 +136,7 @@ class ExitReport:
 
     @property
     def is_witness(self) -> bool:
-        return self.outcome in WITNESS_OUTCOMES
+        return self.outcome == NON_FALLING
 
     def to_dict(self) -> dict:
         d = {
@@ -241,10 +237,10 @@ def classify_exit(
             state = reseed(q_b, released.t, ev.direction, tol)
         else:
             # no stiction at the corner: both limit fields point one way
-            dec = classify_switch(params, pivot, q_b, t_b)
-            if dec.direction == outward:
+            direction = classify_switch(params, pivot, q_b, t_b)
+            if direction == outward:
                 return exited(side, last)
-            state = reseed(q_b, t_b, dec.direction, tol)
+            state = reseed(q_b, t_b, direction, tol)
         if state.t >= horizon:
             return _survival_report(q0, p0, t0, horizon, strict, merged)
     raise IntegrationError("corner re-entry count exceeded; tolerances suspect")
@@ -281,6 +277,7 @@ class BisectionResult:
 
 
 WIDTH_LIMIT = 1e-12  # rad; below this double precision cannot split the curve
+MAX_BISECTIONS = 80  # halvings of the pi-wide bracket; 42 reach WIDTH_LIMIT
 
 
 def bisect_curve(
@@ -289,7 +286,6 @@ def bisect_curve(
     pivot: PivotLaw,
     horizon: float,
     tol: Tolerances = Tolerances(),
-    max_iters: int = 80,
     strict: bool = False,
     t0: float = 0.0,
 ) -> BisectionResult:
@@ -298,7 +294,7 @@ def bisect_curve(
     The endpoints are re-verified first (PreconditionFailed otherwise).  The
     bracket invariant - low end exits low, high end exits high - is kept at
     every iteration; the search stops at a non-falling witness, at the
-    1e-12 rad width floor, or after max_iters.  An empty witness with the
+    1e-12 rad width floor, or after MAX_BISECTIONS.  An empty witness with the
     floor reached is reported as inconclusive, never asserted: finite
     precision cannot certify membership at an isolated non-falling point.
     """
@@ -322,7 +318,7 @@ def bisect_curve(
     q_lo, q_hi = Q_LO, Q_HI
     witness = None
     iterations = 0
-    for _ in range(max_iters):
+    for _ in range(MAX_BISECTIONS):
         if q_hi - q_lo <= WIDTH_LIMIT:
             break
         mid = 0.5 * (q_lo + q_hi)
@@ -365,7 +361,8 @@ def recheck_witness(
     )
 
 
-def _curves_disjoint(curves: Sequence[SigmaCurve], n: int = 257) -> None:
+def check_disjoint(curves: Sequence[SigmaCurve], n: int = 257) -> None:
+    """CurveValidationError unless no two curves meet on n points of [0, pi]."""
     qs = linspace(Q_LO, Q_HI, n)
     tables = [[c(q) for q in qs] for c in curves]
     for i in range(len(curves)):
@@ -390,7 +387,6 @@ def family_sweep(
     pivot: PivotLaw,
     horizon: float,
     tol: Tolerances = Tolerances(),
-    max_iters: int = 80,
     strict: bool = False,
 ) -> list[SweepEntry]:
     """Run bisect_curve over a family of pairwise non-intersecting curves.
@@ -399,12 +395,12 @@ def family_sweep(
     lies on its own curve.  Per-curve failures are collected, not raised, so
     one bad curve cannot abort the sweep.
     """
-    _curves_disjoint(curves)
+    check_disjoint(curves)
 
     entries = []
     for c in curves:
         try:
-            result = bisect_curve(c, params, pivot, horizon, tol, max_iters=max_iters, strict=strict)
+            result = bisect_curve(c, params, pivot, horizon, tol, strict=strict)
         except (PreconditionFailed, IntegrationError) as exc:
             entries.append(SweepEntry(curve=c, result=None, error=f"{type(exc).__name__}: {exc}"))
         else:

@@ -282,7 +282,7 @@ def test_c9_frictionless_agreement():
     params = Params(l=1.0, m=1.0, g=G, mu=0.0)
     pivot = SinePivot(2.0, 1.0)
     tol = Tolerances()
-    res = bisect_curve(SigmaCurve.line(), params, pivot, 20.0, tol, max_iters=80)
+    res = bisect_curve(SigmaCurve.line(), params, pivot, 20.0, tol)
     if res.witness is not None:
         w = res.witness
         qs = w.trajectory.q

@@ -135,15 +135,13 @@ class TestLocateSwitch:
 
 class TestClassifySwitch:
     def test_sticks_at_apex(self):
-        assert classify_switch(P, ZERO, math.pi / 2, 0.0).kind == "stick"
+        assert classify_switch(P, ZERO, math.pi / 2, 0.0) == 0
 
     def test_crosses_downward_in_drift_region(self):
-        dec = classify_switch(P, ZERO, math.pi / 4, 0.0)
-        assert dec.kind == "crossing" and dec.direction == -1
+        assert classify_switch(P, ZERO, math.pi / 4, 0.0) == -1
 
     def test_frictionless_crossing(self):
-        dec = classify_switch(Params(mu=0.0), ZERO, math.pi / 4, 0.0)
-        assert dec.kind == "crossing" and dec.direction == -1
+        assert classify_switch(Params(mu=0.0), ZERO, math.pi / 4, 0.0) == -1
 
 
 class TestSlideUntilRelease:

@@ -57,7 +57,7 @@ params_st = st.builds(
     t=0.0,
 )
 def test_stick_rule_and_stiction_test_agree_exactly(params, pivot, q, t):
-    sticks = classify_switch(params, pivot, q, t).kind == "stick"
+    sticks = classify_switch(params, pivot, q, t) == 0
     assert sticks == bool(stiction_holds(params, pivot, q, t))
 
 
