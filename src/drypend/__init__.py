@@ -4,9 +4,9 @@ Event-driven integration of the set-valued equations of motion, shooting
 for never-falling trajectories, and empirical verification of the
 structural inequalities the method rests on.
 
-The verification checks live in `drypend.verification`, which is not
-imported here: they are numpy's only array users, and the other commands
-run without numpy.
+The model and the solver run on Python floats.  The verification checks
+live in `drypend.verification`, which is not imported here: it builds its
+sample grids with numpy, and the other commands run without numpy.
 """
 
 from .model import (

@@ -102,13 +102,20 @@ def _parse_pivot(spec) -> PivotLaw:
         raise ValidationError(f"pivot: {exc}") from exc
 
 
-def _check_horizon(pivot: PivotLaw, t0: float, horizon: float):
-    """The rules that tie fields together.  The run covers [t0, horizon], and
-    the pivot's bounds, which the velocity trap relies on, must hold there."""
+def _check_horizon(pivot: PivotLaw, tolerances: Tolerances, t0: float, horizon: float):
+    """The rules that tie fields together.  The run covers [t0, horizon], the
+    step cap must advance time anywhere on it, and the pivot's bounds, which
+    the velocity trap relies on, must hold there."""
     if not (0 < horizon < math.inf):
         raise ValidationError("horizon must be positive and finite")
     if not (t0 < horizon):
         raise ValidationError(f"initial.t0 = {t0} must be below the horizon {horizon}")
+    spacing = math.ulp(max(abs(t0), abs(horizon)))
+    if not (tolerances.max_dt > spacing):
+        raise ValidationError(
+            f"tolerances.max_dt = {tolerances.max_dt} must exceed {spacing}, "
+            f"the spacing of doubles near the times of the run"
+        )
     if isinstance(pivot, PolyPivot):
         if t0 < 0:
             raise ValidationError(
@@ -243,7 +250,7 @@ def load_scenario(path: str, horizon: float | None = None) -> Scenario:
     else:
         raise ValidationError(f"initial kind must be 'point' or 'curve', got {initial['kind']!r}")
 
-    _check_horizon(pivot, start.t if start is not None else 0.0, horizon)
+    _check_horizon(pivot, tolerances, start.t if start is not None else 0.0, horizon)
     return Scenario(
         name=name,
         params=params,
@@ -391,23 +398,19 @@ def cmd_verify(scen: Scenario, out_dir: str, checks: list[str] | None = None) ->
     window = min(scen.horizon, 20.0)  # the pointwise checks sample t in [0, window]
     grid = SampleGrid.for_scenario(scen.fingerprint, t_range=(0.0, window))
     reports: list[CheckReport] = []
-    if "jump" in selected:
-        reports.append(check_jump_inequality(scen.params, scen.pivot, grid))
-    if "lipschitz" in selected:
-        try:
+    try:
+        if "jump" in selected:
+            reports.append(check_jump_inequality(scen.params, scen.pivot, grid))
+        if "lipschitz" in selected:
             l_est = smooth_lipschitz_bound(scen.params, scen.pivot, p_max=4.0, t0=0.0, t1=window)
-        except OverflowError:  # it squares the field's bounds
-            print("verification failed: the field's Lipschitz bound overflows", file=sys.stderr)
-            return 2
-        reports.append(
-            check_one_sided_lipschitz(
-                scen.params, scen.pivot, grid, l_est, fingerprint=scen.fingerprint
+            reports.append(
+                check_one_sided_lipschitz(
+                    scen.params, scen.pivot, grid, l_est, fingerprint=scen.fingerprint
+                )
             )
-        )
-    if "dependence" in selected:
-        # from the point start (the apex for a curve scenario), over at most 5 s
-        base = scen.start if scen.start is not None else State(q=math.pi / 2, p=0.0, t=0.0)
-        try:
+        if "dependence" in selected:
+            # from the point start (the apex for a curve scenario), over at most 5 s
+            base = scen.start if scen.start is not None else State(q=math.pi / 2, p=0.0, t=0.0)
             reports.append(
                 check_continuous_dependence(
                     scen.params,
@@ -418,19 +421,21 @@ def cmd_verify(scen: Scenario, out_dir: str, checks: list[str] | None = None) ->
                     tol=scen.tolerances,
                 )
             )
-        except IntegrationError as exc:
-            print(f"verification failed: {exc}", file=sys.stderr)
-            return 2
-    if "semicontinuity" in selected:
-        reports.append(
-            check_upper_semicontinuity(
-                scen.params,
-                scen.pivot,
-                q=math.pi / 4,
-                t=0.0,
-                p_sequence=[2.0 ** -k for k in range(1, 20)],
+        if "semicontinuity" in selected:
+            reports.append(
+                check_upper_semicontinuity(
+                    scen.params,
+                    scen.pivot,
+                    q=math.pi / 4,
+                    t=0.0,
+                    p_sequence=[2.0 ** -k for k in range(1, 20)],
+                )
             )
-        )
+    except (ArithmeticError, ValueError, IntegrationError) as exc:
+        # math.sin of an angle past the float range, an overflowing Lipschitz
+        # bound, or an integration that failed
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 2
     _emit_common(scen, out_dir)
     payload = {"scenario": scen.name, "fingerprint": scen.fingerprint}
     _write_atomic(

@@ -122,25 +122,6 @@ class Trajectory:
     def append(self, t: float, q: float, p: float, mode: str):
         self.samples.append((t, q, p, mode))
 
-    # numpy arrays, for array code; the commands read `samples`
-    @property
-    def t(self):
-        import numpy as np
-
-        return np.array([s[0] for s in self.samples])
-
-    @property
-    def q(self):
-        import numpy as np
-
-        return np.array([s[1] for s in self.samples])
-
-    @property
-    def p(self):
-        import numpy as np
-
-        return np.array([s[2] for s in self.samples])
-
     @property
     def final(self) -> State:
         t, q, p, mode = self.samples[-1]
@@ -650,7 +631,7 @@ def integrate(
             entry_event = Event(t=state.t, q=state.q, kind=STICK_ENTRY)
         else:
             state = reseed(state.q, state.t, direction, tol)
-    if state.mode == STUCK and not bool(stiction_holds(params, pivot, state.q, state.t)):
+    if state.mode == STUCK and not stiction_holds(params, pivot, state.q, state.t):
         direction = classify_switch(params, pivot, state.q, state.t)
         state = reseed(state.q, state.t, direction, tol)
         entry_event = None
@@ -748,7 +729,7 @@ def integrate(
             if (
                 not frictionless
                 and abs(state.p) < tol.stick_band
-                and bool(stiction_holds(params, pivot, state.q, state.t))
+                and stiction_holds(params, pivot, state.q, state.t)
             ):
                 state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
                 traj.append(state.t, state.q, 0.0, STUCK)
@@ -767,7 +748,7 @@ def integrate(
 
 def _finish(traj, params, pivot, horizon):
     if params.mu > 0.0:
-        check_escape_trap(traj, params, pivot, horizon, raise_on_fail=True)
+        check_escape_trap(traj, params, pivot, horizon)
     return traj
 
 
@@ -777,26 +758,22 @@ def check_escape_trap(
     pivot: PivotLaw,
     horizon: float,
     slack: float = 1e-6,
-    raise_on_fail: bool = False,
-) -> bool:
-    """Verify that |p| never re-exceeds p_star (+slack) once it dips below it."""
+) -> None:
+    """TrapViolation if |p| re-exceeds p_star (+slack) once it dips below it."""
     if params.mu <= 0.0:
-        return True
+        return
     t0 = traj.samples[0][0]
     if not (horizon > t0):
-        return True
+        return
     cap = p_star(params, pivot, t0, horizon)
     below = False
     for t, q, p, mode in traj.samples:
         if abs(p) <= cap:
             below = True
         elif below and abs(p) > cap + slack:
-            if raise_on_fail:
-                raise TrapViolation(
-                    f"|p| = {abs(p)} exceeded p_star = {cap} at t = {t} after entering the trap"
-                )
-            return False
-    return True
+            raise TrapViolation(
+                f"|p| = {abs(p)} exceeded p_star = {cap} at t = {t} after entering the trap"
+            )
 
 
 def trajectory_residuals(traj: Trajectory, params: Params, pivot: PivotLaw) -> float:

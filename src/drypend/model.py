@@ -14,14 +14,11 @@ interval between the two one-sided limits; `limit_fields`, `filippov_set`
 and `stiction_holds` expose that structure.
 
 The field is written in two kernels only: `branch_field` (off the surface,
-one friction branch; the integrator steps it on floats and the checks
-evaluate it on arrays) and `stiction_drift_and_bound` (on p = 0), from which
-the one-sided limits and the stiction test are both taken.  Functions accept
-Python floats or numpy arrays in the (q, p, t) slots.  numpy is imported
-only where arrays are used (the kernels and the pivot laws on arrays, and
-`PolyPivot`); on Python floats the module runs without it, taking
-`math.sin`/`math.cos`, which agree with numpy's bit for bit on floats
-(pinned by tests/test_backends.py).
+one friction branch) and `stiction_drift_and_bound` (on p = 0), from which
+the one-sided limits and the stiction test are both taken.  Every function
+takes and returns Python floats; the integrator and the verification checks
+evaluate the same kernels.  numpy is imported only by `PolyPivot`, for the
+roots behind its bounds.
 """
 
 from __future__ import annotations
@@ -66,13 +63,12 @@ class PivotLaw:
     Subclasses provide `accel`, an exact or conservative `sup_bound` and a
     Lipschitz constant `lipschitz_bound`.  `sup_bound` must over-estimate
     max |a| on the interval: the velocity trap threshold computed from it is
-    only valid as an upper bound.  `accel` takes a float or a numpy array:
-    a float is evaluated in pure Python, an array through numpy.
+    only valid as an upper bound.  `accel` maps a float to a float.
     """
 
     kind = "abstract"
 
-    def accel(self, t):
+    def accel(self, t: float) -> float:
         raise NotImplementedError
 
     @property
@@ -151,12 +147,8 @@ class ConstantPivot(PivotLaw):
     def __init__(self, a: float):
         self.a = float(a)
 
-    def accel(self, t):
-        if isinstance(t, (float, int)):
-            return self.a
-        import numpy as np
-
-        return self.a * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else self.a
+    def accel(self, t: float) -> float:
+        return self.a
 
     @property
     def lipschitz_bound(self) -> float:
@@ -176,12 +168,8 @@ class SinePivot(PivotLaw):
         self.omega = float(omega)
         self.phase = float(phase)
 
-    def accel(self, t):
-        if isinstance(t, (float, int)):
-            return self.amp * math.sin(self.omega * t + self.phase)
-        import numpy as np
-
-        return self.amp * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
+    def accel(self, t: float) -> float:
+        return self.amp * math.sin(self.omega * t + self.phase)
 
     @property
     def lipschitz_bound(self) -> float:
@@ -226,21 +214,15 @@ class PolyPivot(PivotLaw):
         self._poly = np.polynomial.Polynomial(self.coeffs)
         self._deriv = self._poly.deriv()
 
-    def accel(self, t):
-        if isinstance(t, float):
-            # Polynomial.__call__ in pure Python (the map of the default domain
-            # onto itself, 0.0 + 1.0 * t, then polyval's Horner loop), as a
-            # Python float: a numpy scalar would be carried into q and p and
-            # written as "np.float64(...)" into trajectory CSV files
-            x = 0.0 + t
-            c = self.coeffs
-            acc = c[-1] + x * 0
-            for ck in c[-2::-1]:
-                acc = ck + acc * x
-            return float(acc)
-        import numpy as np
-
-        return self._poly(np.asarray(t, dtype=float)) if np.ndim(t) else self._poly(t)
+    def accel(self, t: float) -> float:
+        # Polynomial.__call__'s arithmetic in pure Python: the map of the
+        # default domain onto itself, 0.0 + 1.0 * t, then polyval's Horner loop
+        x = 0.0 + t
+        c = self.coeffs
+        acc = c[-1] + x * 0
+        for ck in c[-2::-1]:
+            acc = ck + acc * x
+        return acc
 
     @staticmethod
     def _abs_max(poly, a: float, b: float) -> float:
@@ -297,12 +279,8 @@ class TablePivot(PivotLaw):
             abs((v1 - v0) / (t1 - t0)) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])
         )
 
-    def accel(self, t):
-        if isinstance(t, (float, int)):
-            return interp(t, self.times, self.values)
-        import numpy as np
-
-        return np.interp(t, self.times, self.values)
+    def accel(self, t: float) -> float:
+        return interp(t, self.times, self.values)
 
     @property
     def lipschitz_bound(self) -> float:
@@ -387,28 +365,18 @@ class FilippovSet:
         return self.p_dot_lo == self.p_dot_hi
 
 
-def _sin_cos(q):
-    """(sin, cos) for angles q: math's for a Python float, numpy's otherwise."""
-    if isinstance(q, float):
-        return math.sin, math.cos
-    import numpy as np
-
-    return np.sin, np.cos
-
-
-def branch_field(params: Params, pivot: PivotLaw, branch) -> Callable:
+def branch_field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
     """The slipping kernel: f(t, q, p) -> (dq/dt, dp/dt) with the friction
     sign frozen to `branch`.
 
     This is the smooth extension of the slipping field across p = 0; the
-    integrator steps it between events with a float `branch`, and the checks
-    evaluate it on arrays with `branch = np.sign(p)`.  The sine and cosine
-    are chosen once, from the type of `branch`.
+    integrator steps it between events, and the checks evaluate it at their
+    sample points with the branch of sign(p).
     """
     l, g, mu = params.l, params.g, params.mu
     mu_l, g_l = mu / l, g / l
     accel = pivot.accel
-    sin, cos = _sin_cos(branch)
+    sin, cos = math.sin, math.cos
 
     def f(t, q, p):
         a = accel(t)
@@ -419,7 +387,7 @@ def branch_field(params: Params, pivot: PivotLaw, branch) -> Callable:
     return f
 
 
-def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q, t):
+def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q: float, t: float):
     """The on-surface kernel: drift dp/dt and friction capacity on p = 0.
 
     The one-sided limits are drift -/+ bound, and static friction holds iff
@@ -429,14 +397,13 @@ def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q, t):
     """
     a = pivot.accel(t)
     l, g, mu = params.l, params.g, params.mu
-    sin, cos = _sin_cos(q)
-    s, c = sin(q), cos(q)
+    s, c = math.sin(q), math.cos(q)
     drift = (a / l) * s - (g / l) * c
     bound = (mu / l) * abs(a * c + g * s)
     return drift, bound
 
 
-def limit_fields(params: Params, pivot: PivotLaw, q, t):
+def limit_fields(params: Params, pivot: PivotLaw, q: float, t: float):
     """One-sided limits (f_plus_p, f_minus_p) of dp/dt on the plane p = 0.
 
     f_plus_p is the limit from p > 0, f_minus_p from p < 0; always
@@ -452,10 +419,10 @@ def filippov_set(params: Params, pivot: PivotLaw, state: State) -> FilippovSet:
         _, a = branch_field(params, pivot, math.copysign(1.0, state.p))(state.t, state.q, state.p)
         return FilippovSet(q_dot=state.p, p_dot_lo=a, p_dot_hi=a)
     f_plus, f_minus = limit_fields(params, pivot, state.q, state.t)
-    return FilippovSet(q_dot=0.0, p_dot_lo=float(f_plus), p_dot_hi=float(f_minus))
+    return FilippovSet(q_dot=0.0, p_dot_lo=f_plus, p_dot_hi=f_minus)
 
 
-def stiction_holds(params: Params, pivot: PivotLaw, q, t):
+def stiction_holds(params: Params, pivot: PivotLaw, q: float, t: float) -> bool:
     """True iff static friction can hold the pendulum at angle q at time t.
 
     Algebraically |a sin q - g cos q| <= mu |a cos q + g sin q|, which is the
@@ -479,14 +446,13 @@ def p_star(params: Params, pivot: PivotLaw, t0: float, t1: float) -> float:
     return math.sqrt((params.g + sup) * (1.0 + 1.0 / params.mu) / params.l)
 
 
-def energy(params: Params, q, p):
+def energy(params: Params, q: float, p: float) -> float:
     """Mechanical energy surrogate 0.5 l^2 p^2 + g l sin q (per unit mass).
 
     Conserved along solutions only when mu = 0 and the pivot is inertial
     (a(t) = 0); used as a drift oracle in that limit.
     """
-    sin, _ = _sin_cos(q)
-    return 0.5 * params.l ** 2 * (p * p) + params.g * params.l * sin(q)
+    return 0.5 * params.l ** 2 * (p * p) + params.g * params.l * math.sin(q)
 
 
 def fingerprint_of(*parts: dict) -> str:

@@ -4,6 +4,11 @@ Each check samples the model on a deterministic low-discrepancy grid and
 returns a CheckReport with the worst margin found and the inputs that
 produced it, so every reported number can be recomputed directly.  These
 are falsification tests with explicit constants, not proofs.
+
+The pointwise checks evaluate the model's float kernels, the ones the
+integrator steps, at each sample point; numpy builds the sample grids and
+reduces the continuous-dependence distances.  A worst case is the first
+extreme in row-major order, and a NaN anywhere is the worst case.
 """
 
 from __future__ import annotations
@@ -19,18 +24,17 @@ from .integrator import Tolerances, integrate
 
 
 def _halton(n: int, base: int, start: int = 0) -> np.ndarray:
-    """First n points of the base-b van der Corput sequence from `start`."""
-    out = np.empty(n)
-    for k in range(n):
-        i = start + k + 1
-        f = 1.0
-        r = 0.0
-        while i > 0:
-            f /= base
-            r += f * (i % base)
-            i //= base
-        out[k] = r
-    return out
+    """First n points of the base-b van der Corput sequence from `start`,
+    built one digit position at a time over all the indices (a digit past an
+    index's last one adds f * 0, which leaves the point as it is)."""
+    i = np.arange(start + 1, start + n + 1)
+    f = 1.0
+    r = np.zeros(n)
+    while i.any():
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
 
 
 def _seed_offset(fingerprint: str) -> int:
@@ -96,11 +100,31 @@ def smooth_lipschitz_bound(
 
     Frobenius bound of the branch Jacobian using the partial-derivative
     envelopes |d(dp)/dq| <= (1 + mu)(sup|a| + g)/l and |d(dp)/dp| <= 2 mu p_max.
+    OverflowError if the bound leaves the float range.
     """
     sup_a = pivot.sup_bound(t0, t1)
     dq_env = (1.0 + params.mu) * (sup_a + params.g) / params.l
     dp_env = 2.0 * params.mu * p_max
-    return math.sqrt(1.0 + dq_env ** 2 + dp_env ** 2)
+    try:
+        bound = math.sqrt(1.0 + dq_env ** 2 + dp_env ** 2)
+    except OverflowError:  # the square of a finite envelope
+        bound = math.inf
+    if not math.isfinite(bound):  # also an envelope that is already infinite
+        raise OverflowError("the field's Lipschitz bound overflows")
+    return bound
+
+
+def _max(x: float, y: float) -> float:
+    """The larger of x and y, NaN if either is (numpy's maximum)."""
+    return x if x >= y or x != x else y
+
+
+def _worse(x: float, worst: float, lower: bool) -> bool:
+    """Whether x replaces `worst` as the first extreme seen so far: the
+    least one if `lower`, else the greatest, and a NaN before all others."""
+    if worst != worst:
+        return False
+    return x != x or (x < worst if lower else x > worst)
 
 
 def check_jump_inequality(params: Params, pivot: PivotLaw, grid: SampleGrid) -> CheckReport:
@@ -110,30 +134,34 @@ def check_jump_inequality(params: Params, pivot: PivotLaw, grid: SampleGrid) -> 
     (2 mu / l)|a cos q + g sin q|; agreement is relative to the local field
     scale since the gap itself passes through zero.
     """
-    q = grid.q_points[:, None]
-    t = grid.t_points[None, :]
-    f_plus, f_minus = limit_fields(params, pivot, q, t)
-    a = np.asarray(pivot.accel(grid.t_points), dtype=float)[None, :]
-    gap = f_minus - f_plus
-    closed = 2.0 * ((params.mu / params.l) * np.abs(a * np.cos(q) + params.g * np.sin(q)))
-    scale = np.maximum(np.abs(f_plus), np.abs(f_minus))
-    scale = np.maximum(scale, closed)
-    scale[scale == 0.0] = 1.0
-    agreement = np.abs(gap - closed) / scale
-    i, j = np.unravel_index(np.argmin(gap), gap.shape)
-    margin = float(gap[i, j])
-    worst_agree = float(np.max(agreement))
+    mu_l, g = params.mu / params.l, params.g
+    ts = grid.t_points.tolist()
+    accels = [pivot.accel(t) for t in ts]
+    margin = worst_q = worst_t = None
+    worst_agree = 0.0
+    for q in grid.q_points.tolist():
+        s, c = math.sin(q), math.cos(q)
+        for t, a in zip(ts, accels):
+            f_plus, f_minus = limit_fields(params, pivot, q, t)
+            gap = f_minus - f_plus
+            closed = 2.0 * (mu_l * abs(a * c + g * s))
+            scale = _max(_max(abs(f_plus), abs(f_minus)), closed)
+            if scale == 0.0:
+                scale = 1.0
+            worst_agree = _max(worst_agree, abs(gap - closed) / scale)
+            if margin is None or _worse(gap, margin, lower=True):
+                margin, worst_q, worst_t = gap, q, t
     passed = margin >= 0.0 and worst_agree <= 1e-12
     return CheckReport(
         name="jump_inequality",
         passed=passed,
         margin=margin,
-        worst_case={"q": float(grid.q_points[i]), "t": float(grid.t_points[j])},
+        worst_case={"q": worst_q, "t": worst_t},
         details={"max_relative_disagreement": worst_agree},
     )
 
 
-def _pair_sets(params: Params, grid: SampleGrid, fingerprint: str):
+def _pair_sets(grid: SampleGrid, fingerprint: str):
     """Same-t sample pairs: half same-side of p = 0, half straddling."""
     n = grid.pair_count
     off = _seed_offset(fingerprint + "pairs")
@@ -176,30 +204,30 @@ def check_one_sided_lipschitz(
     """
     if not (l_est > 0):
         raise ValueError("l_est must be positive")
-    q1, p1, q2, p2, t = _pair_sets(params, grid, fingerprint or "default")
-    _, f1p = branch_field(params, pivot, np.sign(p1))(t, q1, p1)
-    _, f2p = branch_field(params, pivot, np.sign(p2))(t, q2, p2)
-    dq = q1 - q2
-    dp = p1 - p2
-    dot = dq * dp + dp * (f1p - f2p)
-    nsq = dq * dq + dp * dp
-    ratio = dot / nsq
-    worst = int(np.argmax(ratio))
-    sufficient = float(np.max(ratio))
-    violations = int(np.count_nonzero(ratio > l_est))
+    pairs = zip(*(axis.tolist() for axis in _pair_sets(grid, fingerprint or "default")))
+    # every sampled p is at least 1e-6 away from 0, on the branch of its sign
+    above, below = branch_field(params, pivot, 1.0), branch_field(params, pivot, -1.0)
+    sufficient = worst = None
+    violations = 0
+    for q1, p1, q2, p2, t in pairs:
+        _, f1p = (above if p1 > 0 else below)(t, q1, p1)
+        _, f2p = (above if p2 > 0 else below)(t, q2, p2)
+        dq = q1 - q2
+        dp = p1 - p2
+        dot = dq * dp + dp * (f1p - f2p)
+        nsq = dq * dq + dp * dp
+        ratio = dot / nsq
+        if not ratio <= l_est:
+            violations += 1
+        if sufficient is None or _worse(ratio, sufficient, lower=False):
+            sufficient, worst = ratio, {"q1": q1, "p1": p1, "q2": q2, "p2": p2, "t": t}
     return CheckReport(
         name="one_sided_lipschitz",
         passed=violations == 0,
-        margin=float(l_est - sufficient),
-        worst_case={
-            "q1": float(q1[worst]),
-            "p1": float(p1[worst]),
-            "q2": float(q2[worst]),
-            "p2": float(p2[worst]),
-            "t": float(t[worst]),
-        },
+        margin=l_est - sufficient,
+        worst_case=worst,
         estimated_constant=sufficient,
-        details={"l_est": l_est, "violations": violations, "pairs": len(ratio)},
+        details={"l_est": l_est, "violations": violations, "pairs": grid.pair_count},
     )
 
 
@@ -259,7 +287,6 @@ def check_upper_semicontinuity(
     if any(p == 0.0 for p in p_sequence):
         raise ValueError("p_sequence must avoid 0")
     f_plus, f_minus = limit_fields(params, pivot, q, t)
-    f_plus, f_minus = float(f_plus), float(f_minus)
     betas = []
     for p_k in p_sequence:
         _, a = branch_field(params, pivot, math.copysign(1.0, p_k))(t, q, p_k)

@@ -122,7 +122,6 @@ class ExitReport:
     outcome: str
     q0: float
     p0: float
-    t0: float
     horizon: float
     strict: bool
     exit_event: Event | None
@@ -143,7 +142,7 @@ class ExitReport:
             "outcome": self.outcome,
             "q0": self.q0,
             "p0": self.p0,
-            "t0": self.t0,
+            "t0": 0.0,  # shooting starts every trajectory at t = 0
             "horizon": self.horizon,
             "strict": self.strict,
             "trajectory_ref": self.trajectory_ref,
@@ -165,14 +164,13 @@ def _merge(dst: Trajectory, src: Trajectory):
     dst.recorded.extend(src.recorded)
 
 
-def _survival_report(q0, p0, t0, horizon, strict, traj) -> ExitReport:
+def _survival_report(q0, p0, horizon, strict, traj) -> ExitReport:
     final = traj.final
     stuck_q = final.q if final.mode == STUCK else None
     return ExitReport(
         outcome=NON_FALLING,
         q0=q0,
         p0=p0,
-        t0=t0,
         horizon=horizon,
         strict=strict,
         exit_event=None,
@@ -190,9 +188,8 @@ def classify_exit(
     horizon: float,
     tol: Tolerances = Tolerances(),
     strict: bool = False,
-    t0: float = 0.0,
 ) -> ExitReport:
-    """Integrate from (q0, sigma(q0)) and classify how the region is left.
+    """Integrate from (q0, sigma(q0)) at t = 0 and classify how the region is left.
 
     In strict mode any contact with q = 0 or q = pi is an exit.  Otherwise
     the closed-region semantics apply: an exit at a boundary angle needs
@@ -204,18 +201,18 @@ def classify_exit(
         raise ValueError(f"q0 = {q0} outside [0, pi]")
     p0 = curve(q0)
     merged = Trajectory()
-    state = State(q=q0, p=p0, t=t0, mode=SLIPPING)
+    state = State(q=q0, p=p0, t=0.0, mode=SLIPPING)
 
     def exited(side: str, event: Event) -> ExitReport:
         outcome = EXIT_LOW if side == SIDE_LOW else EXIT_HIGH
-        return ExitReport(outcome, q0, p0, t0, horizon, strict, event, merged)
+        return ExitReport(outcome, q0, p0, horizon, strict, event, merged)
 
     for _ in range(64):  # corner re-entries are physically scarce
         traj = integrate(state, params, pivot, horizon, tol, region_guard=(Q_LO, Q_HI))
         _merge(merged, traj)
         last = traj.events[-1] if traj.events else None
         if last is None or last.kind != REGION_EXIT:
-            return _survival_report(q0, p0, t0, horizon, strict, merged)
+            return _survival_report(q0, p0, horizon, strict, merged)
 
         side = last.side
         exit_state = traj.final
@@ -225,13 +222,13 @@ def classify_exit(
         q_b = Q_LO if side == SIDE_LOW else Q_HI
         t_b = exit_state.t
         outward = -1 if side == SIDE_LOW else 1
-        if bool(stiction_holds(params, pivot, q_b, t_b)):
+        if stiction_holds(params, pivot, q_b, t_b):
             stuck = State(q=q_b, p=0.0, t=t_b, mode=STUCK)
             released, ev = slide_until_release(stuck, params, pivot, horizon, tol)
             merged.append(released.t, q_b, 0.0, STUCK)
             merged.events.append(ev)
             if ev.kind == HORIZON:
-                return _survival_report(q0, p0, t0, horizon, strict, merged)
+                return _survival_report(q0, p0, horizon, strict, merged)
             if ev.direction == outward:
                 return exited(side, Event(t=released.t, q=q_b, kind=REGION_EXIT, side=side))
             state = reseed(q_b, released.t, ev.direction, tol)
@@ -242,7 +239,7 @@ def classify_exit(
                 return exited(side, last)
             state = reseed(q_b, t_b, direction, tol)
         if state.t >= horizon:
-            return _survival_report(q0, p0, t0, horizon, strict, merged)
+            return _survival_report(q0, p0, horizon, strict, merged)
     raise IntegrationError("corner re-entry count exceeded; tolerances suspect")
 
 
@@ -287,7 +284,6 @@ def bisect_curve(
     horizon: float,
     tol: Tolerances = Tolerances(),
     strict: bool = False,
-    t0: float = 0.0,
 ) -> BisectionResult:
     """Shrink an ExitLow/ExitHigh bracket on the curve until a witness shows.
 
@@ -300,7 +296,7 @@ def bisect_curve(
     """
 
     def classify(q0: float) -> ExitReport:
-        return classify_exit(q0, curve, params, pivot, horizon, tol, strict=strict, t0=t0)
+        return classify_exit(q0, curve, params, pivot, horizon, tol, strict=strict)
 
     def entry(report: ExitReport) -> HistoryEntry:
         exit_p = report.trajectory.final.p if report.exit_event is not None else None
@@ -357,7 +353,7 @@ def recheck_witness(
         raise ValueError("no witness to recheck")
     tight = tol.scaled(factor)
     return classify_exit(
-        report.q0, curve, params, pivot, report.horizon, tight, strict=report.strict, t0=report.t0
+        report.q0, curve, params, pivot, report.horizon, tight, strict=report.strict
     )
 
 

@@ -210,7 +210,7 @@ def test_c6_escape_trap():
         cap = p_star(params, pivot, 0.0, 10.0)
         p0 = 2 * cap * (1 if rng.random() < 0.5 else -1)
         traj = integrate(State(q=rng.uniform(0, math.pi), p=p0, t=0.0), params, pivot, 10.0, tol)
-        absp = np.abs(traj.p)
+        absp = np.abs([p for _, _, p, _ in traj.samples])
         entered = np.where(absp <= cap)[0]
         ok = ok and entered.size > 0
         if entered.size:
@@ -231,7 +231,7 @@ def test_c7_proposition1_witness():
     ok = ok and w.stuck_q is not None and lo <= w.stuck_q <= hi
     if ok:
         tight = recheck_witness(res, curve, params, pivot, tol, factor=10.0)
-        qs = tight.trajectory.q
+        qs = [q for _, q, _, _ in tight.trajectory.samples]
         ok = (
             tight.is_witness
             and float(np.min(qs)) >= 0.0
@@ -257,7 +257,7 @@ def test_c8_proposition2_witness_strict():
     w = res.witness
     ok = w is not None and w.strict and w.min_boundary_distance > 0.0
     if ok:
-        qs = w.trajectory.q
+        qs = [q for _, q, _, _ in w.trajectory.samples]
         ok = float(np.min(qs)) > 0.0 and float(np.max(qs)) < math.pi
     # no corner exits anywhere in the bisection history
     corner_free = True
@@ -285,7 +285,7 @@ def test_c9_frictionless_agreement():
     res = bisect_curve(SigmaCurve.line(), params, pivot, 20.0, tol)
     if res.witness is not None:
         w = res.witness
-        qs = w.trajectory.q
+        qs = [q for _, q, _, _ in w.trajectory.samples]
         ok = w.outcome == NON_FALLING and float(np.min(qs)) >= 0.0 and float(np.max(qs)) <= math.pi
         detail = f"witness at q0={w.q0:.12f}"
     else:

@@ -8,12 +8,12 @@ time box.
 
 The physics draws keep the work of a run bounded: the pivot's rate times the
 horizon, |da/dt| (1 + mu) / l * horizon, stays below RATE_TIMES_HORIZON, and
-no mutation gives the horizon, the start time, the step cap or a rate-bearing
-field an extreme magnitude.  Three hangs are known beyond that bound: a sine
-pivot with amp 1 and omega 1e17, started at rest at q = pi/2, makes the
-release scan's step 0.5 / (1 + L) fall below the spacing of doubles near t;
-omega 1e308 hangs the stepper; and a step cap max_dt below that spacing
-never lets time advance.
+no mutation gives the horizon, the start time or a rate-bearing field an
+extreme magnitude.  Two hangs are known beyond that bound: a sine pivot with
+amp 1 and omega 1e17, started at rest at q = pi/2, makes the release scan's
+step 0.5 / (1 + L) fall below the spacing of doubles near t; and omega 1e308
+hangs the stepper.  The pointwise checks of `verify` integrate nothing, so
+they run on those extreme magnitudes too.
 """
 
 import contextlib
@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from drypend import cli
 from drypend.model import pivot_from_dict
 
-# numpy warns of the overflows that the huge fields cause in the checks
+# numpy warns of the overflows that huge coefficients cause in a poly pivot's bounds
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 RATE_TIMES_HORIZON = 2000.0
@@ -39,7 +39,9 @@ TIME_BOX_S = 10
 COMMANDS = ("simulate", "shoot", "sweep", "verify")
 
 # fields whose extreme magnitudes make a long window or a steep pivot law
-RATE_OR_WINDOW = {"horizon", "t0", "max_dt", "l", "mu", "amp", "omega", "coeffs", "times", "values"}
+WINDOW = {"horizon", "t0"}
+RATE = {"l", "mu", "amp", "omega", "coeffs", "times", "values"}
+RATE_OR_WINDOW = WINDOW | RATE
 EXTREME = [1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308]
 INVALID = [None, True, "x", "1.5", "inf", "nan", [], {}, math.nan, math.inf, -math.inf, 0, -1, 10 ** 400]
 
@@ -242,3 +244,58 @@ def test_every_command_exits_cleanly_and_reruns_identically(scenario):
             rerun_rc, rerun_err = run([command, normalized, "--out", again, *flags])
             assert (rerun_rc, rerun_err) == (rc, err), command
             assert artifacts(again) == written, command
+
+
+@st.composite
+def steep(draw):
+    """A valid scenario with one pivot or params field set to an extreme
+    magnitude that `test_every_command_exits_cleanly_and_reruns_identically`
+    keeps from the stepper."""
+    scenario = draw(physics())
+    leaves = [
+        (path, key)
+        for path, key in _leaves(scenario)
+        if path[:1] in (("pivot",), ("params",)) and (key if isinstance(key, str) else path[-1]) in RATE
+    ]
+    path, key = draw(st.sampled_from(leaves))
+    parent = scenario
+    for step in path:
+        parent = parent[step]
+    parent[key] = draw(st.sampled_from(EXTREME))
+    return scenario
+
+
+POINTWISE = "jump,lipschitz,semicontinuity"
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(scenario=steep())
+@example(scenario=point(pivot={"kind": "sine", "amp": 2.0, "omega": 1e308}))
+@example(scenario=point(pivot={"kind": "sine", "amp": 1.0, "omega": 1e17}))
+@example(scenario=point(params={"g": 1e308}, pivot={"kind": "sine", "amp": 1e308, "omega": 1}))
+@example(scenario=point(pivot={"kind": "table", "times": [0, 5e-324], "values": [0, 1e308]}))
+def test_pointwise_checks_exit_cleanly_on_steep_laws(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(scenario, fh)
+        out = os.path.join(tmp, "verify")
+        rc, err = run(["verify", path, "--out", out, "--checks", POINTWISE])
+        assert rc in (0, 1, 2), (rc, err)
+        assert "Traceback" not in err, err
+        written = artifacts(out)
+        if rc == 2:
+            assert written == {}
+            return
+        for report in json.loads(written["verify.json"])["reports"]:
+            # a check passes on numbers: a NaN margin is a failed comparison
+            assert not (report["passed"] and math.isnan(report["margin"])), report
+        again = os.path.join(tmp, "verify-again")
+        normalized = os.path.join(out, "scenario.normalized.json")
+        assert run(["verify", normalized, "--out", again, "--checks", POINTWISE]) == (rc, err)
+        assert artifacts(again) == written

@@ -1,16 +1,17 @@
 """The two field kernels of `drypend.model`.
 
-The slipping kernel (`branch_field`) is stepped on Python floats and
-evaluated by the checks on numpy arrays, and the two must agree bit for bit.
-The stick/cross rule and the stiction test both read the on-surface kernel
-(`stiction_drift_and_bound`), so they must agree exactly.
+The slipping kernel (`branch_field`), which the integrator steps and the
+checks sample, is compared with the equation of motion evaluated in exact
+rational arithmetic.  The stick/cross rule and the stiction test both read
+the on-surface kernel (`stiction_drift_and_bound`), so they must agree
+exactly.
 """
 
 import json
 import math
 import sys
+from fractions import Fraction
 
-import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -86,28 +87,34 @@ points = st.lists(
 )
 
 
+def _exact_slipping_accel(params, a, q, p, branch):
+    """dp/dt of the module's equation of motion, exact in rational arithmetic
+    from the rounded a, sin q and cos q."""
+    l, g, mu = (Fraction(v) for v in (params.l, params.g, params.mu))
+    a, p = Fraction(a), Fraction(p)
+    s, c = Fraction(math.sin(q)), Fraction(math.cos(q))
+    return a / l * s - mu / l * abs(a * c - l * p * p + g * s) * int(branch) - g / l * c
+
+
 @PROPERTY
 @given(params=params_st, pivot=pivots(), qpt=points, branch=st.sampled_from([1.0, -1.0]))
-def test_scalar_and_array_kernels_agree(params, pivot, qpt, branch):
-    q, p, t = (np.array(axis) for axis in zip(*qpt))
-    dqs, dps = branch_field(params, pivot, np.full(len(qpt), branch))(t, q, p)
-    signed = branch_field(params, pivot, np.sign(p))(t, q, p)[1]
-    for i, (qi, pi, ti) in enumerate(qpt):
-        dq, dp = branch_field(params, pivot, branch)(ti, qi, pi)
+def test_slipping_kernel_is_the_equation_of_motion(params, pivot, qpt, branch):
+    for q, p, t in qpt:
+        dq, dp = branch_field(params, pivot, branch)(t, q, p)
         assert type(dp) is float
-        assert bits(dq) == bits(float(dqs[i])) and bits(dp) == bits(float(dps[i]))
-        if pi != 0.0:
-            _, dp = branch_field(params, pivot, math.copysign(1.0, pi))(ti, qi, pi)
-            assert bits(dp) == bits(float(signed[i]))
+        assert bits(dq) == bits(p)
+        a = pivot.accel(t)
+        exact = _exact_slipping_accel(params, a, q, p, branch)
+        assert abs(Fraction(dp) - exact) <= ULPS * _term_size(params, a, q, p) + 1e-300
 
 
 @PROPERTY
 @given(params=params_st, pivot=pivots(), q=reals(-4, 7), t=reals(0, 100))
 def test_branches_on_the_surface_are_the_one_sided_limits(params, pivot, q, t):
-    f_plus, f_minus = limit_fields(params, pivot, np.array([q]), np.array([t]))
+    f_plus, f_minus = limit_fields(params, pivot, q, t)
     tol = ULPS * _term_size(params, pivot.accel(t), q, 0.0) + 1e-300
-    assert abs(branch_field(params, pivot, 1.0)(t, q, 0.0)[1] - float(f_plus[0])) <= tol
-    assert abs(branch_field(params, pivot, -1.0)(t, q, 0.0)[1] - float(f_minus[0])) <= tol
+    assert abs(branch_field(params, pivot, 1.0)(t, q, 0.0)[1] - f_plus) <= tol
+    assert abs(branch_field(params, pivot, -1.0)(t, q, 0.0)[1] - f_minus) <= tol
 
 
 def test_jump_check_rejects_a_wrong_bound(monkeypatch):

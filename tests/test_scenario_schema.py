@@ -8,6 +8,7 @@ exit 2, never with a traceback.  Every command runs in-process through
 `cli.main`.
 """
 
+import contextlib
 import json
 import math
 import signal
@@ -35,8 +36,24 @@ POINT = {
 }
 CURVE = {"kind": "curve", "sigma": {"kind": "line"}, "family_shifts": [-0.1, 0.1]}
 
-# numpy warns of the overflows that the huge fields cause in the checks
+# numpy warns of the overflows that huge coefficients cause in a poly pivot's bounds
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+def _time_box(signum, frame):
+    raise TimeoutError("the run did not end within its time box")
+
+
+@contextlib.contextmanager
+def time_box(seconds=10):
+    """TimeoutError, not a hang, if the block runs longer than `seconds`."""
+    previous = signal.signal(signal.SIGALRM, _time_box)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run(tmp_path, command, scenario, *flags):
@@ -152,6 +169,13 @@ class TestCrossFieldRules:
         }
         rejected(tmp_path, capsys, "simulate", scenario, "initial.t0")
 
+    @pytest.mark.parametrize("max_dt", [1e-20, 5e-324])
+    def test_step_cap_must_advance_time(self, tmp_path, capsys, max_dt):
+        # a step cap below the spacing of doubles near t = 2 once hung simulate
+        scenario = {**POINT, "tolerances": {"max_dt": max_dt}}
+        with time_box():
+            rejected(tmp_path, capsys, "simulate", scenario, "tolerances.max_dt")
+
     def test_verify_measures_dependence_from_a_late_start(self, tmp_path, capsys):
         # the window was min(horizon, 5) in absolute time: a traceback for t0 >= 5
         scenario = {**POINT, "initial": {"kind": "point", "q0": 1.0, "p0": 0.2, "t0": 5.0}, "horizon": 6.0}
@@ -184,6 +208,24 @@ class TestFloatRange:
         assert rc == 2 and err.startswith(message), err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "pivot, params, checks",
+        [
+            # omega * t past the float range: math.sin(inf) in the sampled field
+            ({"kind": "sine", "amp": 2.0, "omega": 1e308}, {"mu": 0.3}, "jump,lipschitz"),
+            # an infinite Lipschitz bound, whose check once passed with margin NaN
+            ({"kind": "sine", "amp": 1e308, "omega": 1.0}, {"g": 1e308}, "lipschitz"),
+        ],
+        ids=["sine-omega", "lipschitz-bound"],
+    )
+    def test_a_pointwise_check_past_the_float_range_exits_2(
+        self, tmp_path, capsys, pivot, params, checks
+    ):
+        rc = run(tmp_path, "verify", {**POINT, "pivot": pivot, "params": params}, "--checks", checks)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("verification failed"), err
+        assert not (tmp_path / "out").exists()
+
     def test_energy_drift_of_a_long_rod_is_reported_infinite(self, tmp_path, capsys):
         # l ** 2 in `energy` once raised OverflowError after the artifacts were written
         scenario = {**POINT, "params": {"mu": 0.0, "l": 1e200}, "pivot": {"kind": "constant", "a": 0}}
@@ -198,22 +240,13 @@ class TestFloatRange:
         assert phase_portrait_svg(traj).endswith("</svg>")
 
 
-def _time_box(signum, frame):
-    raise TimeoutError("the release bisection did not end")
-
-
 def test_release_bisection_ends_below_the_spacing_of_doubles():
     # with event_tol below the spacing of doubles near the release time, the
     # bisection once looped for ever on two adjacent doubles
     params, pivot = Params(mu=0.5), SinePivot(6.0, 1.0)
     tol = Tolerances(event_tol=5e-324)
-    previous = signal.signal(signal.SIGALRM, _time_box)
-    signal.alarm(10)
-    try:
+    with time_box():
         released, event = slide_until_release(State(math.pi / 2, 0.0, 0.0, STUCK), params, pivot, 10.0, tol)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert event.kind == STICK_RELEASE
     drift, bound = stiction_drift_and_bound(params, pivot, released.q, released.t)
     assert abs(drift) > bound

@@ -1,7 +1,8 @@
 """numpy stays off the start-up path: the CLI imports it only to verify.
 
-numpy's import is about as long as a whole simulation, and only the
-verification checks (and poly pivots) use arrays.  Each case runs in a fresh
+numpy's import is about as long as a whole simulation.  The model runs on
+floats, and numpy builds only the verification checks' sample grids (and a
+poly pivot's bounds).  Each case runs in a fresh
 interpreter, since this test process has numpy loaded already.
 """
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drypend import verification
 from drypend.model import ConstantPivot, Params, SinePivot, State, branch_field, limit_fields
 from drypend.integrator import Tolerances
 from drypend.verification import (
@@ -20,7 +23,32 @@ ZERO = ConstantPivot(0.0)
 GRID = SampleGrid.for_scenario("test-grid", pair_count=8192)
 
 
+def halton_by_point(n, base, start):
+    """The van der Corput points one at a time, each to its last digit."""
+    out = []
+    for k in range(n):
+        i = start + k + 1
+        f = 1.0
+        r = 0.0
+        while i > 0:
+            f /= base
+            r += f * (i % base)
+            i //= base
+        out.append(r)
+    return out
+
+
 class TestSampleGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        base=st.sampled_from([2, 3, 5, 7, 11]),
+        start=st.one_of(st.integers(0, 100_000), st.just(0)),
+    )
+    def test_halton_is_the_point_by_point_sequence(self, n, base, start):
+        # built one digit position at a time over all the points at once
+        assert verification._halton(n, base, start).tolist() == halton_by_point(n, base, start)
+
     def test_deterministic_for_same_fingerprint(self):
         a = SampleGrid.for_scenario("abc")
         b = SampleGrid.for_scenario("abc")
@@ -73,7 +101,34 @@ class TestJumpInequality:
         assert float(f_minus - f_plus) == pytest.approx(r.margin, abs=1e-15)
 
 
+    def test_the_first_nan_is_the_worst_case(self, monkeypatch):
+        grid = SampleGrid(
+            q_points=np.array([0.5, 1.0, 2.0]), p_points=np.array([1.0]),
+            t_points=np.array([0.0, 1.0]), pair_count=16,
+        )
+        nan_at = {(1.0, 1.0), (2.0, 0.0)}
+
+        def limits(params, pivot, q, t):
+            return (math.nan, math.nan) if (q, t) in nan_at else limit_fields(params, pivot, q, t)
+
+        monkeypatch.setattr(verification, "limit_fields", limits)
+        r = check_jump_inequality(P, ZERO, grid)
+        assert not r.passed
+        assert math.isnan(r.margin) and math.isnan(r.details["max_relative_disagreement"])
+        assert r.worst_case == {"q": 1.0, "t": 1.0}  # row-major: q outer, t inner
+
+
 class TestOneSidedLipschitz:
+    def test_a_nan_ratio_is_a_violation(self, monkeypatch):
+        def nan_field(params, pivot, branch):
+            return lambda t, q, p: (p, math.nan)
+
+        monkeypatch.setattr(verification, "branch_field", nan_field)
+        r = check_one_sided_lipschitz(P, ZERO, GRID, 1e3, fingerprint="test-grid")
+        assert not r.passed
+        assert r.details["violations"] == r.details["pairs"] == GRID.pair_count
+        assert math.isnan(r.margin) and math.isnan(r.estimated_constant)
+
     def test_analytic_constant_suffices(self):
         l_est = smooth_lipschitz_bound(P, ZERO, p_max=4.0, t0=0.0, t1=20.0)
         r = check_one_sided_lipschitz(P, ZERO, GRID, l_est, fingerprint="test-grid")

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from drypend.model import ConstantPivot, Params, SinePivot
@@ -119,8 +118,9 @@ class TestBisectCurve:
         res = bisect_curve(curve, P, ZERO, 50.0, TOL)
         again = recheck_witness(res, curve, P, ZERO, TOL, factor=10.0)
         assert again.is_witness
-        assert float(np.min(again.trajectory.q)) >= 0.0
-        assert float(np.max(again.trajectory.q)) <= math.pi
+        qs = [q for _, q, _, _ in again.trajectory.samples]
+        assert min(qs) >= 0.0
+        assert max(qs) <= math.pi
 
 
 class TestStrictMode:
