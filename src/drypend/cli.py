@@ -278,8 +278,22 @@ def _write_atomic(path: str, data: str):
         raise
 
 
+def _finite_json(obj):
+    """`obj` with each non-finite float written as the string "NaN",
+    "Infinity" or "-Infinity", which strict JSON can carry."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return obj
+        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {key: _finite_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(value) for value in obj]
+    return obj
+
+
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(_finite_json(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit_common(scen: Scenario, out_dir: str):

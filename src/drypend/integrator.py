@@ -186,30 +186,54 @@ _P_COLS = tuple(zip(*_P))
 _MIN_STEP = 1e-14
 _MAX_EVENTS = 10 ** 6
 
-# An event scan is skipped only when the Bernstein coefficients of the
-# interpolant clear the event level by this multiple of the summed term
-# magnitudes.  That margin is about 1e4 times the rounding of both the
-# coefficients and of any value the scan itself would compute, so a skipped
-# scan is one that could not have found a sign change.  The absolute floor
-# covers the rounding of subnormal terms.
+# The largest |b_i(theta)| on [0, 1], rounded up, of the dense-output weight
+# polynomials b_i(theta) = theta * sum_k _P[i][k] theta^k.  The interpolant is
+# x(theta) = x0 + h * sum_i k_i b_i(theta) for the stages k_i of x, so it
+# stays within |h| * sum_i _BETA[i] |k_i| of x0 on the whole step.
+_BETA = (0.1170, 0.0, 0.4732, 0.6511, 0.3224, 0.1310, 0.0699)
+_BETA0, _BETA1, _BETA2, _BETA3, _BETA4, _BETA5, _BETA6 = _BETA
+
+# An event scan is skipped only when a bound on the interpolant clears the
+# event level by this multiple of the magnitudes involved.  For the Bernstein
+# coefficients that margin is about 1e4 times the rounding of both the
+# coefficients and of any value the scan itself would compute; for the stage
+# bound it is at least five times the worst-case rounding of the formed
+# coefficients and of their evaluation (each row of _P sums, in magnitude, to
+# under 110 times its _BETA).  So a skipped scan is one that could not have
+# found an event.  The absolute floor covers the rounding of subnormal terms.
 _EXCLUSION_SLACK = 1e-12
 _EXCLUSION_FLOOR = 1e-300
 
 
-class DenseSegment(NamedTuple):
-    """Quartic interpolant of one accepted step on [t0, t0 + h]."""
+class DenseSegment:
+    """Quartic interpolant of one accepted step on [t0, t0 + h].
 
-    t0: float
-    h: float
-    q0: float
-    p0: float
-    cq: tuple[float, float, float, float]
-    cp: tuple[float, float, float, float]
+    It keeps the step's stages (kq, kp).  Their power-basis coefficients,
+    which `eval` reads, are formed by `_dense_coeffs` the first time they are
+    needed, so a step that no event scan has to look at never forms them.
+    """
+
+    __slots__ = ("t0", "h", "q0", "p0", "kq", "kp", "_coeffs")
+
+    def __init__(self, t0: float, h: float, q0: float, p0: float, kq: tuple, kp: tuple):
+        self.t0 = t0
+        self.h = h
+        self.q0 = q0
+        self.p0 = p0
+        self.kq = kq
+        self.kp = kp
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[tuple, tuple]:
+        """(cq, cp): the dense coefficients of q and p, one per power of theta."""
+        if self._coeffs is None:
+            self._coeffs = _dense_coeffs(self.kq, self.kp)
+        return self._coeffs
 
     def eval(self, theta: float) -> tuple[float, float]:
         th = theta
-        c0, c1, c2, c3 = self.cq
-        d0, d1, d2, d3 = self.cp
+        (c0, c1, c2, c3), (d0, d1, d2, d3) = self.coeffs
         # Horner in theta, highest power first, from an accumulator of 0.0
         acc_q = (((0.0 * th + c3) * th + c2) * th + c1) * th + c0
         acc_p = (((0.0 * th + d3) * th + d2) * th + d1) * th + d0
@@ -280,6 +304,19 @@ def _dense_coeffs(kq, kp) -> tuple[tuple, tuple]:
     return tuple(cq), tuple(cp)
 
 
+def _stage_reach(h: float, k) -> float:
+    """Bound on |x(theta) - x0| for 0 <= theta <= 1, from the stages k of x.
+
+    Seven products, with no dense coefficient formed; a non-finite stage
+    gives NaN, which no exclusion test passes.
+    """
+    k0, k1, k2, k3, k4, k5, k6 = k
+    return abs(h) * (
+        _BETA0 * abs(k0) + _BETA1 * abs(k1) + _BETA2 * abs(k2) + _BETA3 * abs(k3)
+        + _BETA4 * abs(k4) + _BETA5 * abs(k5) + _BETA6 * abs(k6)
+    )
+
+
 def _bernstein_bounds(x0: float, h: float, c, theta_max: float):
     """Enclosure of x(th) = x0 + h*th*(c0 + c1 th + c2 th^2 + c3 th^3) on [0, theta_max].
 
@@ -340,17 +377,23 @@ def _poly_first_sign_change(seg: DenseSegment, theta_max: float = 1.0):
     The quartic is scanned on a fixed subdivision; a transversal root cannot
     hide between scan points at the scales the step controller allows, and a
     grazing double root is caught later by the stick-band projection.  The
-    scan is skipped when the Bernstein coefficients of p on [0, theta_max]
-    all share one sign with room for rounding, since then no scan point can
-    change sign.
+    scan is skipped when p cannot reach 0 with room for rounding: first when
+    the stage bound keeps p within less than |p0| of p0, then when the
+    Bernstein coefficients of p on [0, theta_max] all share one sign.  Then
+    no scan point can change sign.
     """
-    lo, hi, mag = _bernstein_bounds(seg.p0, seg.h, seg.cp, theta_max)
+    p0 = seg.p0
+    if theta_max <= 1.0:  # the stage bound holds for theta in [0, 1]
+        reach = _stage_reach(seg.h, seg.kp)
+        if abs(p0) - reach > _EXCLUSION_SLACK * (reach + abs(p0)) + _EXCLUSION_FLOOR:
+            return None
+    lo, hi, mag = _bernstein_bounds(p0, seg.h, seg.coeffs[1], theta_max)
     slack = _EXCLUSION_SLACK * mag + _EXCLUSION_FLOOR
     if lo > slack or hi < -slack:
         return None
     n = 16
     prev_theta = 0.0
-    prev_p = seg.p0
+    prev_p = p0
     for i in range(1, n + 1):
         th = theta_max * i / n
         _, p = seg.eval(th)
@@ -438,8 +481,7 @@ def step_smooth(
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     h_next = min(h * factor, tol.max_dt)
 
-    cq, cp = _dense_coeffs(kq, kp)
-    seg = DenseSegment(t0=t, h=h, q0=q, p0=p, cq=cq, cp=cp)
+    seg = DenseSegment(t, h, q, p, kq, kp)
 
     if params.mu != 0.0 and branch != 0.0:
         bracket = _poly_first_sign_change(seg)
@@ -546,16 +588,23 @@ def slide_until_release(
 def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
     """Earliest theta in (0, theta_end] where the dense q leaves [q_lo, q_hi].
 
-    The scan is skipped when the Bernstein coefficients of q on
-    [0, theta_end] lie inside (q_lo, q_hi) with room for rounding.
+    The scan is skipped when q stays inside (q_lo, q_hi) with room for
+    rounding: first when the stage bound keeps it there, then when the
+    Bernstein coefficients of q on [0, theta_end] lie inside.
     """
-    lo, hi, mag = _bernstein_bounds(seg.q0, seg.h, seg.cq, theta_end)
+    q0 = seg.q0
+    if theta_end <= 1.0:  # the stage bound holds for theta in [0, 1]
+        reach = _stage_reach(seg.h, seg.kq)
+        slack = _EXCLUSION_SLACK * (reach + abs(q0) + abs(q_lo) + abs(q_hi)) + _EXCLUSION_FLOOR
+        if q0 - reach - q_lo > slack and q_hi - q0 - reach > slack:
+            return None
+    lo, hi, mag = _bernstein_bounds(q0, seg.h, seg.coeffs[0], theta_end)
     slack = _EXCLUSION_SLACK * (mag + abs(q_lo) + abs(q_hi)) + _EXCLUSION_FLOOR
     if lo - q_lo > slack and q_hi - hi > slack:
         return None
     n = 16
     prev_theta = 0.0
-    prev_q = seg.q0
+    prev_q = q0
     for i in range(1, n + 1):
         th = theta_end * i / n
         qv, _ = seg.eval(th)
@@ -608,12 +657,13 @@ def integrate(
     traj = Trajectory(
         params_fingerprint=fingerprint_of(params.to_dict(), pivot.to_dict(), tol.to_dict())
     )
-    rec_times = sorted(record_at) if record_at else []
+    # the times to record, then a sentinel that is never due
+    rec_times = [*sorted(record_at or ()), math.inf]
     rec_idx = 0
 
     def record_upto(t_now: float, value_fn):
         nonlocal rec_idx
-        while rec_idx < len(rec_times) and rec_times[rec_idx] <= t_now + 1e-18:
+        while rec_times[rec_idx] <= t_now + 1e-18:
             rt = rec_times[rec_idx]
             q_r, p_r, mode_r = value_fn(rt)
             traj.recorded.append(State(q=q_r, p=p_r, t=rt, mode=mode_r))
@@ -703,7 +753,8 @@ def integrate(
                 bump_events()
                 return _finish(traj, params, pivot, horizon)
 
-            record_upto(res.state.t, lambda rt: (*seg.eval_at(rt), SLIPPING))
+            if rec_times[rec_idx] <= res.state.t + 1e-18:  # a recorded time is due
+                record_upto(res.state.t, lambda rt: (*seg.eval_at(rt), SLIPPING))
             state = res.state
             h_next = res.h_next
 

@@ -290,7 +290,9 @@ def check_upper_semicontinuity(
     betas = []
     for p_k in p_sequence:
         _, a = branch_field(params, pivot, math.copysign(1.0, p_k))(t, q, p_k)
-        overshoot = max(0.0, f_plus - a, a - f_minus)
+        below, above = f_plus - a, a - f_minus
+        # a NaN excess is the worst case, which max() would drop
+        overshoot = max(0.0, below, above) if below == below and above == above else math.nan
         betas.append(math.hypot(p_k, overshoot))
     slope = max(b / abs(p) for b, p in zip(betas, p_sequence))
     monotone = all(betas[i + 1] <= betas[i] * 1.10 for i in range(len(betas) - 1))

@@ -170,3 +170,32 @@ def test_poly_pivot_must_cover_the_horizon(tmp_path, horizon, flags):
     scen = {**_with("pivot", POLY_T10), "horizon": horizon}
     _assert_rejected(run_cli(tmp_path, "simulate", scen, *flags), "pivot.t_max")
     assert run_cli(tmp_path, "simulate", scen, "--horizon", "10").returncode == 0
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_artifacts_are_strict_json(tmp_path):
+    # mu 1e308 makes the jump check's relative disagreement NaN; it is
+    # written as the string "NaN", not as a bare NaN token
+    proc = run_cli(tmp_path, "verify", _with("params.mu", 1e308), "--checks", "jump")
+    assert proc.returncode == 1, proc.stderr
+    report = _strict_json(tmp_path / "out" / "verify.json")["reports"][0]
+    assert report["details"]["max_relative_disagreement"] == "NaN"
+    _strict_json(tmp_path / "out" / "scenario.normalized.json")
+
+
+def test_semicontinuity_counts_a_nan_excess_as_a_failure(tmp_path):
+    # with l 1e-308 the limit fields are NaN; the check once dropped that
+    # excess and passed with betas exactly |p_k|
+    scen = _with("initial.p0", 0.0, base=_with("params", {"l": 1e-308}))
+    proc = run_cli(tmp_path, "verify", scen, "--checks", "semicontinuity")
+    assert proc.returncode == 1, proc.stderr
+    report = _strict_json(tmp_path / "out" / "verify.json")["reports"][0]
+    assert report["passed"] is False
+    assert report["details"]["betas"] == ["NaN"] * len(report["details"]["betas"])

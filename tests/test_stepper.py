@@ -3,16 +3,18 @@
 `refstepper` holds the looped stage sums, dense coefficients, Horner
 evaluation and 16-point event scans.  The package's versions must give the
 same bits (compared as IEEE 754 patterns, so -0.0 counts too), the
-first-same-as-last reuse must not change an integration, and the Bernstein
-test that lets the event scans be skipped must only skip scans that find
-nothing, while skipping most of them on ordinary runs.
+first-same-as-last reuse must not change an integration, and the stage
+bound and the Bernstein test that let the event scans be skipped must only
+skip scans that find nothing, while skipping most of them on ordinary runs.
 """
 
 import contextlib
+import io
 import json
 import math
 import os
 import struct
+import tempfile
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from drypend import integrator, model
+from drypend import cli, integrator, model
 from drypend.integrator import DenseSegment, Tolerances, integrate
 from drypend.model import ConstantPivot, Params, PolyPivot, SinePivot, State, TablePivot
 
@@ -138,14 +140,17 @@ def test_step_matches_the_looped_reference_on_linear_fields(coef, t, q, p, h):
     )
 
 
-def _segments(t0, h, q0, p0, cq, cp):
+def _segments(t0, h, q0, p0, kq, kp):
+    """The package's segment of the stages (kq, kp), and the reference's,
+    built from the reference's dense coefficients of the same stages."""
+    cq, cp = refstepper._dense_coeffs(kq, kp)
     return (
-        integrator.DenseSegment(t0=t0, h=h, q0=q0, p0=p0, cq=cq, cp=cp),
+        integrator.DenseSegment(t0, h, q0, p0, tuple(kq), tuple(kp)),
         refstepper.DenseSegment(t0=t0, h=h, q0=q0, p0=p0, cq=cq, cp=cp),
     )
 
 
-coeffs4 = st.tuples(finite, finite, finite, finite)
+stages7 = st.tuples(*[st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0]))] * 7)
 
 
 @PROPERTY
@@ -153,14 +158,23 @@ coeffs4 = st.tuples(finite, finite, finite, finite)
     h=st.one_of(reals(1e-12, 1.0), finite),
     q0=finite,
     p0=finite,
-    cq=coeffs4,
-    cp=coeffs4,
+    kq=stages7,
+    kp=stages7,
     theta=st.one_of(reals(0, 1), st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 16]), finite),
 )
-@example(h=0.1, q0=-0.0, p0=-0.0, cq=(-0.0,) * 4, cp=(-0.0,) * 4, theta=0.5)
-def test_dense_eval_matches_the_looped_horner(h, q0, p0, cq, cp, theta):
-    new, ref = _segments(0.0, h, q0, p0, cq, cp)
+@example(h=0.1, q0=-0.0, p0=-0.0, kq=(-0.0,) * 7, kp=(-0.0,) * 7, theta=0.5)
+def test_dense_eval_matches_the_looped_horner(h, q0, p0, kq, kp, theta):
+    new, ref = _segments(0.0, h, q0, p0, kq, kp)
     assert bits(new.eval(theta)) == bits(ref.eval(theta))
+
+
+# the least-norm stages whose dense coefficients are the given ones, so that
+# a quartic drawn in the power basis can be built as a segment
+_STAGES_OF_COEFFS = np.linalg.pinv(np.array(integrator._P).T)
+
+
+def _stages_for(coeffs):
+    return tuple(float(k) for k in _STAGES_OF_COEFFS @ np.array(coeffs, dtype=float))
 
 
 @st.composite
@@ -169,8 +183,7 @@ def stepped_segments(draw):
     params, pivot, branch, t, q, p, h = draw(stepper_cases())
     f = model.branch_field(params, pivot, branch)
     _, _, _, _, (kq, kp) = integrator._rk_step(f, t, q, p, h, *f(t, q, p))
-    cq, cp = integrator._dense_coeffs(kq, kp)
-    return t, h, q, p, cq, cp
+    return t, h, q, p, kq, kp
 
 
 @st.composite
@@ -179,7 +192,9 @@ def adversarial_segments(draw):
 
     The power-basis form p0 + a1 th + ... + a4 th^4 is drawn through its
     roots: a double root (a grazing touch of p = 0), p0 a few ulps from 0,
-    or an arbitrary quartic, then written as dense coefficients a_k / h.
+    or an arbitrary quartic, then written as dense coefficients a_k / h and
+    built from the stages that have them (up to rounding, which moves a
+    double root by about the square root of an ulp).
     """
     h = draw(reals(1e-6, 0.2))
     shape = draw(st.sampled_from(["double", "tiny_p0", "free"]))
@@ -195,11 +210,11 @@ def adversarial_segments(draw):
     else:
         a = [draw(reals(-scale, scale)) for _ in range(5)]
     a = [float(x) for x in a] + [0.0] * (5 - len(a))
-    cp = tuple(ak / h for ak in a[1:])
+    kp = _stages_for([ak / h for ak in a[1:]])
     q_span = draw(reals(0.01, 4))
-    cq = tuple(draw(reals(-q_span, q_span)) / h for _ in range(4))
+    kq = _stages_for([draw(reals(-q_span, q_span)) / h for _ in range(4)])
     q0 = draw(st.one_of(reals(-0.5, math.pi + 0.5), st.sampled_from([0.0, math.pi, 1e-300])))
-    return draw(reals(0, 50)), h, q0, a[0], cq, cp
+    return draw(reals(0, 50)), h, q0, a[0], kq, kp
 
 
 @contextlib.contextmanager
@@ -260,13 +275,13 @@ def test_exclusion_keeps_its_rounding_margin(eps, skipped):
     # sum of its term magnitudes is 16: only a margin well above 16e-12
     # lets the scan be skipped
     h = 0.5
-    cp = (-4.0 / h, 6.0 / h, -4.0 / h, 1.0 / h)
-    seg = DenseSegment(t0=0.0, h=h, q0=1.0, p0=1.0 + eps, cp=cp, cq=(0.0,) * 4)
+    k = _stages_for((-4.0 / h, 6.0 / h, -4.0 / h, 1.0 / h))
+    seg = DenseSegment(0.0, h, 1.0, 1.0 + eps, (0.0,) * 7, k)
     with counted_evals() as calls:
         integrator._poly_first_sign_change(seg)
     assert (calls[0] == 0) == skipped
     # the same for the guard: q(th) = q_lo + eps + (1 - th)^4
-    seg = DenseSegment(t0=0.0, h=h, q0=2.0 + eps, p0=1.0, cp=(0.0,) * 4, cq=cp)
+    seg = DenseSegment(0.0, h, 2.0 + eps, 1.0, k, (0.0,) * 7)
     with counted_evals() as calls:
         integrator._guard_exit(seg, 1.0, 1.0, 5.0)
     assert (calls[0] == 0) == skipped
@@ -279,7 +294,7 @@ def _dense_sign_change(values, start):
 
 @PROPERTY
 @given(seg=st.one_of(adversarial_segments(), stepped_segments()), theta_max=theta_maxes)
-@example(seg=(0.0, 0.01, 1.0, 5e-324, (1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)), theta_max=1.0)
+@example(seg=(0.0, 0.01, 1.0, 5e-324, (1.0,) + (0.0,) * 6, (-1.0,) + (0.0,) * 6), theta_max=1.0)
 def test_exclusion_only_skips_scans_that_find_nothing(seg, theta_max):
     new, ref = _segments(*seg)
     grid = [theta_max * i / 1000 for i in range(1, 1001)]
@@ -352,6 +367,152 @@ def test_exclusion_skips_most_guard_scans():
     )
     assert scans > 100
     assert ran < 0.1 * scans
+
+
+# --- the stage bound: sound, and skipping nearly every step ---------------
+
+
+def _weight_polynomial(i):
+    """Exact power-basis coefficients of b_i(th) = th * sum_k _P[i][k] th^k."""
+    return [F(0)] + [F(w) for w in integrator._P[i]]
+
+
+def _horner(c, x):
+    acc = F(0)
+    for ck in reversed(c):
+        acc = acc * x + ck
+    return acc
+
+
+def _max_abs_on_unit_interval(c):
+    """An upper bound, within 1e-20, on max |c(th)| over [0, 1], in exact arithmetic.
+
+    An interval whose midpoint slope exceeds what the second derivative
+    allows to change over it holds no critical point, so |c| peaks at one of
+    its ends; the others are halved down to width 2^-40 and bounded by their
+    ends plus the largest slope on them times the width.
+    """
+    d = [k * c[k] for k in range(1, len(c))]
+    dd = [k * d[k] for k in range(1, len(d))]
+    m2 = sum(abs(v) for v in dd)
+    bound = F(0)
+    stack = [(F(0), F(1))]
+    while stack:
+        a, b = stack.pop()
+        w, mid = b - a, (a + b) / 2
+        ends = max(abs(_horner(c, a)), abs(_horner(c, b)))
+        slope = abs(_horner(d, mid))
+        if slope > m2 * w / 2 or not any(c):
+            bound = max(bound, ends)
+        elif w < F(1, 2 ** 40):
+            bound = max(bound, ends + (slope + m2 * w / 2) * w)
+        else:
+            stack += [(a, mid), (mid, b)]
+    return bound
+
+
+def test_stage_weights_bound_the_weight_polynomials():
+    for i, beta in enumerate(integrator._BETA):
+        c = _weight_polynomial(i)
+        peak = _max_abs_on_unit_interval(c)
+        # at or above the peak, and rounded up no further than the fourth decimal
+        assert F(beta) >= peak
+        assert F(beta) - peak <= F(1, 10 ** 4)
+        # the rounding margin of the stage test assumes each row of _P sums,
+        # in magnitude, to under 110 times its weight
+        assert sum(abs(F(w)) for w in integrator._P[i]) <= 110 * F(beta)
+
+
+@contextlib.contextmanager
+def counted_coeffs():
+    """Count the dense coefficients formed inside the block."""
+    calls = [0]
+    original = integrator._dense_coeffs
+
+    def counting(kq, kp):
+        calls[0] += 1
+        return original(kq, kp)
+
+    integrator._dense_coeffs = counting
+    try:
+        yield calls
+    finally:
+        integrator._dense_coeffs = original
+
+
+@PROPERTY
+@given(seg=st.one_of(stepped_segments(), adversarial_segments()), theta_max=theta_maxes)
+def test_stage_bound_only_skips_steps_without_events(seg, theta_max):
+    new, ref = _segments(*seg)
+    grid = [theta_max * i / 1000 for i in range(1, 1001)]
+
+    with counted_coeffs() as formed:
+        found = integrator._poly_first_sign_change(new, theta_max)
+    if formed[0] == 0:  # the stage test excluded a root
+        assert found is None
+        assert refstepper._poly_first_sign_change(ref, 1.0, theta_max) is None
+        assert not _dense_sign_change([ref.eval(th)[1] for th in grid], new.p0)
+
+    reach = integrator._stage_reach(new.h, new.kq)
+    guards = [(0.0, math.pi), (new.q0 - 1e-6, new.q0 + 1e-3)]
+    # guards just outside the stage bound, where only its margin decides
+    guards += [(new.q0 - f * reach, new.q0 + f * reach) for f in (1.5, 1 + 1e-11, 1 + 1e-13)]
+    for q_lo, q_hi in guards:
+        if not q_lo < q_hi:
+            continue
+        seg_q = integrator.DenseSegment(new.t0, new.h, new.q0, new.p0, new.kq, new.kp)
+        with counted_coeffs() as formed:
+            exit_hit = integrator._guard_exit(seg_q, theta_max, q_lo, q_hi)
+        if formed[0] == 0:
+            assert exit_hit is None
+            assert refstepper._guard_exit(ref, theta_max, q_lo, q_hi) is None
+            assert all(q_lo < ref.eval(th)[0] < q_hi for th in grid)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        # q(th) = 1 + 2.5e-16 b_3(th) rounds onto q_hi = 1 + 2^-52 near th = 1,
+        # though the stage bound 0.6511 * 2.5e-16 stays under q_hi - q0 = 2^-52
+        lambda: integrator._guard_exit(
+            DenseSegment(0.0, 1.0, 1.0, 0.0, (0.0, 0.0, 0.0, 2.5e-16, 0.0, 0.0, 0.0), (0.0,) * 7),
+            1.0,
+            0.0,
+            math.nextafter(1.0, 2.0),
+        ),
+        # subnormal stages: the formed coefficients round to whole multiples
+        # of 2^-1074, and p reaches 0 though |p0| exceeds the stage bound
+        lambda: integrator._poly_first_sign_change(
+            DenseSegment(0.0, 10.0, 1.0, 2.27e-322, (0.0,) * 7, (-1.73e-322, 0.0, 0.0, 0.0, -5e-324, 0.0, 0.0))
+        ),
+    ],
+    ids=["guard", "root"],
+)
+def test_stage_exclusion_keeps_its_rounding_margin(scan):
+    # each of these finds an event that the bare stage bound would exclude
+    assert scan() is not None
+
+
+def test_stage_bound_skips_nearly_every_frictionless_shooting_step():
+    # `shoot` bisects frictionless_forced.json's curve under the guard
+    # 0 < q < pi; the coefficients are formed only on the steps near an exit
+    steps = [0]
+    original = integrator.step_smooth
+
+    def counting_step(*args, **kwargs):
+        steps[0] += 1
+        return original(*args, **kwargs)
+
+    integrator.step_smooth = counting_step
+    try:
+        with counted_coeffs() as formed, tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["shoot", os.path.join(SCENARIOS, "frictionless_forced.json"), "--out", out])
+    finally:
+        integrator.step_smooth = original
+    assert steps[0] > 5000
+    # 75 of 8,942 steps (0.8%) when this test was written
+    assert formed[0] < 0.02 * steps[0]
 
 
 # --- first-same-as-last reuse ----------------------------------------------
