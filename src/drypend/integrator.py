@@ -12,7 +12,6 @@ analytically at fixed angle until static friction is defeated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Sequence
@@ -144,9 +143,6 @@ class Trajectory:
             traj.append(float(t), float(q), float(p), mode)
         return traj
 
-    def events_json(self) -> str:
-        return json.dumps([e.to_dict() for e in self.events], indent=2)
-
 
 # --- Dormand-Prince 5(4) tableau with quartic dense output -----------------
 
@@ -244,11 +240,12 @@ class DenseSegment:
         return self.eval((t - self.t0) / self.h)
 
 
-def _rk_step(f, t: float, q: float, p: float, h: float, kq0: float, kp0: float):
-    """One DOPRI5 step from the first stage (kq0, kp0) = f(t, q, p).
+def _rk_step(f, t: float, q: float, p: float, h: float, t1: float, kq0: float, kp0: float):
+    """One DOPRI5 step from the first stage (kq0, kp0) = f(t, q, p) to the
+    end time t1, which is t + h or a time that t + h only rounds near.
 
     Returns (q1, p1, err_q, err_p, K).  The last stage of K is the field at
-    the step end, which the next step may reuse as its first (FSAL).  Every
+    (t1, q1, p1), which the next step may reuse as its first (FSAL).  Every
     sum is written out in the order of the tableau, zero weights included,
     so the arithmetic is that of a loop over the tableau.
     """
@@ -277,7 +274,7 @@ def _rk_step(f, t: float, q: float, p: float, h: float, kq0: float, kp0: float):
     w0, w1, w2, w3, w4, w5 = h * _B0, h * _B1, h * _B2, h * _B3, h * _B4, h * _B5
     q1 = q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4 + w5 * kq5
     p1 = p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4 + w5 * kp5
-    kq6, kp6 = f(t + h, q1, p1)
+    kq6, kp6 = f(t1, q1, p1)
     err_q = (
         0.0 + _E0 * kq0 + _E1 * kq1 + _E2 * kq2 + _E3 * kq3 + _E4 * kq4 + _E5 * kq5 + _E6 * kq6
     )
@@ -428,6 +425,11 @@ def _bisect_switch(seg: DenseSegment, tol: Tolerances, bracket) -> tuple[float, 
     return seg.t0 + theta * seg.h, q, p
 
 
+def _branch(p: float) -> float:
+    """The friction branch a slipping state steps on: the sign of p, or 0."""
+    return 1.0 if p > 0 else (-1.0 if p < 0 else 0.0)
+
+
 def step_smooth(
     state: State,
     params: Params,
@@ -436,6 +438,7 @@ def step_smooth(
     h: float | None = None,
     t_limit: float | None = None,
     fsal: tuple | None = None,
+    field=None,
 ) -> StepResult:
     """One accepted adaptive step of the current smooth branch.
 
@@ -444,17 +447,24 @@ def step_smooth(
     end on the surface (|p| <= stick_band / 10), so no returned step
     straddles a sign change.
 
+    A step that reaches `t_limit` is cut to end on it exactly, with its last
+    stage evaluated there, and passes on as `h_next` no less than the step
+    it was cut from, so a cut to a knot of the pivot law does not shrink
+    the steps after it.
+
     `fsal` is the `fsal` of the previous StepResult.  Its field value is
     used as the first stage when it was taken at exactly this (t, q, p,
     branch), which gives the same value the field would; the first stage is
     also shared by rejected attempts and by the starting-step estimate.
+    `field` is `branch_field(params, pivot, branch)` for this state's
+    branch, built by the caller when it steps one field many times.
     """
     if state.mode != SLIPPING:
         raise ValueError("step_smooth requires a slipping state")
-    branch = 1.0 if state.p > 0 else (-1.0 if state.p < 0 else 0.0)
+    branch = _branch(state.p)
     if branch == 0.0 and params.mu != 0.0:
         raise ValueError("step_smooth requires p != 0 when mu > 0")
-    f = branch_field(params, pivot, branch)
+    f = branch_field(params, pivot, branch) if field is None else field
     t, q, p = state.t, state.q, state.p
     start = (t, q, p, branch)
     # -0.0 == 0.0, so a start with a zero in it is not matched by value
@@ -465,21 +475,28 @@ def step_smooth(
     if h is None:
         h = _initial_step(q, p, kq0, kp0, tol)
     h = min(h, tol.max_dt)
-    if t_limit is not None:
-        h = min(h, t_limit - t)
+    h_uncut = h
+    t1 = t + h
+    landing = t_limit is not None and t_limit - t <= h
+    if landing:
+        h, t1 = t_limit - t, t_limit
     if h <= 0:
         raise ValueError("no room to step before t_limit")
 
     while True:
-        q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h, kq0, kp0)
+        q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h, t1, kq0, kp0)
         err = _error_norm(err_q, err_p, q, p, q1, p1, tol)
         if err <= 1.0:
             break
         h *= max(0.2, 0.9 * err ** -0.2)
         if not h >= _MIN_STEP:  # also a NaN step
             raise StepUnderflow(f"step size underflow at t = {t}")
+        t1 = t + h
+        landing = False
     factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
     h_next = min(h * factor, tol.max_dt)
+    if landing:
+        h_next = max(h_next, h_uncut)
 
     seg = DenseSegment(t, h, q, p, kq, kp)
 
@@ -490,7 +507,6 @@ def step_smooth(
             if t_sw > t:  # guard against a root at the very start of the step
                 new = State(q=q_sw, p=p_sw, t=t_sw, mode=SLIPPING)
                 return StepResult(state=new, segment=seg, h_used=t_sw - t, h_next=h_next, hit_switch=True)
-    t1 = t + h
     new = State(q=q1, p=p1, t=t1, mode=SLIPPING)
     end = ((t1, q1, p1, branch), (kq[6], kp[6]))
     return StepResult(
@@ -705,6 +721,9 @@ def integrate(
     h_next = initial_dt
     fsal = None
     n_events = 0
+    # the end of the pivot law's smooth piece being stepped; the piece and
+    # its branch fields are read at the first slipping step past it
+    piece_end = -math.inf
 
     def bump_events():
         nonlocal n_events
@@ -734,8 +753,18 @@ def integrate(
                 h_next = None
                 continue
 
-            # slipping
-            res = step_smooth(state, params, pivot, tol, h=h_next, t_limit=horizon, fsal=fsal)
+            # slipping, up to the end of the pivot law's smooth piece
+            if state.t >= piece_end:
+                piece_end, piece_accel = pivot.piece(state.t)
+                fields = {}
+                t_limit = min(horizon, piece_end)
+            branch = _branch(state.p)
+            field = fields.get(branch)
+            if field is None:
+                field = fields[branch] = branch_field(params, pivot, branch, piece_accel)
+            res = step_smooth(
+                state, params, pivot, tol, h=h_next, t_limit=t_limit, fsal=fsal, field=field
+            )
             fsal = res.fsal
             seg = res.segment
             theta_end = res.h_used / seg.h if seg.h > 0 else 1.0

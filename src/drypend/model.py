@@ -64,12 +64,20 @@ class PivotLaw:
     Lipschitz constant `lipschitz_bound`.  `sup_bound` must over-estimate
     max |a| on the interval: the velocity trap threshold computed from it is
     only valid as an upper bound.  `accel` maps a float to a float.
+    A law that is smooth only piecewise also overrides `piece`.
     """
 
     kind = "abstract"
 
     def accel(self, t: float) -> float:
         raise NotImplementedError
+
+    def piece(self, t: float) -> tuple[float, Callable]:
+        """(t_end, accel): the end of the smooth piece of a(t) that holds t,
+        and an a(t) with the bits of `self.accel` on [t, t_end].  The
+        integrator ends a step on every t_end, so that no step straddles a
+        kink of a(t): its error estimate assumes a smooth field."""
+        return math.inf, self.accel
 
     @property
     def lipschitz_bound(self) -> float:
@@ -282,6 +290,33 @@ class TablePivot(PivotLaw):
     def accel(self, t: float) -> float:
         return interp(t, self.times, self.values)
 
+    def piece(self, t: float) -> tuple[float, Callable]:
+        """The next knot after t and the line of the interval up to it.
+
+        Strictly inside the interval the line is `interp`'s formula with the
+        slope computed once; at the knots, outside the interval and where
+        the line gives NaN it is `interp` itself, so it has the bits of
+        `accel` everywhere.  Clamped ends stay `accel`.
+        """
+        ts, vs = self.times, self.values
+        j = bisect_right(ts, t)
+        if j == 0:
+            return ts[0], self.accel
+        if j == len(ts):
+            return math.inf, self.accel
+        t0, t1, v0 = ts[j - 1], ts[j], vs[j - 1]
+        slope = (vs[j] - v0) / (t1 - t0)
+        accel = self.accel
+
+        def line(t):
+            if t0 < t < t1:
+                y = slope * (t - t0) + v0
+                if y == y:
+                    return y
+            return accel(t)
+
+        return t1, line
+
     @property
     def lipschitz_bound(self) -> float:
         return self._lipschitz
@@ -365,17 +400,21 @@ class FilippovSet:
         return self.p_dot_lo == self.p_dot_hi
 
 
-def branch_field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
+def branch_field(
+    params: Params, pivot: PivotLaw, branch: float, accel: Callable | None = None
+) -> Callable:
     """The slipping kernel: f(t, q, p) -> (dq/dt, dp/dt) with the friction
     sign frozen to `branch`.
 
     This is the smooth extension of the slipping field across p = 0; the
     integrator steps it between events, and the checks evaluate it at their
-    sample points with the branch of sign(p).
+    sample points with the branch of sign(p).  `accel`, when given, stands
+    for `pivot.accel`: the integrator passes the one of a `pivot.piece`.
     """
     l, g, mu = params.l, params.g, params.mu
     mu_l, g_l = mu / l, g / l
-    accel = pivot.accel
+    if accel is None:
+        accel = pivot.accel
     sin, cos = math.sin, math.cos
 
     def f(t, q, p):

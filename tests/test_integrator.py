@@ -315,16 +315,6 @@ class TestSerialization:
         assert lines[0] == "t,q,p,mode"
         assert all(line.endswith(("slip", "stuck")) for line in lines[1:])
 
-    def test_events_json_fields(self):
-        import json
-
-        pv = SinePivot(amp=6.0, omega=1.0)
-        traj = integrate(State(q=math.pi / 2, p=0.0, t=0.0), P, pv, 3.0, TOL)
-        events = json.loads(traj.events_json())
-        assert all({"t", "q", "kind"} <= set(e) for e in events)
-        releases = [e for e in events if e["kind"] == STICK_RELEASE]
-        assert releases and all(e["direction"] in (-1, 1) for e in releases)
-
     def test_fingerprint_tracks_inputs(self):
         a = integrate(State(q=1.0, p=1.0, t=0.0), P, ZERO, 1.0, TOL)
         b = integrate(State(q=1.0, p=1.0, t=0.0), P, ConstantPivot(0.1), 1.0, TOL)

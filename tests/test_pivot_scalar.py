@@ -122,3 +122,43 @@ def test_table_with_infinite_values_takes_numpys_fallbacks():
     with np.errstate(all="ignore"):
         for t in (0.25, 0.5, 1.5, 2.5, 3.0):
             assert_is_numpys(pivot, t)
+
+
+# --- smooth pieces ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "pivot", [ConstantPivot(2.0), SinePivot(3.0, 1.5, 0.2), PolyPivot([1.0, -0.5, 0.05])]
+)
+def test_smooth_laws_are_one_piece(pivot):
+    for t in (-3.0, 0.0, 7.5):
+        assert pivot.piece(t) == (math.inf, pivot.accel)
+
+
+def assert_piece_is_accel(pivot, t):
+    """pivot.piece(t) ends on the first knot after t, and its accel has the
+    bits of pivot.accel on the closed interval that holds t."""
+    t_end, accel = pivot.piece(t)
+    later = [k for k in pivot.times if k > t]
+    assert t_end == (later[0] if later else math.inf)
+    start = max([k for k in pivot.times if k <= t], default=t)
+    xs = [start, t, math.nextafter(t, -math.inf)]
+    if later:
+        xs += [t_end, math.nextafter(t_end, -math.inf)]
+        xs += [start + f * (t_end - start) for f in (1e-9, 0.25, 0.5, 0.999)]
+    for x in xs:
+        if start <= x <= t_end:
+            assert bits(accel(x)) == bits(pivot.accel(x)), x
+
+
+@PROPERTY
+@given(pivot=tables(), t=reals, knot=st.integers(0, 9))
+# a slope that overflows to inf, and one whose line gives NaN
+@example(pivot=TablePivot([0.0, 1e-300], [0.0, 1e300]), t=0.0, knot=0)
+@example(pivot=TablePivot([0.0, 1e-300], [0.0, 1e300]), t=5e-301, knot=1)
+@example(pivot=TablePivot([0.0, 1.0, 2.0, 3.0], [math.inf, math.inf, 1.0, -math.inf]), t=0.5, knot=2)
+def test_table_piece_has_the_bits_of_accel(pivot, t, knot):
+    times = list(pivot.times)
+    # from a drawn time, from a knot, and from both clamped ends
+    for start in (t, times[knot % len(times)], times[0], times[-1], times[0] - 1.0):
+        assert_piece_is_accel(pivot, start)
