@@ -11,7 +11,6 @@ sample grids with numpy, and the other commands run without numpy.
 
 from .model import (
     ConstantPivot,
-    FilippovSet,
     Params,
     PivotLaw,
     PolyPivot,
@@ -19,10 +18,8 @@ from .model import (
     State,
     TablePivot,
     energy,
-    filippov_set,
     limit_fields,
     p_star,
-    stiction_holds,
 )
 from .integrator import (
     Event,

@@ -393,58 +393,23 @@ _CHECK_NAMES = ("jump", "lipschitz", "dependence", "semicontinuity")
 
 
 def cmd_verify(scen: Scenario, out_dir: str, checks: list[str] | None = None) -> int:
-    from .verification import (
-        CheckReport,
-        SampleGrid,
-        check_continuous_dependence,
-        check_jump_inequality,
-        check_one_sided_lipschitz,
-        check_upper_semicontinuity,
-        smooth_lipschitz_bound,
-        summary_table,
-    )
+    from .verification import run_checks, summary_table
 
     selected = checks or list(_CHECK_NAMES)
     unknown = [c for c in selected if c not in _CHECK_NAMES]
     if unknown:
         print(f"unknown checks: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    window = min(scen.horizon, 20.0)  # the pointwise checks sample t in [0, window]
-    grid = SampleGrid.for_scenario(scen.fingerprint, t_range=(0.0, window))
-    reports: list[CheckReport] = []
     try:
-        if "jump" in selected:
-            reports.append(check_jump_inequality(scen.params, scen.pivot, grid))
-        if "lipschitz" in selected:
-            l_est = smooth_lipschitz_bound(scen.params, scen.pivot, p_max=4.0, t0=0.0, t1=window)
-            reports.append(
-                check_one_sided_lipschitz(
-                    scen.params, scen.pivot, grid, l_est, fingerprint=scen.fingerprint
-                )
-            )
-        if "dependence" in selected:
-            # from the point start (the apex for a curve scenario), over at most 5 s
-            base = scen.start if scen.start is not None else State(q=math.pi / 2, p=0.0, t=0.0)
-            reports.append(
-                check_continuous_dependence(
-                    scen.params,
-                    scen.pivot,
-                    base,
-                    horizon=min(scen.horizon, base.t + 5.0),
-                    deltas=[1e-6, 1e-8, 1e-10],
-                    tol=scen.tolerances,
-                )
-            )
-        if "semicontinuity" in selected:
-            reports.append(
-                check_upper_semicontinuity(
-                    scen.params,
-                    scen.pivot,
-                    q=math.pi / 4,
-                    t=0.0,
-                    p_sequence=[2.0 ** -k for k in range(1, 20)],
-                )
-            )
+        reports = run_checks(
+            scen.params,
+            scen.pivot,
+            scen.start,
+            scen.horizon,
+            scen.tolerances,
+            scen.fingerprint,
+            selected,
+        )
     except (ArithmeticError, ValueError, IntegrationError) as exc:
         # math.sin of an angle past the float range, an overflowing Lipschitz
         # bound, or an integration that failed

@@ -27,7 +27,6 @@ from .model import (
     limit_fields,
     p_star,
     stiction_drift_and_bound,
-    stiction_holds,
 )
 
 # Event kinds
@@ -199,6 +198,8 @@ _BETA0, _BETA1, _BETA2, _BETA3, _BETA4, _BETA5, _BETA6 = _BETA
 # found an event.  The absolute floor covers the rounding of subnormal terms.
 _EXCLUSION_SLACK = 1e-12
 _EXCLUSION_FLOOR = 1e-300
+_INF = math.inf
+_NEG_INF = -math.inf
 
 
 class DenseSegment:
@@ -368,36 +369,55 @@ class StepResult(NamedTuple):
     fsal: tuple | None = None
 
 
-def _poly_first_sign_change(seg: DenseSegment, theta_max: float = 1.0):
-    """Smallest theta in (0, theta_max] where the dense p changes sign, or None.
+def _first_exit(seg: DenseSegment, i: int, theta_end: float, lo: float, hi: float):
+    """First scan point theta in (0, theta_end] where the dense q (i = 0) or
+    p (i = 1) reaches x <= lo or x >= hi: (theta_a, theta_b, x) with theta_a
+    the scan point before it, or None.  An end may be infinite.
 
-    The quartic is scanned on a fixed subdivision; a transversal root cannot
-    hide between scan points at the scales the step controller allows, and a
-    grazing double root is caught later by the stick-band projection.  The
-    scan is skipped when p cannot reach 0 with room for rounding: first when
-    the stage bound keeps p within less than |p0| of p0, then when the
-    Bernstein coefficients of p on [0, theta_max] all share one sign.  Then
-    no scan point can change sign.
+    The quartic is scanned on a fixed subdivision; a transversal crossing
+    cannot hide between scan points at the scales the step controller
+    allows.  The scan is skipped when x stays inside (lo, hi) with room for
+    rounding: first when the stage bound keeps it there, then when the
+    Bernstein coefficients of x on [0, theta_end] lie inside.  Then no scan
+    point can reach an end.
     """
-    p0 = seg.p0
-    if theta_max <= 1.0:  # the stage bound holds for theta in [0, 1]
-        reach = _stage_reach(seg.h, seg.kp)
-        if abs(p0) - reach > _EXCLUSION_SLACK * (reach + abs(p0)) + _EXCLUSION_FLOOR:
+    if i:
+        x0, k = seg.p0, seg.kp
+    else:
+        x0, k = seg.q0, seg.kq
+    # the finite ends, whose magnitudes scale the rounding of x - end
+    end_lo = 0.0 if lo == _NEG_INF else abs(lo)
+    end_hi = 0.0 if hi == _INF else abs(hi)
+    if theta_end <= 1.0:  # the stage bound holds for theta in [0, 1]
+        reach = _stage_reach(seg.h, k)
+        slack = _EXCLUSION_SLACK * (reach + abs(x0) + end_lo + end_hi) + _EXCLUSION_FLOOR
+        if x0 - reach - lo > slack and hi - x0 - reach > slack:
             return None
-    lo, hi, mag = _bernstein_bounds(p0, seg.h, seg.coeffs[1], theta_max)
-    slack = _EXCLUSION_SLACK * mag + _EXCLUSION_FLOOR
-    if lo > slack or hi < -slack:
+    b_lo, b_hi, mag = _bernstein_bounds(x0, seg.h, seg.coeffs[i], theta_end)
+    slack = _EXCLUSION_SLACK * (mag + end_lo + end_hi) + _EXCLUSION_FLOOR
+    if b_lo - lo > slack and hi - b_hi > slack:
         return None
     n = 16
     prev_theta = 0.0
-    prev_p = p0
-    for i in range(1, n + 1):
-        th = theta_max * i / n
-        _, p = seg.eval(th)
-        if p == 0.0 or (p > 0) != (prev_p > 0):
-            return prev_theta, th
-        prev_theta, prev_p = th, p
+    for k in range(1, n + 1):
+        th = theta_end * k / n
+        x = seg.eval(th)[i]
+        if x <= lo or x >= hi:
+            return prev_theta, th, x
+        prev_theta = th
     return None
+
+
+def _poly_first_sign_change(seg: DenseSegment, theta_max: float = 1.0):
+    """Scan-point bracket (theta_a, theta_b) in [0, theta_max] of the first
+    sign change of the dense p, or None.
+
+    A grazing double root that no scan point shows is caught later by the
+    stick-band projection.
+    """
+    lo, hi = (0.0, _INF) if seg.p0 > 0 else (_NEG_INF, 0.0)
+    hit = _first_exit(seg, 1, theta_max, lo, hi)
+    return None if hit is None else hit[:2]
 
 
 def _bisect_switch(seg: DenseSegment, tol: Tolerances, bracket) -> tuple[float, float, float]:
@@ -602,43 +622,21 @@ def slide_until_release(
 
 
 def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
-    """Earliest theta in (0, theta_end] where the dense q leaves [q_lo, q_hi].
-
-    The scan is skipped when q stays inside (q_lo, q_hi) with room for
-    rounding: first when the stage bound keeps it there, then when the
-    Bernstein coefficients of q on [0, theta_end] lie inside.
-    """
-    q0 = seg.q0
-    if theta_end <= 1.0:  # the stage bound holds for theta in [0, 1]
-        reach = _stage_reach(seg.h, seg.kq)
-        slack = _EXCLUSION_SLACK * (reach + abs(q0) + abs(q_lo) + abs(q_hi)) + _EXCLUSION_FLOOR
-        if q0 - reach - q_lo > slack and q_hi - q0 - reach > slack:
-            return None
-    lo, hi, mag = _bernstein_bounds(q0, seg.h, seg.coeffs[0], theta_end)
-    slack = _EXCLUSION_SLACK * (mag + abs(q_lo) + abs(q_hi)) + _EXCLUSION_FLOOR
-    if lo - q_lo > slack and q_hi - hi > slack:
+    """Earliest theta in (0, theta_end] where the dense q leaves (q_lo, q_hi),
+    bisected from the first scan point outside, and the side it leaves by."""
+    hit = _first_exit(seg, 0, theta_end, q_lo, q_hi)
+    if hit is None:
         return None
-    n = 16
-    prev_theta = 0.0
-    prev_q = q0
-    for i in range(1, n + 1):
-        th = theta_end * i / n
-        qv, _ = seg.eval(th)
-        if qv <= q_lo or qv >= q_hi:
-            side = SIDE_LOW if qv <= q_lo else SIDE_HIGH
-            bound = q_lo if side == SIDE_LOW else q_hi
-            lo, hi = prev_theta, th
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                qm, _ = seg.eval(mid)
-                out = qm <= q_lo if side == SIDE_LOW else qm >= q_hi
-                if out:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi, side
-        prev_theta, prev_q = th, qv
-    return None
+    lo, hi, q_out = hit
+    low = q_out <= q_lo
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        qm, _ = seg.eval(mid)
+        if qm <= q_lo if low else qm >= q_hi:
+            hi = mid
+        else:
+            lo = mid
+    return hi, SIDE_LOW if low else SIDE_HIGH
 
 
 def integrate(
@@ -697,10 +695,10 @@ def integrate(
             entry_event = Event(t=state.t, q=state.q, kind=STICK_ENTRY)
         else:
             state = reseed(state.q, state.t, direction, tol)
-    if state.mode == STUCK and not stiction_holds(params, pivot, state.q, state.t):
+    elif state.mode == STUCK:
         direction = classify_switch(params, pivot, state.q, state.t)
-        state = reseed(state.q, state.t, direction, tol)
-        entry_event = None
+        if direction != 0:
+            state = reseed(state.q, state.t, direction, tol)
 
     traj.append(state.t, state.q, state.p, state.mode)
     record_upto(state.t, lambda rt: (state.q, state.p, state.mode))
@@ -809,7 +807,7 @@ def integrate(
             if (
                 not frictionless
                 and abs(state.p) < tol.stick_band
-                and stiction_holds(params, pivot, state.q, state.t)
+                and classify_switch(params, pivot, state.q, state.t) == 0
             ):
                 state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
                 traj.append(state.t, state.q, 0.0, STUCK)

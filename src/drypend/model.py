@@ -10,15 +10,14 @@ motion is the smooth ODE
 
 where a(t) is the prescribed horizontal pivot acceleration.  On p = 0 the
 friction term is set-valued and the right-hand side becomes the convex
-interval between the two one-sided limits; `limit_fields`, `filippov_set`
-and `stiction_holds` expose that structure.
+interval between the two one-sided limits, which `limit_fields` returns.
 
 The field is written in two kernels only: `branch_field` (off the surface,
 one friction branch) and `stiction_drift_and_bound` (on p = 0), from which
-the one-sided limits and the stiction test are both taken.  Every function
-takes and returns Python floats; the integrator and the verification checks
-evaluate the same kernels.  numpy is imported only by `PolyPivot`, for the
-roots behind its bounds.
+the one-sided limits are taken.  Every function takes and returns Python
+floats; the integrator and the verification checks evaluate the same
+kernels.  numpy is imported only by `PolyPivot`, for the roots behind its
+bounds.
 """
 
 from __future__ import annotations
@@ -379,27 +378,6 @@ class State(_StateFields):
         return tuple.__new__(cls, (q, p, t, mode))
 
 
-@dataclass(frozen=True)
-class FilippovSet:
-    """Convexified right-hand side at one phase point.
-
-    q_dot is single-valued; the p_dot component is the closed interval
-    [p_dot_lo, p_dot_hi], degenerate away from p = 0.
-    """
-
-    q_dot: float
-    p_dot_lo: float
-    p_dot_hi: float
-
-    def __post_init__(self):
-        if self.p_dot_lo > self.p_dot_hi:
-            raise ValueError("p_dot_lo must not exceed p_dot_hi")
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.p_dot_lo == self.p_dot_hi
-
-
 def branch_field(
     params: Params, pivot: PivotLaw, branch: float, accel: Callable | None = None
 ) -> Callable:
@@ -430,9 +408,10 @@ def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q: float, t: float
     """The on-surface kernel: drift dp/dt and friction capacity on p = 0.
 
     The one-sided limits are drift -/+ bound, and static friction holds iff
-    |drift| <= bound.  Both rules read this one pair, and the sign of a
-    rounded sum or difference is exact, so f_plus <= 0 <= f_minus and
-    |drift| <= bound are the same predicate in floating point too.
+    |drift| <= bound.  The stick/cross rule (on the limits) and the release
+    scan (on |drift| - bound) read this one pair, and the sign of a rounded
+    sum or difference is exact, so f_plus <= 0 <= f_minus and
+    |drift| - bound <= 0 are the same predicate in floating point too.
     """
     a = pivot.accel(t)
     l, g, mu = params.l, params.g, params.mu
@@ -450,25 +429,6 @@ def limit_fields(params: Params, pivot: PivotLaw, q: float, t: float):
     """
     drift, bound = stiction_drift_and_bound(params, pivot, q, t)
     return drift - bound, drift + bound
-
-
-def filippov_set(params: Params, pivot: PivotLaw, state: State) -> FilippovSet:
-    """Convexified right-hand side at `state`; an interval only on p = 0."""
-    if state.p != 0.0:
-        _, a = branch_field(params, pivot, math.copysign(1.0, state.p))(state.t, state.q, state.p)
-        return FilippovSet(q_dot=state.p, p_dot_lo=a, p_dot_hi=a)
-    f_plus, f_minus = limit_fields(params, pivot, state.q, state.t)
-    return FilippovSet(q_dot=0.0, p_dot_lo=f_plus, p_dot_hi=f_minus)
-
-
-def stiction_holds(params: Params, pivot: PivotLaw, q: float, t: float) -> bool:
-    """True iff static friction can hold the pendulum at angle q at time t.
-
-    Algebraically |a sin q - g cos q| <= mu |a cos q + g sin q|, which is the
-    same as 0 being contained in [f_plus_p, f_minus_p].
-    """
-    drift, bound = stiction_drift_and_bound(params, pivot, q, t)
-    return abs(drift) <= bound
 
 
 def p_star(params: Params, pivot: PivotLaw, t0: float, t1: float) -> float:

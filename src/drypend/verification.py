@@ -37,6 +37,12 @@ def _halton(n: int, base: int, start: int = 0) -> np.ndarray:
     return r
 
 
+# The pointwise checks sample |p| <= P_MAX and t in [0, min(horizon, T_MAX)];
+# the Lipschitz envelope of the one-sided check holds on the same |p| range.
+P_MAX = 4.0
+T_MAX = 20.0
+
+
 def _seed_offset(fingerprint: str) -> int:
     return int(hashlib.sha256(fingerprint.encode()).hexdigest()[:8], 16) % 100_000
 
@@ -55,22 +61,16 @@ class SampleGrid:
             raise ValueError("grid axes must be non-empty")
 
     @staticmethod
-    def for_scenario(
-        fingerprint: str,
-        q_range: tuple[float, float] = (-1.0, math.pi + 1.0),
-        p_range: tuple[float, float] = (-4.0, 4.0),
-        t_range: tuple[float, float] = (0.0, 20.0),
-        n_q: int = 64,
-        n_p: int = 64,
-        n_t: int = 32,
-        pair_count: int = 4096,
-    ) -> "SampleGrid":
+    def for_scenario(fingerprint: str, window: float) -> "SampleGrid":
+        """64 angles in [-1, pi + 1], 64 velocities in [-P_MAX, P_MAX] and 32
+        times in [0, window], seeded by the fingerprint, with 4096 pairs."""
         off = _seed_offset(fingerprint)
-        q = q_range[0] + (q_range[1] - q_range[0]) * _halton(n_q, 2, off)
-        p = p_range[0] + (p_range[1] - p_range[0]) * _halton(n_p, 3, off)
+        q_lo, q_hi = -1.0, math.pi + 1.0
+        q = q_lo + (q_hi - q_lo) * _halton(64, 2, off)
+        p = -P_MAX + (P_MAX - -P_MAX) * _halton(64, 3, off)
         p = p[np.abs(p) > 1e-3]  # keep two-sided pairing well defined
-        t = t_range[0] + (t_range[1] - t_range[0]) * _halton(n_t, 5, off)
-        return SampleGrid(q_points=q, p_points=p, t_points=t, pair_count=pair_count)
+        t = window * _halton(32, 5, off)
+        return SampleGrid(q_points=q, p_points=p, t_points=t, pair_count=4096)
 
 
 @dataclass
@@ -194,7 +194,7 @@ def check_one_sided_lipschitz(
     pivot: PivotLaw,
     grid: SampleGrid,
     l_est: float,
-    fingerprint: str = "",
+    fingerprint: str,
 ) -> CheckReport:
     """(x - y) . (f(x,t) - f(y,t)) <= l_est |x - y|^2 over sampled pairs.
 
@@ -204,7 +204,7 @@ def check_one_sided_lipschitz(
     """
     if not (l_est > 0):
         raise ValueError("l_est must be positive")
-    pairs = zip(*(axis.tolist() for axis in _pair_sets(grid, fingerprint or "default")))
+    pairs = zip(*(axis.tolist() for axis in _pair_sets(grid, fingerprint)))
     # every sampled p is at least 1e-6 away from 0, on the branch of its sign
     above, below = branch_field(params, pivot, 1.0), branch_field(params, pivot, -1.0)
     sufficient = worst = None
@@ -306,6 +306,41 @@ def check_upper_semicontinuity(
         estimated_constant=slope,
         details={"p_sequence": list(p_sequence), "betas": betas},
     )
+
+
+def run_checks(
+    params: Params,
+    pivot: PivotLaw,
+    start: State | None,
+    horizon: float,
+    tol: Tolerances,
+    fingerprint: str,
+    selected: list[str],
+) -> list[CheckReport]:
+    """The checks named in `selected` ("jump", "lipschitz", "dependence",
+    "semicontinuity"), in that order, on one scenario's grid.
+
+    Continuous dependence is checked from `start` (the apex at t = 0 if
+    None) over at most 5 s, upper semicontinuity at q = pi/4, t = 0.
+    """
+    window = min(horizon, T_MAX)
+    grid = SampleGrid.for_scenario(fingerprint, window)
+    reports = []
+    if "jump" in selected:
+        reports.append(check_jump_inequality(params, pivot, grid))
+    if "lipschitz" in selected:
+        l_est = smooth_lipschitz_bound(params, pivot, p_max=P_MAX, t0=0.0, t1=window)
+        reports.append(check_one_sided_lipschitz(params, pivot, grid, l_est, fingerprint))
+    if "dependence" in selected:
+        base = start if start is not None else State(q=math.pi / 2, p=0.0, t=0.0)
+        end = min(horizon, base.t + 5.0)
+        reports.append(
+            check_continuous_dependence(params, pivot, base, end, [1e-6, 1e-8, 1e-10], tol)
+        )
+    if "semicontinuity" in selected:
+        p_sequence = [2.0 ** -k for k in range(1, 20)]
+        reports.append(check_upper_semicontinuity(params, pivot, math.pi / 4, 0.0, p_sequence))
+    return reports
 
 
 def summary_table(reports: list[CheckReport]) -> str:

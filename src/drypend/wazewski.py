@@ -9,15 +9,15 @@ wherever an exit happens, so a sign change of "which side" brackets a
 non-exiting solution.
 
 A trajectory that sticks at a boundary angle and never releases counts as
-non-falling; a stick-release kicking it back inside resumes classification.
-Certification is always over a finite horizon and is reported as such.
+non-falling; one that releases there falls.  Certification is always over a
+finite horizon and is reported as such.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .model import (
@@ -29,7 +29,6 @@ from .model import (
     interp,
     linspace,
     real_list,
-    stiction_holds,
 )
 from .integrator import (
     HORIZON,
@@ -41,7 +40,6 @@ from .integrator import (
     Trajectory,
     classify_switch,
     integrate,
-    reseed,
     slide_until_release,
 )
 
@@ -65,14 +63,12 @@ class CurveValidationError(ValueError):
 class SigmaCurve:
     """Continuous initial-condition curve p = sigma(q) over [0, pi].
 
-    Endpoint signs are strict: sigma(0) < 0 and sigma(pi) > 0.  Continuity
-    is probed on a uniform grid at construction; the observed slope bound is
-    kept for reporting.
+    Endpoint signs are strict: sigma(0) < 0 and sigma(pi) > 0, and sigma
+    must be finite on a uniform grid of [0, pi], probed at construction.
     """
 
     sigma: Callable[[float], float]
     name: str = "curve"
-    lipschitz_estimate: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         lo = self.sigma(Q_LO)
@@ -81,12 +77,8 @@ class SigmaCurve:
             raise CurveValidationError(f"sigma endpoint sign: sigma(0) = {lo} must be < 0")
         if not (hi > 0.0):
             raise CurveValidationError(f"sigma endpoint sign: sigma(pi) = {hi} must be > 0")
-        qs = linspace(Q_LO, Q_HI, 257)
-        vals = [float(self.sigma(q)) for q in qs]
-        if not all(math.isfinite(v) for v in vals):
+        if not all(math.isfinite(float(self.sigma(q))) for q in linspace(Q_LO, Q_HI, 257)):
             raise CurveValidationError("sigma must be finite on [0, pi]")
-        slopes = [abs(v1 - v0) / (q1 - q0) for q0, q1, v0, v1 in zip(qs, qs[1:], vals, vals[1:])]
-        object.__setattr__(self, "lipschitz_estimate", max(slopes))
 
     def __call__(self, q: float) -> float:
         return float(self.sigma(q))
@@ -156,14 +148,6 @@ class ExitReport:
         return d
 
 
-def _merge(dst: Trajectory, src: Trajectory):
-    if not dst.samples:
-        dst.params_fingerprint = src.params_fingerprint
-    dst.samples.extend(src.samples if not dst.samples else src.samples[1:])
-    dst.events.extend(src.events)
-    dst.recorded.extend(src.recorded)
-
-
 def _survival_report(q0, p0, horizon, strict, traj) -> ExitReport:
     final = traj.final
     stuck_q = final.q if final.mode == STUCK else None
@@ -192,55 +176,44 @@ def classify_exit(
     """Integrate from (q0, sigma(q0)) at t = 0 and classify how the region is left.
 
     In strict mode any contact with q = 0 or q = pi is an exit.  Otherwise
-    the closed-region semantics apply: an exit at a boundary angle needs
-    genuinely outward motion (p beyond the stick band, or a stick that
-    releases outward); a boundary stick that holds to the horizon counts as
-    non-falling, and an inward release resumes integration inside.
+    the closed-region semantics apply: an exit at a boundary angle with p
+    inside the stick band is decided by the stick/cross rule there.  A stick
+    that holds to the horizon counts as non-falling, and one that releases
+    is an exit at the release time.  Motion that turns back inside from the
+    boundary raises IntegrationError: the drift points outward at q = 0,
+    and at q = fl(pi) unless a < -g / sin(fl(pi)), about -8e16 for g = 9.8.
     """
     if not (Q_LO <= q0 <= Q_HI):
         raise ValueError(f"q0 = {q0} outside [0, pi]")
     p0 = curve(q0)
-    merged = Trajectory()
-    state = State(q=q0, p=p0, t=0.0, mode=SLIPPING)
+    start = State(q=q0, p=p0, t=0.0, mode=SLIPPING)
+    traj = integrate(start, params, pivot, horizon, tol, region_guard=(Q_LO, Q_HI))
+    last = traj.events[-1]
+    if last.kind != REGION_EXIT:
+        return _survival_report(q0, p0, horizon, strict, traj)
 
-    def exited(side: str, event: Event) -> ExitReport:
-        outcome = EXIT_LOW if side == SIDE_LOW else EXIT_HIGH
-        return ExitReport(outcome, q0, p0, horizon, strict, event, merged)
-
-    for _ in range(64):  # corner re-entries are physically scarce
-        traj = integrate(state, params, pivot, horizon, tol, region_guard=(Q_LO, Q_HI))
-        _merge(merged, traj)
-        last = traj.events[-1] if traj.events else None
-        if last is None or last.kind != REGION_EXIT:
-            return _survival_report(q0, p0, horizon, strict, merged)
-
-        side = last.side
-        exit_state = traj.final
-        # an exit, unless closed-region corner handling applies: p inside the stick band
-        if strict or abs(exit_state.p) > tol.stick_band:
-            return exited(side, last)
+    side = last.side
+    exit_state = traj.final
+    # an exit, unless closed-region corner handling applies: p inside the stick band
+    if not (strict or abs(exit_state.p) > tol.stick_band):
         q_b = Q_LO if side == SIDE_LOW else Q_HI
         t_b = exit_state.t
-        outward = -1 if side == SIDE_LOW else 1
-        if stiction_holds(params, pivot, q_b, t_b):
+        direction = classify_switch(params, pivot, q_b, t_b)
+        if direction == 0:
             stuck = State(q=q_b, p=0.0, t=t_b, mode=STUCK)
             released, ev = slide_until_release(stuck, params, pivot, horizon, tol)
-            merged.append(released.t, q_b, 0.0, STUCK)
-            merged.events.append(ev)
+            traj.append(released.t, q_b, 0.0, STUCK)
+            traj.events.append(ev)
             if ev.kind == HORIZON:
-                return _survival_report(q0, p0, horizon, strict, merged)
-            if ev.direction == outward:
-                return exited(side, Event(t=released.t, q=q_b, kind=REGION_EXIT, side=side))
-            state = reseed(q_b, released.t, ev.direction, tol)
-        else:
-            # no stiction at the corner: both limit fields point one way
-            direction = classify_switch(params, pivot, q_b, t_b)
-            if direction == outward:
-                return exited(side, last)
-            state = reseed(q_b, t_b, direction, tol)
-        if state.t >= horizon:
-            return _survival_report(q0, p0, horizon, strict, merged)
-    raise IntegrationError("corner re-entry count exceeded; tolerances suspect")
+                return _survival_report(q0, p0, horizon, strict, traj)
+            t_b, direction = released.t, ev.direction
+            last = Event(t=t_b, q=q_b, kind=REGION_EXIT, side=side)
+        if direction != (-1 if side == SIDE_LOW else 1):
+            raise IntegrationError(
+                f"the motion turns back inside from the boundary q = {q_b!r} at t = {t_b!r}"
+            )
+    outcome = EXIT_LOW if side == SIDE_LOW else EXIT_HIGH
+    return ExitReport(outcome, q0, p0, horizon, strict, last, traj)
 
 
 @dataclass(frozen=True)
@@ -339,7 +312,7 @@ def bisect_curve(
 
 
 def recheck_witness(
-    result_or_report,
+    report: ExitReport,
     curve: SigmaCurve,
     params: Params,
     pivot: PivotLaw,
@@ -348,8 +321,7 @@ def recheck_witness(
 ) -> ExitReport:
     """Re-integrate a witness at tightened tolerances; the region membership
     must survive for the report to stand."""
-    report = result_or_report.witness if isinstance(result_or_report, BisectionResult) else result_or_report
-    if report is None or not report.is_witness:
+    if not report.is_witness:
         raise ValueError("no witness to recheck")
     tight = tol.scaled(factor)
     return classify_exit(
@@ -357,9 +329,9 @@ def recheck_witness(
     )
 
 
-def check_disjoint(curves: Sequence[SigmaCurve], n: int = 257) -> None:
-    """CurveValidationError unless no two curves meet on n points of [0, pi]."""
-    qs = linspace(Q_LO, Q_HI, n)
+def check_disjoint(curves: Sequence[SigmaCurve]) -> None:
+    """CurveValidationError unless no two curves meet on 257 points of [0, pi]."""
+    qs = linspace(Q_LO, Q_HI, 257)
     tables = [[c(q) for q in qs] for c in curves]
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):

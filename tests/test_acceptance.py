@@ -7,6 +7,7 @@ lines on the terminal.  Every tolerance is pinned here, not configurable.
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,10 +19,11 @@ from drypend.model import (
     State,
     TablePivot,
     p_star,
-    stiction_holds,
 )
-from drypend.integrator import Tolerances, integrate
+from drypend.integrator import Tolerances, classify_switch, integrate
 from drypend.verification import (
+    P_MAX,
+    T_MAX,
     SampleGrid,
     check_continuous_dependence,
     check_jump_inequality,
@@ -68,7 +70,7 @@ def test_c1_stiction_set_boundaries():
     pivot = ConstantPivot(0.0)
 
     def holds(q):
-        return bool(stiction_holds(params, pivot, q, 0.0))
+        return classify_switch(params, pivot, q, 0.0) == 0
 
     left = bisect_predicate(holds, 0.5, 1.5, tol=1e-10)
     right = bisect_predicate(lambda q: not holds(q), 1.6, 2.8, tol=1e-10)
@@ -125,9 +127,9 @@ def test_c3_one_sided_lipschitz_hundred_thousand_pairs():
     t0 = time.time()
     params = Params(l=1.0, m=1.0, g=G, mu=0.5)
     pivot = SinePivot(2.0, 1.0)
-    grid = SampleGrid.for_scenario("acceptance-c3", pair_count=100_000)
-    l_analytic = smooth_lipschitz_bound(params, pivot, p_max=4.0, t0=0.0, t1=20.0)
-    r = check_one_sided_lipschitz(params, pivot, grid, l_analytic, fingerprint="acceptance-c3")
+    grid = replace(SampleGrid.for_scenario("acceptance-c3", T_MAX), pair_count=100_000)
+    l_analytic = smooth_lipschitz_bound(params, pivot, p_max=P_MAX, t0=0.0, t1=T_MAX)
+    r = check_one_sided_lipschitz(params, pivot, grid, l_analytic, "acceptance-c3")
     ok = r.passed and r.details["violations"] == 0 and r.details["pairs"] == 100_000
     report(
         "C3 one-sided Lipschitz",
@@ -230,7 +232,7 @@ def test_c7_proposition1_witness():
     ok = w is not None and w.outcome == NON_FALLING
     ok = ok and w.stuck_q is not None and lo <= w.stuck_q <= hi
     if ok:
-        tight = recheck_witness(res, curve, params, pivot, tol, factor=10.0)
+        tight = recheck_witness(w, curve, params, pivot, tol, factor=10.0)
         qs = [q for _, q, _, _ in tight.trajectory.samples]
         ok = (
             tight.is_witness

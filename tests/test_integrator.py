@@ -207,12 +207,10 @@ class TestIntegrate:
 
     def test_mode_phase_consistency(self):
         traj = integrate(State(q=1.0, p=2.0, t=0.0), P, SinePivot(1.0, 2.0), 20.0, TOL)
-        from drypend.model import stiction_holds
-
         for t, q, p, mode in traj.samples:
             if mode == "stuck":
                 assert p == 0.0
-                assert bool(stiction_holds(P, SinePivot(1.0, 2.0), q, t))
+                assert classify_switch(P, SinePivot(1.0, 2.0), q, t) == 0
 
     def test_deterministic_bit_for_bit(self):
         ic = State(q=0.9, p=1.7, t=0.0)

@@ -2,9 +2,9 @@
 
 The slipping kernel (`branch_field`), which the integrator steps and the
 checks sample, is compared with the equation of motion evaluated in exact
-rational arithmetic.  The stick/cross rule and the stiction test both read
-the on-surface kernel (`stiction_drift_and_bound`), so they must agree
-exactly.
+rational arithmetic.  The stick/cross rule and the stiction test on entry
+to the release scan both read the on-surface kernel
+(`stiction_drift_and_bound`), so they must agree exactly.
 """
 
 import json
@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 
 from drypend import verification
 from drypend.cli import main
-from drypend.integrator import classify_switch
+from drypend.integrator import Tolerances, classify_switch, slide_until_release
 from drypend.model import (
+    STUCK,
     ConstantPivot,
     Params,
     SinePivot,
+    State,
     branch_field,
     limit_fields,
     stiction_drift_and_bound,
-    stiction_holds,
 )
 from drypend.verification import SampleGrid, check_jump_inequality
 
@@ -58,8 +59,19 @@ params_st = st.builds(
     t=0.0,
 )
 def test_stick_rule_and_stiction_test_agree_exactly(params, pivot, q, t):
+    # the integrator sticks by the rule and then hands the stuck state to
+    # the release scan, whose entry test is |drift| - bound <= 0; with the
+    # horizon at the stuck time only that test runs, not the scan
     sticks = classify_switch(params, pivot, q, t) == 0
-    assert sticks == bool(stiction_holds(params, pivot, q, t))
+    drift, bound = stiction_drift_and_bound(params, pivot, q, t)
+    assert sticks == (abs(drift) - bound <= 0)
+    stuck = State(q=q, p=0.0, t=t, mode=STUCK)
+    try:
+        slide_until_release(stuck, params, pivot, t, Tolerances())
+    except ValueError:
+        assert not sticks
+    else:
+        assert sticks
 
 
 def test_stick_reproducer_simulates(tmp_path):
@@ -119,7 +131,7 @@ def test_branches_on_the_surface_are_the_one_sided_limits(params, pivot, q, t):
 
 def test_jump_check_rejects_a_wrong_bound(monkeypatch):
     params, pivot = Params(mu=0.5), SinePivot(3.0, 2.0)
-    grid = SampleGrid.for_scenario("wrong-bound")
+    grid = SampleGrid.for_scenario("wrong-bound", verification.T_MAX)
     assert check_jump_inequality(params, pivot, grid).passed
 
     def limits_with_a_tenth_less_friction(params, pivot, q, t):

@@ -6,19 +6,17 @@ from hypothesis import example, given
 
 from drypend.model import (
     ConstantPivot,
-    FilippovSet,
     Params,
     PolyPivot,
     SinePivot,
     State,
     TablePivot,
     branch_field,
-    filippov_set,
     limit_fields,
     p_star,
     pivot_from_dict,
-    stiction_holds,
 )
+from drypend.integrator import classify_switch
 
 from test_stepper import PROPERTY, pivots, reals
 
@@ -158,56 +156,33 @@ class TestLimitFields:
             assert not (f_plus > 0 and f_minus < 0)
 
 
-class TestFilippovSet:
-    def test_interval_on_surface(self):
-        fs = filippov_set(P, ZERO, State(q=math.pi / 2, p=0.0, t=0.0))
-        assert fs.q_dot == 0.0
-        assert fs.p_dot_lo == pytest.approx(-4.9)
-        assert fs.p_dot_hi == pytest.approx(4.9)
-        assert not fs.is_singleton
-
-    def test_singleton_off_surface(self):
-        fs = filippov_set(P, ZERO, State(q=0.9, p=1.0, t=0.0))
-        assert fs.is_singleton
-        assert fs.p_dot_lo == slipping_accel(P, ZERO, 0.9, 1.0, 0.0)
-        assert fs.q_dot == 1.0
-
-    def test_negative_interval_in_crossing_region(self):
-        fs = filippov_set(P, ZERO, State(q=math.pi / 4, p=0.0, t=0.0))
-        assert fs.p_dot_hi < 0.0
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            FilippovSet(q_dot=0.0, p_dot_lo=1.0, p_dot_hi=-1.0)
-
-
 class TestStiction:
     def test_holds_at_apex(self):
-        assert stiction_holds(P, ZERO, math.pi / 2, 0.0)
+        assert classify_switch(P, ZERO, math.pi / 2, 0.0) == 0
 
     def test_fails_far_from_apex(self):
-        assert not stiction_holds(P, ZERO, 0.3, 0.0)
+        assert classify_switch(P, ZERO, 0.3, 0.0) != 0
 
     def test_analytic_interval_for_zero_forcing(self):
         # |cot q| <= mu on (0, pi): [arctan(1/mu), pi - arctan(1/mu)]
         lo = math.atan(1 / P.mu)
         hi = math.pi - lo
         eps = 1e-9
-        assert stiction_holds(P, ZERO, lo + eps, 0.0)
-        assert stiction_holds(P, ZERO, hi - eps, 0.0)
-        assert not stiction_holds(P, ZERO, lo - eps, 0.0)
-        assert not stiction_holds(P, ZERO, hi + eps, 0.0)
+        assert classify_switch(P, ZERO, lo + eps, 0.0) == 0
+        assert classify_switch(P, ZERO, hi - eps, 0.0) == 0
+        assert classify_switch(P, ZERO, lo - eps, 0.0) != 0
+        assert classify_switch(P, ZERO, hi + eps, 0.0) != 0
 
     def test_frictionless_never_sticks_off_equilibria(self):
         p0 = Params(mu=0.0)
         for q in (0.1, 1.0, 2.0, 3.0):
-            assert not stiction_holds(p0, ZERO, q, 0.0)
+            assert classify_switch(p0, ZERO, q, 0.0) != 0
 
     def test_equivalent_to_zero_in_limit_interval(self):
         for pv in (ZERO, ConstantPivot(3.0), SinePivot(1.5, 0.7)):
             for q in np.linspace(-7.0, 7.0, 2001).tolist():
                 f_plus, f_minus = limit_fields(P, pv, q, 2.1)
-                assert stiction_holds(P, pv, q, 2.1) == (f_plus <= 0.0 <= f_minus)
+                assert (classify_switch(P, pv, q, 2.1) == 0) == (f_plus <= 0.0 <= f_minus)
 
 
 class TestPStar:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from drypend import verification
 from drypend.model import ConstantPivot, Params, SinePivot, State, branch_field, limit_fields
 from drypend.integrator import Tolerances
 from drypend.verification import (
+    P_MAX,
+    T_MAX,
     SampleGrid,
     check_continuous_dependence,
     check_jump_inequality,
@@ -20,7 +23,7 @@ from drypend.verification import (
 
 P = Params(mu=0.5)
 ZERO = ConstantPivot(0.0)
-GRID = SampleGrid.for_scenario("test-grid", pair_count=8192)
+GRID = replace(SampleGrid.for_scenario("test-grid", T_MAX), pair_count=8192)
 
 
 def halton_by_point(n, base, start):
@@ -50,14 +53,14 @@ class TestSampleGrid:
         assert verification._halton(n, base, start).tolist() == halton_by_point(n, base, start)
 
     def test_deterministic_for_same_fingerprint(self):
-        a = SampleGrid.for_scenario("abc")
-        b = SampleGrid.for_scenario("abc")
+        a = SampleGrid.for_scenario("abc", T_MAX)
+        b = SampleGrid.for_scenario("abc", T_MAX)
         assert np.array_equal(a.q_points, b.q_points)
         assert np.array_equal(a.t_points, b.t_points)
 
     def test_different_fingerprints_differ(self):
-        a = SampleGrid.for_scenario("abc")
-        b = SampleGrid.for_scenario("xyz")
+        a = SampleGrid.for_scenario("abc", T_MAX)
+        b = SampleGrid.for_scenario("xyz", T_MAX)
         assert not np.array_equal(a.q_points, b.q_points)
 
     def test_rejects_empty_axes(self):
@@ -130,7 +133,7 @@ class TestOneSidedLipschitz:
         assert math.isnan(r.margin) and math.isnan(r.estimated_constant)
 
     def test_analytic_constant_suffices(self):
-        l_est = smooth_lipschitz_bound(P, ZERO, p_max=4.0, t0=0.0, t1=20.0)
+        l_est = smooth_lipschitz_bound(P, ZERO, p_max=P_MAX, t0=0.0, t1=T_MAX)
         r = check_one_sided_lipschitz(P, ZERO, GRID, l_est, fingerprint="test-grid")
         assert r.passed
         assert r.details["violations"] == 0
@@ -138,7 +141,7 @@ class TestOneSidedLipschitz:
 
     def test_forced_system_passes_too(self):
         pv = SinePivot(2.5, 1.7)
-        l_est = smooth_lipschitz_bound(P, pv, p_max=4.0, t0=0.0, t1=20.0)
+        l_est = smooth_lipschitz_bound(P, pv, p_max=P_MAX, t0=0.0, t1=T_MAX)
         r = check_one_sided_lipschitz(P, pv, GRID, l_est, fingerprint="forced")
         assert r.passed
 
@@ -157,7 +160,7 @@ class TestOneSidedLipschitz:
 
     def test_rejects_nonpositive_constant(self):
         with pytest.raises(ValueError):
-            check_one_sided_lipschitz(P, ZERO, GRID, 0.0)
+            check_one_sided_lipschitz(P, ZERO, GRID, 0.0, fingerprint="test-grid")
 
 
 class TestContinuousDependence:

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from drypend import wazewski
 from drypend.model import ConstantPivot, Params, SinePivot
-from drypend.integrator import Tolerances
+from drypend.integrator import IntegrationError, Tolerances, integrate
 from drypend.wazewski import (
     EXIT_HIGH,
     EXIT_LOW,
@@ -29,7 +30,6 @@ class TestSigmaCurve:
         c = SigmaCurve.line()
         assert c(0.0) == pytest.approx(-math.pi / 2)
         assert c(math.pi) == pytest.approx(math.pi / 2)
-        assert c.lipschitz_estimate == pytest.approx(1.0)
 
     @pytest.mark.parametrize("sigma", [lambda q: q, lambda q: q - math.pi, lambda q: 0.0 * q])
     def test_rejects_bad_endpoint_signs(self, sigma):
@@ -74,6 +74,47 @@ class TestClassifyExit:
             classify_exit(-0.1, SigmaCurve.line(), P, ZERO, 10.0, TOL)
 
 
+class TestCorner:
+    """Exits at a boundary angle with p inside the stick band, which the
+    stick/cross rule at that angle decides."""
+
+    # sigma(0) = -1e-9 lies inside the default stick band of 1e-8
+    CURVE = SigmaCurve.from_table([0.0, math.pi], [-1e-9, 1.0])
+
+    def test_stick_that_holds_is_non_falling(self):
+        r = classify_exit(0.0, self.CURVE, P, ConstantPivot(30.0), 5.0, TOL)
+        assert r.outcome == NON_FALLING
+        assert r.stuck_q == 0.0
+
+    def test_stick_that_releases_exits_at_the_release(self):
+        # a(t) = 30 cos t: friction 15 cos t holds the drift g = 9.8 until
+        # cos t = 9.8 / 15
+        r = classify_exit(0.0, self.CURVE, P, SinePivot(30.0, 1.0, math.pi / 2), 5.0, TOL)
+        assert r.outcome == EXIT_LOW
+        assert r.exit_event.t == 0.8588172718882561
+        assert r.exit_event.t == pytest.approx(math.acos(9.8 / 15.0), abs=1e-9)
+
+    def test_outward_crossing_exits_at_once(self):
+        r = classify_exit(0.0, self.CURVE, Params(mu=0.1), ConstantPivot(1.0), 5.0, TOL)
+        assert r.outcome == EXIT_LOW
+        assert r.exit_event.t == 0.0
+
+    def test_inward_motion_raises_after_one_integration(self, monkeypatch):
+        # at q = fl(pi) the drift (a sin(fl(pi)) + g) / l points inward only
+        # for a below about -8e16
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(wazewski, "integrate", counting)
+        curve = SigmaCurve.from_table([0.0, math.pi], [-1.0, 1e-9])
+        with pytest.raises(IntegrationError, match="turns back inside"):
+            classify_exit(math.pi, curve, Params(mu=0.0), ConstantPivot(-1e18), 5.0, TOL)
+        assert len(calls) == 1
+
+
 class TestBisectCurve:
     def test_finds_stiction_witness_on_default_curve(self):
         res = bisect_curve(SigmaCurve.line(), P, ZERO, 50.0, TOL)
@@ -116,7 +157,7 @@ class TestBisectCurve:
     def test_witness_revalidates_at_tighter_tolerance(self):
         curve = SigmaCurve.line()
         res = bisect_curve(curve, P, ZERO, 50.0, TOL)
-        again = recheck_witness(res, curve, P, ZERO, TOL, factor=10.0)
+        again = recheck_witness(res.witness, curve, P, ZERO, TOL, factor=10.0)
         assert again.is_witness
         qs = [q for _, q, _, _ in again.trajectory.samples]
         assert min(qs) >= 0.0
