@@ -1,7 +1,9 @@
 """Golden digests: every shipped scenario under every command, byte for byte.
 
-Each `scenarios/*.json` file runs through `simulate --svg`, `shoot`, `sweep`
-and `verify` in-process.  The exit code and the sha256 of every artifact
+Each `scenarios/*.json` file, and each `golden_inputs/*.json` file (inputs
+that pin what no shipped scenario reaches: a table law's knot landing and a
+poly law's path), runs through `simulate --svg`, `shoot`, `sweep` and
+`verify` in-process.  The exit code and the sha256 of every artifact
 written must equal those in `golden_digests.json`; a command that rejects the
 scenario must exit 2 and write nothing.  A change that moves these bytes on
 purpose regenerates the file and says which entries moved and why:
@@ -26,23 +28,24 @@ from drypend import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCENARIOS = os.path.join(HERE, os.pardir, "scenarios")
+INPUTS = (SCENARIOS, os.path.join(HERE, "golden_inputs"))
 DIGESTS = os.path.join(HERE, "golden_digests.json")
 COMMANDS = (("simulate", "--svg"), ("shoot",), ("sweep",), ("verify",))
 
 
 def _cases():
-    names = sorted(f for f in os.listdir(SCENARIOS) if f.endswith(".json"))
-    return [(name, command) for name in names for command in COMMANDS]
+    paths = {f: os.path.join(d, f) for d in INPUTS for f in os.listdir(d) if f.endswith(".json")}
+    return [(paths[name], command) for name in sorted(paths) for command in COMMANDS]
 
 
-def _key(name, command):
-    return " ".join((name, *command))
+def _key(path, command):
+    return " ".join((os.path.basename(path), *command))
 
 
-def run(name, command) -> dict:
+def run(path, command) -> dict:
     """Exit code and artifact digests of one command on one scenario file."""
     with tempfile.TemporaryDirectory() as out:
-        argv = [command[0], os.path.join(SCENARIOS, name), "--out", out, *command[1:]]
+        argv = [command[0], path, "--out", out, *command[1:]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = cli.main(argv)
         artifacts = {}
@@ -62,10 +65,10 @@ def test_every_shipped_scenario_and_command_is_pinned(golden):
     assert sorted(golden) == sorted(_key(*case) for case in _cases())
 
 
-@pytest.mark.parametrize("name, command", _cases(), ids=[_key(*c) for c in _cases()])
-def test_artifacts_match_the_golden_digests(golden, name, command):
-    got = run(name, command)
-    assert got == golden[_key(name, command)]
+@pytest.mark.parametrize("path, command", _cases(), ids=[_key(*c) for c in _cases()])
+def test_artifacts_match_the_golden_digests(golden, path, command):
+    got = run(path, command)
+    assert got == golden[_key(path, command)]
     if got["rc"] == 2:
         assert got["artifacts"] == {}
 
