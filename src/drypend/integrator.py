@@ -114,8 +114,15 @@ class Trajectory:
 
     samples: list[tuple[float, float, float, str]] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
-    params_fingerprint: str = ""
     recorded: list[State] = field(default_factory=list)
+    # (params, pivot, tol) of the run; `params_fingerprint` hashes them
+    setup: tuple = ()
+
+    @property
+    def params_fingerprint(self) -> str:
+        """Fingerprint of the run's params, pivot law and tolerances, hashed
+        when read; "" for a trajectory read back from CSV."""
+        return fingerprint_of(*(part.to_dict() for part in self.setup)) if self.setup else ""
 
     def append(self, t: float, q: float, p: float, mode: str):
         self.samples.append((t, q, p, mode))
@@ -339,12 +346,6 @@ def _bernstein_bounds(x0: float, h: float, c, theta_max: float):
     return min(x0, x1, x2, x3, x4), max(x0, x1, x2, x3, x4), mag
 
 
-def _error_norm(err_q, err_p, q0, p0, q1, p1, tol: Tolerances) -> float:
-    sq = tol.abs_tol + tol.rel_tol * max(abs(q0), abs(q1))
-    sp = tol.abs_tol + tol.rel_tol * max(abs(p0), abs(p1))
-    return math.sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
-
-
 def _initial_step(q: float, p: float, dq: float, dp: float, tol: Tolerances) -> float:
     """Hairer-style starting step: scale off the field magnitude (dq, dp) at t0."""
     d0 = math.hypot(q, p)
@@ -365,7 +366,7 @@ class StepResult(NamedTuple):
     h_next: float
     hit_switch: bool
     # ((t, q, p, branch), (dq, dp)): the field at the end of a full step,
-    # for step_smooth to reuse as the first stage of the next one
+    # which the next step may reuse as its first stage
     fsal: tuple | None = None
 
 
@@ -445,9 +446,76 @@ def _bisect_switch(seg: DenseSegment, tol: Tolerances, bracket) -> tuple[float, 
     return seg.t0 + theta * seg.h, q, p
 
 
-def _branch(p: float) -> float:
-    """The friction branch a slipping state steps on: the sign of p, or 0."""
-    return 1.0 if p > 0 else (-1.0 if p < 0 else 0.0)
+def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
+    """The accepted steps of one slipping stretch of the field `f`, which has
+    the friction sign frozen to `branch`, from (t, q, p).
+
+    Each step is yielded as (t, h, q, p, kq, kp, seg, t1, q1, p1, h_next,
+    hit): its start, size and stages, the DenseSegment of them if the p = 0
+    scan formed one (else None), where it ends, the step to try next, and
+    whether it ends on p = 0.  When `frictional`, a step whose dense p
+    brackets 0 is shortened to end on the surface (|p| <= stick_band / 10),
+    so no step straddles a sign change; that step ends the stretch, as does
+    one that reaches `t_limit` or leaves the branch.
+
+    A step that reaches `t_limit` is cut to end on it exactly, with its last
+    stage evaluated there, and passes on as `h_next` no less than the step
+    it was cut from, so a cut to a knot of the pivot law does not shrink
+    the steps after it.  Inside the stretch each step's first stage is the
+    last stage of the step before (FSAL).  The first step's is the field
+    value of `carried`, ((t, q, p, branch), (dq, dp)), when that was taken
+    at exactly this start, else f(t, q, p); it is also shared by rejected
+    attempts and by the starting-step estimate when `h` is None.
+    """
+    if frictional and branch == 0.0:
+        raise ValueError("stepping requires p != 0 when mu > 0")
+    # -0.0 == 0.0, so a start with a zero in it is not matched by value
+    if carried is not None and carried[0] == (t, q, p, branch) and t != 0.0 and q != 0.0 and p != 0.0:
+        kq0, kp0 = carried[1]
+    else:
+        kq0, kp0 = f(t, q, p)
+    if h is None:
+        h = _initial_step(q, p, kq0, kp0, tol)
+    abs_tol, rel_tol, max_dt = tol.abs_tol, tol.rel_tol, tol.max_dt
+    while True:
+        h = min(h, max_dt)
+        h_uncut = h
+        t1 = t + h
+        landing = t_limit - t <= h
+        if landing:
+            h, t1 = t_limit - t, t_limit
+        if h <= 0:
+            raise ValueError("no room to step before t_limit")
+        while True:
+            q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h, t1, kq0, kp0)
+            sq = abs_tol + rel_tol * max(abs(q), abs(q1))
+            sp = abs_tol + rel_tol * max(abs(p), abs(p1))
+            err = math.sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
+            if err <= 1.0:
+                break
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if not h >= _MIN_STEP:  # also a NaN step
+                raise StepUnderflow(f"step size underflow at t = {t}")
+            t1 = t + h
+            landing = False
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        h_next = min(h * factor, max_dt)
+        if landing:
+            h_next = max(h_next, h_uncut)
+
+        seg = None
+        if frictional:
+            seg = DenseSegment(t, h, q, p, kq, kp)
+            bracket = _poly_first_sign_change(seg)
+            if bracket is not None:
+                t_sw, q_sw, p_sw = _bisect_switch(seg, tol, bracket)
+                if t_sw > t:  # guard against a root at the very start of the step
+                    yield t, h, q, p, kq, kp, seg, t_sw, q_sw, p_sw, h_next, True
+                    return
+        yield t, h, q, p, kq, kp, seg, t1, q1, p1, h_next, False
+        if t1 >= t_limit or not p1 * branch > 0.0:
+            return
+        t, q, p, h, kq0, kp0 = t1, q1, p1, h_next, kq[6], kp[6]
 
 
 def step_smooth(
@@ -458,79 +526,31 @@ def step_smooth(
     h: float | None = None,
     t_limit: float | None = None,
     fsal: tuple | None = None,
-    field=None,
 ) -> StepResult:
-    """One accepted adaptive step of the current smooth branch.
+    """One accepted adaptive step of the current smooth branch: the first
+    step of the slipping stretch from `state` (see `_slip`), with the
+    friction sign frozen to sign(p).
 
-    The friction sign is frozen to sign(p) for the whole step.  If the dense
-    polynomial of the accepted step brackets p = 0 the step is shortened to
-    end on the surface (|p| <= stick_band / 10), so no returned step
-    straddles a sign change.
-
-    A step that reaches `t_limit` is cut to end on it exactly, with its last
-    stage evaluated there, and passes on as `h_next` no less than the step
-    it was cut from, so a cut to a knot of the pivot law does not shrink
-    the steps after it.
-
-    `fsal` is the `fsal` of the previous StepResult.  Its field value is
-    used as the first stage when it was taken at exactly this (t, q, p,
-    branch), which gives the same value the field would; the first stage is
-    also shared by rejected attempts and by the starting-step estimate.
-    `field` is `branch_field(params, pivot, branch)` for this state's
-    branch, built by the caller when it steps one field many times.
+    `fsal` is the `fsal` of the previous StepResult, whose field value is
+    the first stage when it was taken at exactly this (t, q, p, branch).
     """
     if state.mode != SLIPPING:
         raise ValueError("step_smooth requires a slipping state")
-    branch = _branch(state.p)
-    if branch == 0.0 and params.mu != 0.0:
-        raise ValueError("step_smooth requires p != 0 when mu > 0")
-    f = branch_field(params, pivot, branch) if field is None else field
-    t, q, p = state.t, state.q, state.p
-    start = (t, q, p, branch)
-    # -0.0 == 0.0, so a start with a zero in it is not matched by value
-    if fsal is not None and fsal[0] == start and t != 0.0 and q != 0.0 and p != 0.0:
-        kq0, kp0 = fsal[1]
-    else:
-        kq0, kp0 = f(t, q, p)
-    if h is None:
-        h = _initial_step(q, p, kq0, kp0, tol)
-    h = min(h, tol.max_dt)
-    h_uncut = h
-    t1 = t + h
-    landing = t_limit is not None and t_limit - t <= h
-    if landing:
-        h, t1 = t_limit - t, t_limit
-    if h <= 0:
-        raise ValueError("no room to step before t_limit")
-
-    while True:
-        q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h, t1, kq0, kp0)
-        err = _error_norm(err_q, err_p, q, p, q1, p1, tol)
-        if err <= 1.0:
-            break
-        h *= max(0.2, 0.9 * err ** -0.2)
-        if not h >= _MIN_STEP:  # also a NaN step
-            raise StepUnderflow(f"step size underflow at t = {t}")
-        t1 = t + h
-        landing = False
-    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-    h_next = min(h * factor, tol.max_dt)
-    if landing:
-        h_next = max(h_next, h_uncut)
-
-    seg = DenseSegment(t, h, q, p, kq, kp)
-
-    if params.mu != 0.0 and branch != 0.0:
-        bracket = _poly_first_sign_change(seg)
-        if bracket is not None:
-            t_sw, q_sw, p_sw = _bisect_switch(seg, tol, bracket)
-            if t_sw > t:  # guard against a root at the very start of the step
-                new = State(q=q_sw, p=p_sw, t=t_sw, mode=SLIPPING)
-                return StepResult(state=new, segment=seg, h_used=t_sw - t, h_next=h_next, hit_switch=True)
-    new = State(q=q1, p=p1, t=t1, mode=SLIPPING)
-    end = ((t1, q1, p1, branch), (kq[6], kp[6]))
+    t, p = state.t, state.p
+    branch = 1.0 if p > 0 else (-1.0 if p < 0 else 0.0)
+    f = branch_field(params, pivot, branch)
+    stretch = _slip(
+        f, branch, t, state.q, p, h, math.inf if t_limit is None else t_limit, tol,
+        params.mu != 0.0, fsal,
+    )
+    t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, hit = next(stretch)
     return StepResult(
-        state=new, segment=seg, h_used=h, h_next=h_next, hit_switch=False, fsal=end
+        state=State(q=q1, p=p1, t=t1, mode=SLIPPING),
+        segment=seg or DenseSegment(t0, h, q0, p0, kq, kp),
+        h_used=t1 - t if hit else h,
+        h_next=h_next,
+        hit_switch=hit,
+        fsal=None if hit else ((t1, q1, p1, branch), (kq[6], kp[6])),
     )
 
 
@@ -652,7 +672,9 @@ def integrate(
 ) -> Trajectory:
     """Drive the mode machine from `initial` until `horizon` or a guard exit.
 
-    Slipping stretches are advanced with `step_smooth`; each landing on
+    Each slipping stretch, up to p = 0, the end of the pivot law's smooth
+    piece or a change of friction branch, is stepped by one `_slip`
+    generator, and a State is built only where it ends.  Each landing on
     p = 0 is classified into a crossing (re-seeded at half the stick band on
     the far side) or a stick entry (projected onto the surface and advanced
     with `slide_until_release`).  With a region guard set, integration stops
@@ -668,9 +690,7 @@ def integrate(
     if region_guard is not None and not (region_guard[0] < region_guard[1]):
         raise ValueError("region_guard must be an ordered pair")
 
-    traj = Trajectory(
-        params_fingerprint=fingerprint_of(params.to_dict(), pivot.to_dict(), tol.to_dict())
-    )
+    traj = Trajectory(setup=(params, pivot, tol))
     # the times to record, then a sentinel that is never due
     rec_times = [*sorted(record_at or ()), math.inf]
     rec_idx = 0
@@ -717,10 +737,10 @@ def integrate(
             return traj
 
     h_next = initial_dt
-    fsal = None
+    carried = None  # ((t, q, p, branch), stage) at the end of the last full step
     n_events = 0
     # the end of the pivot law's smooth piece being stepped; the piece and
-    # its branch fields are read at the first slipping step past it
+    # its branch fields are read at the first slipping stretch past it
     piece_end = -math.inf
 
     def bump_events():
@@ -731,6 +751,7 @@ def integrate(
 
     try:
         while state.t < horizon:
+            t1 = state.t  # the start of the step or slide an error names; each step moves it
             if state.mode == STUCK:
                 q_stuck = state.q
                 t_entry = state.t
@@ -751,68 +772,63 @@ def integrate(
                 h_next = None
                 continue
 
-            # slipping, up to the end of the pivot law's smooth piece
+            # a slipping stretch, inside the pivot law's smooth piece
             if state.t >= piece_end:
                 piece_end, piece_accel = pivot.piece(state.t)
                 fields = {}
                 t_limit = min(horizon, piece_end)
-            branch = _branch(state.p)
+            branch = 1.0 if state.p > 0 else (-1.0 if state.p < 0 else 0.0)
             field = fields.get(branch)
             if field is None:
                 field = fields[branch] = branch_field(params, pivot, branch, piece_accel)
-            res = step_smooth(
-                state, params, pivot, tol, h=h_next, t_limit=t_limit, fsal=fsal, field=field
+            stretch = _slip(
+                field, branch, state.t, state.q, state.p, h_next, t_limit, tol,
+                not frictionless, carried,
             )
-            fsal = res.fsal
-            seg = res.segment
-            theta_end = res.h_used / seg.h if seg.h > 0 else 1.0
-
-            exit_hit = None
-            if region_guard is not None:
-                exit_hit = _guard_exit(seg, theta_end, region_guard[0], region_guard[1])
-            if exit_hit is not None:
-                theta_x, side = exit_hit
-                t_x = seg.t0 + theta_x * seg.h
-                q_x, p_x = seg.eval(theta_x)
-                record_upto(t_x, lambda rt: (*seg.eval_at(rt), SLIPPING))
-                traj.append(t_x, q_x, p_x, SLIPPING)
-                traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
+            direction = None  # how the stretch ends on p = 0: 0 sticks, else crosses
+            for t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, hit in stretch:
+                if region_guard is not None:
+                    seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
+                    theta_end = (t1 - t0) / h if hit else 1.0
+                    exit_hit = _guard_exit(seg, theta_end, region_guard[0], region_guard[1])
+                    if exit_hit is not None:
+                        theta_x, side = exit_hit
+                        t_x = t0 + theta_x * h
+                        q_x, p_x = seg.eval(theta_x)
+                        record_upto(t_x, lambda rt: (*seg.eval_at(rt), SLIPPING))
+                        traj.append(t_x, q_x, p_x, SLIPPING)
+                        traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
+                        bump_events()
+                        return _finish(traj, params, pivot, horizon)
+                if rec_times[rec_idx] <= t1 + 1e-18:  # a recorded time is due
+                    seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
+                    record_upto(t1, lambda rt: (*seg.eval_at(rt), SLIPPING))
+                if hit:
+                    direction = classify_switch(params, pivot, q1, t1)
+                    break
+                traj.append(t1, q1, p1, SLIPPING)
+                if (
+                    not frictionless
+                    and abs(p1) < tol.stick_band
+                    and classify_switch(params, pivot, q1, t1) == 0
+                ):
+                    direction = 0
+                    break
+            carried = None if hit else ((t1, q1, p1, branch), (kq[6], kp[6]))
+            if direction is None:  # the stretch ran to t_limit or off its branch
+                state = State(q=q1, p=p1, t=t1, mode=SLIPPING)
+            elif direction == 0:
+                state = State(q=q1, p=0.0, t=t1, mode=STUCK)
+                traj.append(t1, q1, 0.0, STUCK)
+                traj.events.append(Event(t=t1, q=q1, kind=STICK_ENTRY))
                 bump_events()
-                return _finish(traj, params, pivot, horizon)
-
-            if rec_times[rec_idx] <= res.state.t + 1e-18:  # a recorded time is due
-                record_upto(res.state.t, lambda rt: (*seg.eval_at(rt), SLIPPING))
-            state = res.state
-            h_next = res.h_next
-
-            if res.hit_switch:
-                direction = classify_switch(params, pivot, state.q, state.t)
-                if direction == 0:
-                    state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
-                    traj.append(state.t, state.q, 0.0, STUCK)
-                    traj.events.append(Event(t=state.t, q=state.q, kind=STICK_ENTRY))
-                    bump_events()
-                else:
-                    traj.append(state.t, state.q, state.p, SLIPPING)
-                    traj.events.append(
-                        Event(t=state.t, q=state.q, kind=CROSSING, direction=direction)
-                    )
-                    bump_events()
-                    state = reseed(state.q, state.t, direction, tol)
-                    traj.append(state.t, state.q, state.p, state.mode)
                 h_next = None
-                continue
-
-            traj.append(state.t, state.q, state.p, state.mode)
-            if (
-                not frictionless
-                and abs(state.p) < tol.stick_band
-                and classify_switch(params, pivot, state.q, state.t) == 0
-            ):
-                state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
-                traj.append(state.t, state.q, 0.0, STUCK)
-                traj.events.append(Event(t=state.t, q=state.q, kind=STICK_ENTRY))
+            else:
+                traj.append(t1, q1, p1, SLIPPING)
+                traj.events.append(Event(t=t1, q=q1, kind=CROSSING, direction=direction))
                 bump_events()
+                state = reseed(q1, t1, direction, tol)
+                traj.append(state.t, state.q, state.p, state.mode)
                 h_next = None
 
         traj.events.append(Event(t=state.t, q=state.q, kind=HORIZON))
@@ -820,7 +836,7 @@ def integrate(
     except (ArithmeticError, ValueError) as exc:
         # math.sin of an angle, or a float power, that left the float range
         raise IntegrationError(
-            f"the motion left the float range near t = {state.t}: {exc}"
+            f"the motion left the float range near t = {t1}: {exc}"
         ) from exc
 
 
@@ -830,14 +846,12 @@ def _finish(traj, params, pivot, horizon):
     return traj
 
 
-def check_escape_trap(
-    traj: Trajectory,
-    params: Params,
-    pivot: PivotLaw,
-    horizon: float,
-    slack: float = 1e-6,
-) -> None:
-    """TrapViolation if |p| re-exceeds p_star (+slack) once it dips below it."""
+# how far |p| may re-exceed p_star, for rounding, before the trap counts as broken
+_TRAP_SLACK = 1e-6
+
+
+def check_escape_trap(traj: Trajectory, params: Params, pivot: PivotLaw, horizon: float) -> None:
+    """TrapViolation if |p| re-exceeds p_star (+_TRAP_SLACK) once it dips below it."""
     if params.mu <= 0.0:
         return
     t0 = traj.samples[0][0]
@@ -848,7 +862,7 @@ def check_escape_trap(
     for t, q, p, mode in traj.samples:
         if abs(p) <= cap:
             below = True
-        elif below and abs(p) > cap + slack:
+        elif below and abs(p) > cap + _TRAP_SLACK:
             raise TrapViolation(
                 f"|p| = {abs(p)} exceeded p_star = {cap} at t = {t} after entering the trap"
             )

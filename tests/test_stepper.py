@@ -509,19 +509,20 @@ def test_stage_bound_skips_nearly_every_frictionless_shooting_step():
     # `shoot` bisects frictionless_forced.json's curve under the guard
     # 0 < q < pi; the coefficients are formed only on the steps near an exit
     steps = [0]
-    original = integrator.step_smooth
+    original = integrator._slip
 
-    def counting_step(*args, **kwargs):
-        steps[0] += 1
-        return original(*args, **kwargs)
+    def counting_stretch(*args):
+        for step in original(*args):
+            steps[0] += 1
+            yield step
 
-    integrator.step_smooth = counting_step
+    integrator._slip = counting_stretch
     try:
         with counted_coeffs() as formed, tempfile.TemporaryDirectory() as out:
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(["shoot", os.path.join(SCENARIOS, "frictionless_forced.json"), "--out", out])
     finally:
-        integrator.step_smooth = original
+        integrator._slip = original
     assert steps[0] > 5000
     # 75 of 8,942 steps (0.8%) when this test was written
     assert formed[0] < 0.02 * steps[0]
@@ -531,12 +532,13 @@ def test_stage_bound_skips_nearly_every_frictionless_shooting_step():
 
 
 def _without_fsal(monkeypatch):
-    original = integrator.step_smooth
+    """Make every step attempt evaluate its first stage afresh."""
+    original = integrator._rk_step
 
-    def step_smooth(*args, fsal=None, **kwargs):
-        return original(*args, fsal=None, **kwargs)
+    def rk_step(f, t, q, p, h, t1, kq0, kp0):
+        return original(f, t, q, p, h, t1, *f(t, q, p))
 
-    monkeypatch.setattr(integrator, "step_smooth", step_smooth)
+    monkeypatch.setattr(integrator, "_rk_step", rk_step)
 
 
 FSAL_CASES = [
