@@ -15,8 +15,7 @@ import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import dataclass
+from itertools import count
 
 from .model import (
     PIVOT_KINDS,
@@ -71,7 +70,7 @@ def _numbers(values, where: str) -> list[float]:
 
 
 def _config(raw: dict, key: str, config):
-    """The dataclass `config` (Params or Tolerances) built from the object
+    """The named tuple `config` (Params or Tolerances) built from the object
     raw[key], empty if absent; each value is checked by `_number` and kept as
     written, so that an integer stays one in the normalized scenario."""
     fields = raw.get(key, {})
@@ -79,9 +78,11 @@ def _config(raw: dict, key: str, config):
         raise ValidationError(f"{key} must be an object, got {fields!r}")
     for name, value in fields.items():
         _number(value, f"{key}.{name}")
+        if name not in config._fields:
+            raise ValidationError(f"{key}: unknown field {name!r}")
     try:
         return config(**fields)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{key}: {exc}") from exc
 
 
@@ -129,17 +130,34 @@ def _check_horizon(pivot: PivotLaw, tolerances: Tolerances, t0: float, horizon: 
             )
 
 
-@dataclass
 class Scenario:
-    name: str
-    params: Params
-    pivot: PivotLaw
-    initial: dict  # normalized point or curve spec
-    horizon: float
-    tolerances: Tolerances
-    mode: str  # "closed" | "strict"
-    start: State | None = None  # built from a point spec
-    family: list[SigmaCurve] | None = None  # built from a curve spec, one per shift
+    """One loaded scenario: its normalized fields and what they build."""
+
+    __slots__ = (
+        "name", "params", "pivot", "initial", "horizon", "tolerances", "mode", "start", "family"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: Params,
+        pivot: PivotLaw,
+        initial: dict,
+        horizon: float,
+        tolerances: Tolerances,
+        mode: str,
+        start: State | None = None,
+        family: list[SigmaCurve] | None = None,
+    ):
+        self.name = name
+        self.params = params
+        self.pivot = pivot
+        self.initial = initial  # normalized point or curve spec
+        self.horizon = horizon
+        self.tolerances = tolerances
+        self.mode = mode  # "closed" | "strict"
+        self.start = start  # built from a point spec
+        self.family = family  # built from a curve spec, one per shift
 
     @property
     def strict(self) -> bool:
@@ -264,10 +282,25 @@ def load_scenario(path: str, horizon: float | None = None) -> Scenario:
     )
 
 
+# numbers the temporary files of `_write_atomic` within this process
+_tmp_ids = count()
+
+
 def _write_atomic(path: str, data: str):
+    """Write `data` to `path` by renaming a finished temporary file onto it.
+
+    The temporary file is made with mode 0o666, so the umask sets the
+    artifact's mode as it would for a file opened plainly.
+    """
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    while True:
+        tmp = os.path.join(d, f".tmp-{os.getpid()}-{next(_tmp_ids)}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:  # left by an earlier process of the same id
+            continue
+        break
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)

@@ -13,7 +13,6 @@ analytically at fixed angle until static friction is defeated.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -58,41 +57,51 @@ class TrapViolation(IntegrationError):
     """A produced trajectory violated the velocity trap |p| <= p_star."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Step-size and event-localization controls.
-
-    stick_band is the |p| half-width inside which a state is considered to
-    be on the switching surface; it must dominate abs_tol by a safe margin
-    so that projection onto p = 0 never fights the error control.
-    """
-
+class _TolerancesFields(NamedTuple):
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
     event_tol: float = 1e-10
     stick_band: float = 1e-8
     max_dt: float = 0.05
 
-    def __post_init__(self):
-        for name, value in self.to_dict().items():
+
+class Tolerances(_TolerancesFields):
+    """Step-size and event-localization controls.
+
+    stick_band is the |p| half-width inside which a state is considered to
+    be on the switching surface; it must dominate abs_tol by a safe margin
+    so that projection onto p = 0 never fights the error control.  An
+    immutable tuple, checked when built.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        rel_tol: float = 1e-9,
+        abs_tol: float = 1e-11,
+        event_tol: float = 1e-10,
+        stick_band: float = 1e-8,
+        max_dt: float = 0.05,
+    ):
+        self = tuple.__new__(cls, (rel_tol, abs_tol, event_tol, stick_band, max_dt))
+        for name, value in zip(self._fields, self):
             if not (value > 0):
                 raise ValueError(f"{name} must be strictly positive")
-        if self.stick_band < 10 * self.abs_tol:
+        if stick_band < 10 * abs_tol:
             raise ValueError("stick_band must be at least 10 * abs_tol")
+        return self
 
     def scaled(self, factor: float) -> "Tolerances":
         """Same controls with every tolerance but the step cap `max_dt`
         tightened by `factor`."""
-        tightened = {name: value / factor for name, value in self.to_dict().items()}
-        tightened["max_dt"] = self.max_dt
-        return replace(self, **tightened)
+        return Tolerances(*(value / factor for value in self[:4]), self.max_dt)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     t: float
     q: float
     kind: str
@@ -108,15 +117,17 @@ class Event:
         return d
 
 
-@dataclass
 class Trajectory:
     """Time-ordered samples plus the switching events that separate them."""
 
-    samples: list[tuple[float, float, float, str]] = field(default_factory=list)
-    events: list[Event] = field(default_factory=list)
-    recorded: list[State] = field(default_factory=list)
-    # (params, pivot, tol) of the run; `params_fingerprint` hashes them
-    setup: tuple = ()
+    __slots__ = ("samples", "events", "recorded", "setup")
+
+    def __init__(self, setup: tuple = ()):
+        self.samples: list[tuple[float, float, float, str]] = []
+        self.events: list[Event] = []
+        self.recorded: list[State] = []
+        # (params, pivot, tol) of the run; `params_fingerprint` hashes them
+        self.setup = setup
 
     @property
     def params_fingerprint(self) -> str:
@@ -182,8 +193,13 @@ _P = (
 _C1, _C2, _C3, _C4, _C5 = _C[1:]
 _B0, _B1, _B2, _B3, _B4, _B5 = _B
 _E0, _E1, _E2, _E3, _E4, _E5, _E6 = _E
-# the dense-output weights column by column (one column per power of theta)
-_P_COLS = tuple(zip(*_P))
+# the dense-output weights by column (power of theta) and stage: _Wci = _P[i][c]
+(
+    (_W00, _W01, _W02, _W03, _W04, _W05, _W06),
+    (_W10, _W11, _W12, _W13, _W14, _W15, _W16),
+    (_W20, _W21, _W22, _W23, _W24, _W25, _W26),
+    (_W30, _W31, _W32, _W33, _W34, _W35, _W36),
+) = zip(*_P)
 
 _MIN_STEP = 1e-14
 _MAX_EVENTS = 10 ** 6
@@ -248,78 +264,46 @@ class DenseSegment:
         return self.eval((t - self.t0) / self.h)
 
 
-def _rk_step(f, t: float, q: float, p: float, h: float, t1: float, kq0: float, kp0: float):
-    """One DOPRI5 step from the first stage (kq0, kp0) = f(t, q, p) to the
-    end time t1, which is t + h or a time that t + h only rounds near.
-
-    Returns (q1, p1, err_q, err_p, K).  The last stage of K is the field at
-    (t1, q1, p1), which the next step may reuse as its first (FSAL).  Every
-    sum is written out in the order of the tableau, zero weights included,
-    so the arithmetic is that of a loop over the tableau.
-    """
-    w0 = h * _A10
-    kq1, kp1 = f(t + _C1 * h, q + w0 * kq0, p + w0 * kp0)
-    w0, w1 = h * _A20, h * _A21
-    kq2, kp2 = f(t + _C2 * h, q + w0 * kq0 + w1 * kq1, p + w0 * kp0 + w1 * kp1)
-    w0, w1, w2 = h * _A30, h * _A31, h * _A32
-    kq3, kp3 = f(
-        t + _C3 * h,
-        q + w0 * kq0 + w1 * kq1 + w2 * kq2,
-        p + w0 * kp0 + w1 * kp1 + w2 * kp2,
-    )
-    w0, w1, w2, w3 = h * _A40, h * _A41, h * _A42, h * _A43
-    kq4, kp4 = f(
-        t + _C4 * h,
-        q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3,
-        p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3,
-    )
-    w0, w1, w2, w3, w4 = h * _A50, h * _A51, h * _A52, h * _A53, h * _A54
-    kq5, kp5 = f(
-        t + _C5 * h,
-        q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4,
-        p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4,
-    )
-    w0, w1, w2, w3, w4, w5 = h * _B0, h * _B1, h * _B2, h * _B3, h * _B4, h * _B5
-    q1 = q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4 + w5 * kq5
-    p1 = p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4 + w5 * kp5
-    kq6, kp6 = f(t1, q1, p1)
-    err_q = (
-        0.0 + _E0 * kq0 + _E1 * kq1 + _E2 * kq2 + _E3 * kq3 + _E4 * kq4 + _E5 * kq5 + _E6 * kq6
-    )
-    err_p = (
-        0.0 + _E0 * kp0 + _E1 * kp1 + _E2 * kp2 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6
-    )
-    kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6)
-    kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6)
-    return q1, p1, h * err_q, h * err_p, (kq, kp)
-
-
 def _dense_coeffs(kq, kp) -> tuple[tuple, tuple]:
+    """(cq, cp): the power-basis coefficients of the dense q and p, one per
+    power of theta, each summed over the stages in the order of the tableau."""
     kq0, kq1, kq2, kq3, kq4, kq5, kq6 = kq
     kp0, kp1, kp2, kp3, kp4, kp5, kp6 = kp
-    cq = []
-    cp = []
-    for w0, w1, w2, w3, w4, w5, w6 in _P_COLS:
-        cq.append(
-            0.0 + kq0 * w0 + kq1 * w1 + kq2 * w2 + kq3 * w3 + kq4 * w4 + kq5 * w5 + kq6 * w6
-        )
-        cp.append(
-            0.0 + kp0 * w0 + kp1 * w1 + kp2 * w2 + kp3 * w3 + kp4 * w4 + kp5 * w5 + kp6 * w6
-        )
-    return tuple(cq), tuple(cp)
+    return (
+        (
+            0.0 + kq0 * _W00 + kq1 * _W01 + kq2 * _W02 + kq3 * _W03 + kq4 * _W04 + kq5 * _W05 + kq6 * _W06,
+            0.0 + kq0 * _W10 + kq1 * _W11 + kq2 * _W12 + kq3 * _W13 + kq4 * _W14 + kq5 * _W15 + kq6 * _W16,
+            0.0 + kq0 * _W20 + kq1 * _W21 + kq2 * _W22 + kq3 * _W23 + kq4 * _W24 + kq5 * _W25 + kq6 * _W26,
+            0.0 + kq0 * _W30 + kq1 * _W31 + kq2 * _W32 + kq3 * _W33 + kq4 * _W34 + kq5 * _W35 + kq6 * _W36,
+        ),
+        (
+            0.0 + kp0 * _W00 + kp1 * _W01 + kp2 * _W02 + kp3 * _W03 + kp4 * _W04 + kp5 * _W05 + kp6 * _W06,
+            0.0 + kp0 * _W10 + kp1 * _W11 + kp2 * _W12 + kp3 * _W13 + kp4 * _W14 + kp5 * _W15 + kp6 * _W16,
+            0.0 + kp0 * _W20 + kp1 * _W21 + kp2 * _W22 + kp3 * _W23 + kp4 * _W24 + kp5 * _W25 + kp6 * _W26,
+            0.0 + kp0 * _W30 + kp1 * _W31 + kp2 * _W32 + kp3 * _W33 + kp4 * _W34 + kp5 * _W35 + kp6 * _W36,
+        ),
+    )
 
 
-def _stage_reach(h: float, k) -> float:
-    """Bound on |x(theta) - x0| for 0 <= theta <= 1, from the stages k of x.
+def _stage_clear(x0: float, h: float, k, lo: float, hi: float) -> bool:
+    """Whether the stages k of x keep x(theta), 0 <= theta <= 1, inside
+    (lo, hi) with room for rounding, so that no scan point of the step can
+    reach an end.  An end may be infinite.
 
-    Seven products, with no dense coefficient formed; a non-finite stage
-    gives NaN, which no exclusion test passes.
+    The bound |x(theta) - x0| <= |h| * sum_i _BETA[i] |k_i| takes seven
+    products and no dense coefficient; a non-finite stage gives NaN, which
+    never clears.
     """
     k0, k1, k2, k3, k4, k5, k6 = k
-    return abs(h) * (
+    reach = abs(h) * (
         _BETA0 * abs(k0) + _BETA1 * abs(k1) + _BETA2 * abs(k2) + _BETA3 * abs(k3)
         + _BETA4 * abs(k4) + _BETA5 * abs(k5) + _BETA6 * abs(k6)
     )
+    # the finite ends, whose magnitudes scale the rounding of x - end
+    end_lo = 0.0 if lo == _NEG_INF else abs(lo)
+    end_hi = 0.0 if hi == _INF else abs(hi)
+    slack = _EXCLUSION_SLACK * (reach + abs(x0) + end_lo + end_hi) + _EXCLUSION_FLOOR
+    return x0 - reach - lo > slack and hi - x0 - reach > slack
 
 
 def _bernstein_bounds(x0: float, h: float, c, theta_max: float):
@@ -378,22 +362,18 @@ def _first_exit(seg: DenseSegment, i: int, theta_end: float, lo: float, hi: floa
     The quartic is scanned on a fixed subdivision; a transversal crossing
     cannot hide between scan points at the scales the step controller
     allows.  The scan is skipped when x stays inside (lo, hi) with room for
-    rounding: first when the stage bound keeps it there, then when the
-    Bernstein coefficients of x on [0, theta_end] lie inside.  Then no scan
-    point can reach an end.
+    rounding: first when the stage bound keeps it there (`_stage_clear`,
+    which holds for theta in [0, 1]), then when the Bernstein coefficients
+    of x on [0, theta_end] lie inside.  Then no scan point can reach an end.
     """
     if i:
         x0, k = seg.p0, seg.kp
     else:
         x0, k = seg.q0, seg.kq
-    # the finite ends, whose magnitudes scale the rounding of x - end
+    if theta_end <= 1.0 and _stage_clear(x0, seg.h, k, lo, hi):
+        return None
     end_lo = 0.0 if lo == _NEG_INF else abs(lo)
     end_hi = 0.0 if hi == _INF else abs(hi)
-    if theta_end <= 1.0:  # the stage bound holds for theta in [0, 1]
-        reach = _stage_reach(seg.h, k)
-        slack = _EXCLUSION_SLACK * (reach + abs(x0) + end_lo + end_hi) + _EXCLUSION_FLOOR
-        if x0 - reach - lo > slack and hi - x0 - reach > slack:
-            return None
     b_lo, b_hi, mag = _bernstein_bounds(x0, seg.h, seg.coeffs[i], theta_end)
     slack = _EXCLUSION_SLACK * (mag + end_lo + end_hi) + _EXCLUSION_FLOOR
     if b_lo - lo > slack and hi - b_hi > slack:
@@ -456,16 +436,21 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
     whether it ends on p = 0.  When `frictional`, a step whose dense p
     brackets 0 is shortened to end on the surface (|p| <= stick_band / 10),
     so no step straddles a sign change; that step ends the stretch, as does
-    one that reaches `t_limit` or leaves the branch.
+    one that reaches `t_limit` or leaves the branch.  The scan is skipped,
+    and no segment is built, when the stage bound keeps p off 0.
 
-    A step that reaches `t_limit` is cut to end on it exactly, with its last
-    stage evaluated there, and passes on as `h_next` no less than the step
-    it was cut from, so a cut to a knot of the pivot law does not shrink
-    the steps after it.  Inside the stretch each step's first stage is the
-    last stage of the step before (FSAL).  The first step's is the field
-    value of `carried`, ((t, q, p, branch), (dq, dp)), when that was taken
-    at exactly this start, else f(t, q, p); it is also shared by rejected
-    attempts and by the starting-step estimate when `h` is None.
+    Each attempt is one DOPRI5 step to the end time t1, which is t + h or
+    a time that t + h only rounds near.  Every stage sum is written out in
+    the order of the tableau, zero weights included, so the arithmetic is
+    that of a loop over the tableau.  A step that reaches `t_limit` is cut
+    to end on it exactly, with its last stage evaluated there, and passes on
+    as `h_next` no less than the step it was cut from, so a cut to a knot of
+    the pivot law does not shrink the steps after it.  Inside the stretch
+    each step's first stage is the last stage of the step before (FSAL).
+    The first step's is the field value of `carried`, ((t, q, p, branch),
+    (dq, dp)), when that was taken at exactly this start, else f(t, q, p);
+    it is also shared by rejected attempts and by the starting-step
+    estimate when `h` is None.
     """
     if frictional and branch == 0.0:
         raise ValueError("stepping requires p != 0 when mu > 0")
@@ -477,6 +462,9 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
     if h is None:
         h = _initial_step(q, p, kq0, kp0, tol)
     abs_tol, rel_tol, max_dt = tol.abs_tol, tol.rel_tol, tol.max_dt
+    sqrt = math.sqrt
+    # the p = 0 scan's ends: p keeps the sign of `branch` inside the stretch
+    p_lo, p_hi = (0.0, _INF) if branch > 0 else (_NEG_INF, 0.0)
     while True:
         h = min(h, max_dt)
         h_uncut = h
@@ -487,10 +475,42 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
         if h <= 0:
             raise ValueError("no room to step before t_limit")
         while True:
-            q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h, t1, kq0, kp0)
+            w0 = h * _A10
+            kq1, kp1 = f(t + _C1 * h, q + w0 * kq0, p + w0 * kp0)
+            w0, w1 = h * _A20, h * _A21
+            kq2, kp2 = f(t + _C2 * h, q + w0 * kq0 + w1 * kq1, p + w0 * kp0 + w1 * kp1)
+            w0, w1, w2 = h * _A30, h * _A31, h * _A32
+            kq3, kp3 = f(
+                t + _C3 * h,
+                q + w0 * kq0 + w1 * kq1 + w2 * kq2,
+                p + w0 * kp0 + w1 * kp1 + w2 * kp2,
+            )
+            w0, w1, w2, w3 = h * _A40, h * _A41, h * _A42, h * _A43
+            kq4, kp4 = f(
+                t + _C4 * h,
+                q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3,
+                p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3,
+            )
+            w0, w1, w2, w3, w4 = h * _A50, h * _A51, h * _A52, h * _A53, h * _A54
+            kq5, kp5 = f(
+                t + _C5 * h,
+                q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4,
+                p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4,
+            )
+            w0, w1, w2, w3, w4, w5 = h * _B0, h * _B1, h * _B2, h * _B3, h * _B4, h * _B5
+            q1 = q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4 + w5 * kq5
+            p1 = p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4 + w5 * kp5
+            kq6, kp6 = f(t1, q1, p1)
+            # the error estimate: the 5th minus the 4th order solution
+            err_q = h * (
+                0.0 + _E0 * kq0 + _E1 * kq1 + _E2 * kq2 + _E3 * kq3 + _E4 * kq4 + _E5 * kq5 + _E6 * kq6
+            )
+            err_p = h * (
+                0.0 + _E0 * kp0 + _E1 * kp1 + _E2 * kp2 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6
+            )
             sq = abs_tol + rel_tol * max(abs(q), abs(q1))
             sp = abs_tol + rel_tol * max(abs(p), abs(p1))
-            err = math.sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
+            err = sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
             if err <= 1.0:
                 break
             h *= max(0.2, 0.9 * err ** -0.2)
@@ -502,9 +522,11 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
         h_next = min(h * factor, max_dt)
         if landing:
             h_next = max(h_next, h_uncut)
+        kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6)
+        kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6)
 
         seg = None
-        if frictional:
+        if frictional and not _stage_clear(p, h, kp, p_lo, p_hi):
             seg = DenseSegment(t, h, q, p, kq, kp)
             bracket = _poly_first_sign_change(seg)
             if bracket is not None:
@@ -515,7 +537,7 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
         yield t, h, q, p, kq, kp, seg, t1, q1, p1, h_next, False
         if t1 >= t_limit or not p1 * branch > 0.0:
             return
-        t, q, p, h, kq0, kp0 = t1, q1, p1, h_next, kq[6], kp[6]
+        t, q, p, h, kq0, kp0 = t1, q1, p1, h_next, kq6, kp6
 
 
 def step_smooth(
@@ -659,6 +681,19 @@ def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
     return hi, SIDE_LOW if low else SIDE_HIGH
 
 
+def _record_due(recorded, times, i, t_now, seg, q=0.0, p=0.0, mode=SLIPPING) -> int:
+    """Append to `recorded` the State at each time of times[i:] that is due
+    by `t_now`, read off the segment `seg` or, without one, (q, p, mode).
+    Returns the index of the first time not due; `times` ends in infinity."""
+    while times[i] <= t_now + 1e-18:
+        rt = times[i]
+        if seg is not None:
+            q, p = seg.eval((rt - seg.t0) / seg.h)
+        recorded.append(State(q, p, rt, mode))
+        i += 1
+    return i
+
+
 def integrate(
     initial: State,
     params: Params,
@@ -691,24 +726,16 @@ def integrate(
         raise ValueError("region_guard must be an ordered pair")
 
     traj = Trajectory(setup=(params, pivot, tol))
+    recorded = traj.recorded
     # the times to record, then a sentinel that is never due
     rec_times = [*sorted(record_at or ()), math.inf]
-    rec_idx = 0
-
-    def record_upto(t_now: float, value_fn):
-        nonlocal rec_idx
-        while rec_times[rec_idx] <= t_now + 1e-18:
-            rt = rec_times[rec_idx]
-            q_r, p_r, mode_r = value_fn(rt)
-            traj.recorded.append(State(q=q_r, p=p_r, t=rt, mode=mode_r))
-            rec_idx += 1
 
     state = initial
-    frictionless = params.mu == 0.0
+    frictional = params.mu != 0.0
     entry_event = None
 
     # normalize an on-surface start
-    if not frictionless and state.mode == SLIPPING and abs(state.p) <= tol.stick_band:
+    if frictional and state.mode == SLIPPING and abs(state.p) <= tol.stick_band:
         direction = classify_switch(params, pivot, state.q, state.t)
         if direction == 0:
             state = State(q=state.q, p=0.0, t=state.t, mode=STUCK)
@@ -721,7 +748,7 @@ def integrate(
             state = reseed(state.q, state.t, direction, tol)
 
     traj.append(state.t, state.q, state.p, state.mode)
-    record_upto(state.t, lambda rt: (state.q, state.p, state.mode))
+    rec_idx = _record_due(recorded, rec_times, 0, state.t, None, state.q, state.p, state.mode)
     if entry_event is not None:
         traj.events.append(entry_event)
 
@@ -736,6 +763,9 @@ def integrate(
             traj.events.append(Event(t=state.t, q=state.q, kind=REGION_EXIT, side=side))
             return traj
 
+    guarded = region_guard is not None
+    stick_band = tol.stick_band
+    add_sample = traj.samples.append
     h_next = initial_dt
     carried = None  # ((t, q, p, branch), stage) at the end of the last full step
     n_events = 0
@@ -761,7 +791,7 @@ def integrate(
                 while t_next_sample < released.t:
                     traj.append(t_next_sample, q_stuck, 0.0, STUCK)
                     t_next_sample += tol.max_dt
-                record_upto(released.t, lambda rt: (q_stuck, 0.0, STUCK))
+                rec_idx = _record_due(recorded, rec_times, rec_idx, released.t, None, q_stuck, 0.0, STUCK)
                 traj.append(released.t, q_stuck, 0.0, STUCK)
                 traj.events.append(ev)
                 bump_events()
@@ -783,35 +813,32 @@ def integrate(
                 field = fields[branch] = branch_field(params, pivot, branch, piece_accel)
             stretch = _slip(
                 field, branch, state.t, state.q, state.p, h_next, t_limit, tol,
-                not frictionless, carried,
+                frictional, carried,
             )
             direction = None  # how the stretch ends on p = 0: 0 sticks, else crosses
             for t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, hit in stretch:
-                if region_guard is not None:
+                # the guard scan, unless the stage bound keeps q inside on
+                # the whole step; a step cut on p = 0 is scanned to its end
+                if guarded and (hit or not _stage_clear(q0, h, kq, q_lo, q_hi)):
                     seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
-                    theta_end = (t1 - t0) / h if hit else 1.0
-                    exit_hit = _guard_exit(seg, theta_end, region_guard[0], region_guard[1])
+                    exit_hit = _guard_exit(seg, (t1 - t0) / h if hit else 1.0, q_lo, q_hi)
                     if exit_hit is not None:
                         theta_x, side = exit_hit
                         t_x = t0 + theta_x * h
                         q_x, p_x = seg.eval(theta_x)
-                        record_upto(t_x, lambda rt: (*seg.eval_at(rt), SLIPPING))
+                        rec_idx = _record_due(recorded, rec_times, rec_idx, t_x, seg)
                         traj.append(t_x, q_x, p_x, SLIPPING)
                         traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
                         bump_events()
                         return _finish(traj, params, pivot, horizon)
                 if rec_times[rec_idx] <= t1 + 1e-18:  # a recorded time is due
                     seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
-                    record_upto(t1, lambda rt: (*seg.eval_at(rt), SLIPPING))
+                    rec_idx = _record_due(recorded, rec_times, rec_idx, t1, seg)
                 if hit:
                     direction = classify_switch(params, pivot, q1, t1)
                     break
-                traj.append(t1, q1, p1, SLIPPING)
-                if (
-                    not frictionless
-                    and abs(p1) < tol.stick_band
-                    and classify_switch(params, pivot, q1, t1) == 0
-                ):
+                add_sample((t1, q1, p1, SLIPPING))
+                if frictional and abs(p1) < stick_band and classify_switch(params, pivot, q1, t1) == 0:
                     direction = 0
                     break
             carried = None if hit else ((t1, q1, p1, branch), (kq[6], kp[6]))

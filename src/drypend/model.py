@@ -27,7 +27,6 @@ import json
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Sequence
 
 # Mode labels; these exact strings go into CSV output.
@@ -35,25 +34,31 @@ SLIPPING = "slip"
 STUCK = "stuck"
 
 
-@dataclass(frozen=True)
-class Params:
-    """Physical constants: rod length l, bob mass m, gravity g, friction mu."""
-
+class _ParamsFields(NamedTuple):
     l: float = 1.0
     m: float = 1.0
     g: float = 9.8
     mu: float = 0.5
 
-    def __post_init__(self):
-        for name, value in self.to_dict().items():
-            if name == "mu":
-                if not (value >= 0):
-                    raise ValueError(f"mu must be >= 0, got {value}")
-            elif not (value > 0):
+
+class Params(_ParamsFields):
+    """Physical constants: rod length l, bob mass m, gravity g, friction mu.
+
+    An immutable tuple, checked when built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, l: float = 1.0, m: float = 1.0, g: float = 9.8, mu: float = 0.5):
+        for name, value in (("l", l), ("m", m), ("g", g)):
+            if not (value > 0):
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not (mu >= 0):
+            raise ValueError(f"mu must be >= 0, got {mu}")
+        return tuple.__new__(cls, (l, m, g, mu))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class PivotLaw:

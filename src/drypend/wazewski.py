@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import (
     SLIPPING,
@@ -59,7 +58,6 @@ class CurveValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SigmaCurve:
     """Continuous initial-condition curve p = sigma(q) over [0, pi].
 
@@ -67,18 +65,19 @@ class SigmaCurve:
     must be finite on a uniform grid of [0, pi], probed at construction.
     """
 
-    sigma: Callable[[float], float]
-    name: str = "curve"
+    __slots__ = ("sigma", "name")
 
-    def __post_init__(self):
-        lo = self.sigma(Q_LO)
-        hi = self.sigma(Q_HI)
+    def __init__(self, sigma: Callable[[float], float], name: str = "curve"):
+        lo = sigma(Q_LO)
+        hi = sigma(Q_HI)
         if not (lo < 0.0):
             raise CurveValidationError(f"sigma endpoint sign: sigma(0) = {lo} must be < 0")
         if not (hi > 0.0):
             raise CurveValidationError(f"sigma endpoint sign: sigma(pi) = {hi} must be > 0")
-        if not all(math.isfinite(float(self.sigma(q))) for q in linspace(Q_LO, Q_HI, 257)):
+        if not all(math.isfinite(float(sigma(q))) for q in linspace(Q_LO, Q_HI, 257)):
             raise CurveValidationError("sigma must be finite on [0, pi]")
+        self.sigma = sigma
+        self.name = name
 
     def __call__(self, q: float) -> float:
         return float(self.sigma(q))
@@ -107,8 +106,7 @@ class SigmaCurve:
         return SigmaCurve(sigma=lambda q: interp(q, q_knots, p_knots), name=name)
 
 
-@dataclass
-class ExitReport:
+class ExitReport(NamedTuple):
     """Classification of one trajectory against the region G."""
 
     outcome: str
@@ -216,16 +214,14 @@ def classify_exit(
     return ExitReport(outcome, q0, p0, horizon, strict, last, traj)
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     q0: float
     outcome: str
     exit_event: Event | None
     exit_p: float | None  # velocity at the exit sample, for corner audits
 
 
-@dataclass
-class BisectionResult:
+class BisectionResult(NamedTuple):
     bracket: tuple[float, float]
     witness: ExitReport | None
     iterations: int
@@ -342,8 +338,7 @@ def check_disjoint(curves: Sequence[SigmaCurve]) -> None:
                 )
 
 
-@dataclass
-class SweepEntry:
+class SweepEntry(NamedTuple):
     curve: SigmaCurve
     result: BisectionResult | None
     error: str | None = None

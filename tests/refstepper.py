@@ -2,8 +2,9 @@
 
 These are the stage loop, dense-output coefficients, Horner evaluation and
 16-point event scans as drypend had them before its stepper was written out
-stage by stage, copied verbatim.  The package's stepper must reproduce them
-bit for bit; nothing in `src/` imports this module.
+stage by stage, copied verbatim, and the step-size control around the stage
+loop (`_accepted_step`).  The package's stepper must reproduce them bit for
+bit; nothing in `src/` imports this module.
 """
 
 from __future__ import annotations
@@ -121,6 +122,36 @@ def _dense_coeffs(kq, kp) -> tuple[tuple, tuple]:
         cq.append(sq)
         cp.append(sp)
     return tuple(cq), tuple(cp)
+
+
+class StepUnderflow(RuntimeError):
+    pass
+
+
+def _accepted_step(f, t: float, q: float, p: float, h: float, tol: Tolerances):
+    """The first accepted step from (t, q, p) of a stepper that tries steps
+    of size min(h, max_dt) and shrinks each rejected one by the error
+    control: (h, q1, p1, kq, kp, h_next), with h the size of the step.
+
+    The error of an attempt is the RMS of its two error estimates, each
+    scaled by abs_tol plus rel_tol times the larger magnitude at the two
+    ends; an error up to 1 is accepted.  The factor applied to h is
+    0.9 * err ** -0.2 within [0.2, 5] (5 for a zero error).  Nothing ends
+    the step early here: no event and no end time.
+    """
+    h = min(h, tol.max_dt)
+    while True:
+        q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h)
+        sq = tol.abs_tol + tol.rel_tol * max(abs(q), abs(q1))
+        sp = tol.abs_tol + tol.rel_tol * max(abs(p), abs(p1))
+        err = math.sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
+        if err <= 1.0:
+            break
+        h *= max(0.2, 0.9 * err ** -0.2)
+        if not h >= _MIN_STEP:
+            raise StepUnderflow(f"step size underflow at t = {t}")
+    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    return h, q1, p1, tuple(kq), tuple(kp), min(h * factor, tol.max_dt)
 
 
 def _initial_step(f, t: float, q: float, p: float, tol: Tolerances) -> float:

@@ -277,3 +277,30 @@ class TestMainEntry:
         assert main(["shoot", path, "--out", out, "--strict"]) == 0
         norm = json.loads((tmp_path / "out" / "scenario.normalized.json").read_text())
         assert norm["mode"] == "strict"
+
+
+class TestArtifactModes:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"])
+    @pytest.mark.parametrize(
+        "argv, initial",
+        [
+            (["simulate", "--svg"], {"kind": "point", "q0": 1.0, "p0": 2.0}),
+            (["shoot"], {"kind": "curve", "sigma": {"kind": "line"}}),
+            (["sweep"], {"kind": "curve", "sigma": {"kind": "line"}, "family_shifts": [-0.05, 0.05]}),
+            (["verify", "--checks", "jump"], {"kind": "point", "q0": 1.0, "p0": 2.0}),
+        ],
+        ids=["simulate", "shoot", "sweep", "verify"],
+    )
+    def test_every_artifact_takes_its_mode_from_the_umask(self, tmp_path, umask, mode, argv, initial):
+        path = write_scenario(tmp_path, initial=initial, horizon=5.0)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert main([argv[0], path, "--out", str(out), *argv[1:]]) in (0, 3)
+        finally:
+            os.umask(old)
+        names = sorted(os.listdir(out))
+        assert "scenario.normalized.json" in names and len(names) >= 2
+        assert {name: oct(os.stat(out / name).st_mode & 0o777) for name in names} == {
+            name: oct(mode) for name in names
+        }

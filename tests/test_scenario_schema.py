@@ -117,17 +117,23 @@ class TestPivotTable:
             Params(mu=-1.0)
 
 
+    @pytest.mark.parametrize("key, field", [("params", "mass"), ("tolerances", "rtol")])
+    def test_an_unknown_field_is_rejected_by_name(self, tmp_path, capsys, key, field):
+        err = rejected(tmp_path, capsys, "simulate", {**POINT, key: {field: 1.0}}, f"{key}: unknown field")
+        assert repr(field) in err
+
+
 class TestBuiltOnce:
     @pytest.mark.parametrize("command", ["shoot", "sweep", "verify"])
     def test_one_curve_per_family_member_per_command(self, tmp_path, monkeypatch, command):
         built = []
-        post_init = wazewski.SigmaCurve.__post_init__
+        init = wazewski.SigmaCurve.__init__
 
-        def counted(curve):
+        def counted(curve, *args, **kwargs):
+            init(curve, *args, **kwargs)
             built.append(curve.name)
-            post_init(curve)
 
-        monkeypatch.setattr(wazewski.SigmaCurve, "__post_init__", counted)
+        monkeypatch.setattr(wazewski.SigmaCurve, "__init__", counted)
         scenario = {**POINT, "pivot": {"kind": "constant", "a": 0.0}, "initial": CURVE, "horizon": 3.0}
         assert run(tmp_path, command, scenario, *(["--checks", "jump"] if command == "verify" else [])) == 0
         assert built == ["line-0.1", "line+0.1"]

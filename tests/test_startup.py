@@ -2,8 +2,10 @@
 
 numpy's import is about as long as a whole simulation.  The model runs on
 floats, and numpy builds only the verification checks' sample grids (and a
-poly pivot's bounds).  Each case runs in a fresh
-interpreter, since this test process has numpy loaded already.
+poly pivot's bounds).  Nor does the CLI's import load `dataclasses` and the
+`inspect` it brings: the value types are named tuples and slotted classes.
+Each case runs in a fresh interpreter, since this test process has numpy
+loaded already.
 """
 
 import json
@@ -55,6 +57,22 @@ def run_child(argv):
 
 def test_import_leaves_numpy_out():
     assert run_child(None) == {"at_import": False, "rc": None, "after": False}
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, drypend.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

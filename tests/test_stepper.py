@@ -1,9 +1,11 @@
 """The written-out DOPRI5 stepper against its looped reference, bit for bit.
 
-`refstepper` holds the looped stage sums, dense coefficients, Horner
-evaluation and 16-point event scans.  The package's versions must give the
-same bits (compared as IEEE 754 patterns, so -0.0 counts too), or raise
-the same exception where the stages leave the float range, the
+`refstepper` holds the looped stage sums, step-size control, dense
+coefficients, Horner evaluation and 16-point event scans.  The package's
+versions must give the same bits (compared as IEEE 754 patterns, so -0.0
+counts too), or raise the same exception where the stages leave the float
+range; the first step that `_slip` yields is compared with the reference's
+first accepted step.  The
 first-same-as-last reuse must not change an integration, and the stage
 bound and the Bernstein test that let the event scans be skipped must only
 skip scans that find nothing, while skipping most of them on ordinary runs.
@@ -91,25 +93,53 @@ def stepper_cases(draw):
 
 
 def outcome(fn, *args):
-    """What fn(*args) does: the bits of its result, or the type of what it raised."""
+    """What fn(*args) does: the bits of its result, or the name of the type
+    of what it raised."""
     try:
         return "returns", bits(fn(*args))
-    except (ArithmeticError, ValueError) as exc:
-        return "raises", type(exc)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        return "raises", type(exc).__name__
+
+
+def first_step(f, branch, t, q, p, h, tol):
+    """The first step `_slip` yields from (t, q, p) with no end time and no
+    event scan, in the form of `refstepper._accepted_step`."""
+    t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, hit = next(
+        integrator._slip(f, branch, t, q, p, h, math.inf, tol, False, None)
+    )
+    assert (t0, q0, p0, seg, hit) == (t, q, p, None, False)
+    assert bits(t1) == bits(t + h)
+    return h, q1, p1, kq, kp, h_next
+
+
+@st.composite
+def tolerances(draw):
+    """Error controls from loose to tight, so that both accepted and
+    rejected first attempts occur and the step factor is not always capped."""
+    rel = draw(reals(1e-13, 1e-2))
+    return Tolerances(
+        rel_tol=rel,
+        abs_tol=rel * draw(reals(1e-3, 1.0)),
+        stick_band=10 * rel,
+        max_dt=draw(st.sampled_from([0.05, 0.5, math.inf])),
+    )
 
 
 @PROPERTY
-@given(stepper_cases())
+@given(stepper_cases(), tolerances())
 # stages that overflow: both steppers reach math.cos(-inf) and raise
-@example((Params(l=1.0, g=1.0, mu=0.3), TablePivot([0.0, 1e-300], [0.0, 1e300]), 1.0, 0.0, -1.0, 0.0, 0.5))
-def test_field_and_step_match_the_looped_reference(case):
+@example(
+    (Params(l=1.0, g=1.0, mu=0.3), TablePivot([0.0, 1e-300], [0.0, 1e300]), 1.0, 0.0, -1.0, 0.0, 0.5),
+    Tolerances(),
+)
+def test_field_and_step_match_the_looped_reference(case, tol):
     params, pivot, branch, t, q, p, h = case
     f_ref = refstepper._field(params, pivot, branch)
     f_new = model.branch_field(params, pivot, branch)
     assert bits(f_new(t, q, p)) == bits(f_ref(t, q, p))
 
-    ref = outcome(refstepper._rk_step, f_ref, t, q, p, h)
-    new = outcome(integrator._rk_step, f_new, t, q, p, h, t + h, *f_new(t, q, p))
+    ref = outcome(refstepper._accepted_step, f_ref, t, q, p, h, tol)
+    new = outcome(first_step, f_new, branch, t, q, p, h, tol)
     assert new == ref
     if ref[0] == "raises":
         return
@@ -119,7 +149,6 @@ def test_field_and_step_match_the_looped_reference(case):
     cq_new, cp_new = integrator._dense_coeffs(tuple(kq), tuple(kp))
     assert bits((cq_new, cp_new)) == bits((cq_ref, cp_ref))
 
-    tol = Tolerances()
     dq, dp = f_new(t, q, p)
     assert bits(integrator._initial_step(q, p, dq, dp, tol)) == bits(
         refstepper._initial_step(f_ref, t, q, p, tol)
@@ -132,21 +161,23 @@ def test_field_and_step_match_the_looped_reference(case):
     t=st.one_of(finite, st.sampled_from([0.0, -0.0])),
     q=st.one_of(finite, st.sampled_from([0.0, -0.0])),
     p=st.one_of(finite, st.sampled_from([0.0, -0.0])),
-    h=st.one_of(finite, st.sampled_from([1e-14, 0.05, -0.0])),
+    h=st.one_of(
+        st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+        st.sampled_from([1e-14, 0.05]),
+    ),
+    tol=tolerances(),
 )
-@example(coef=(0.0, -0.0, 0.0, -0.0), t=0.0, q=-0.0, p=-0.0, h=0.05)
-def test_step_matches_the_looped_reference_on_linear_fields(coef, t, q, p, h):
+@example(coef=(0.0, -0.0, 0.0, -0.0), t=0.0, q=-0.0, p=-0.0, h=0.05, tol=Tolerances())
+def test_step_matches_the_looped_reference_on_linear_fields(coef, t, q, p, h, tol):
     """Fields far from the pendulum's: signed zeros, huge and tiny slopes."""
     alpha, beta, gamma, delta = coef
 
     def f(t, q, p):
         return alpha * p + beta * t, gamma * q + delta
 
-    ref = refstepper._rk_step(f, t, q, p, h)
-    new = integrator._rk_step(f, t, q, p, h, t + h, *f(t, q, p))
-    assert bits(new[:4]) == bits(ref[:4])
-    assert bits(new[4]) == bits(ref[4])
-    kq, kp = ref[4]
+    ref = outcome(refstepper._accepted_step, f, t, q, p, h, tol)
+    assert outcome(first_step, f, 1.0, t, q, p, h, tol) == ref
+    kq, kp = refstepper._rk_step(f, t, q, p, h)[4]
     assert bits(integrator._dense_coeffs(tuple(kq), tuple(kp))) == bits(
         refstepper._dense_coeffs(kq, kp)
     )
@@ -193,9 +224,12 @@ def _stages_for(coeffs):
 def stepped_segments(draw):
     """A dense segment built by one real step of a drawn field."""
     params, pivot, branch, t, q, p, h = draw(stepper_cases())
-    f = model.branch_field(params, pivot, branch)
-    _, _, _, _, (kq, kp) = integrator._rk_step(f, t, q, p, h, t + h, *f(t, q, p))
-    return t, h, q, p, kq, kp
+    f = refstepper._field(params, pivot, branch)
+    try:
+        _, _, _, _, (kq, kp) = refstepper._rk_step(f, t, q, p, h)
+    except (ArithmeticError, ValueError):  # stages that leave the float range
+        assume(False)
+    return t, h, q, p, tuple(kq), tuple(kp)
 
 
 @st.composite
@@ -330,24 +364,46 @@ def test_exclusion_only_skips_scans_that_find_nothing(seg, theta_max):
             assert all(q_lo < qv < q_hi for qv in qs)
 
 
+@contextlib.contextmanager
+def counted_steps():
+    """Count the steps `integrate` takes inside the block."""
+    steps = [0]
+    original = integrator._slip
+
+    def counting_stretch(*args):
+        for step in original(*args):
+            steps[0] += 1
+            yield step
+
+    integrator._slip = counting_stretch
+    try:
+        yield steps
+    finally:
+        integrator._slip = original
+
+
 def _scan_counts(scan_name, run):
-    """(scans called, scans that evaluated the interpolant) during run()."""
+    """(steps taken, scans that evaluated the interpolant) during run().
+
+    The stage bound is tested on each step before any scan is called, so a
+    step whose scan is skipped may not call the scan function at all.
+    """
     original = getattr(integrator, scan_name)
-    counts = [0, 0]
+    ran = [0]
 
     def scan(*args):
         with counted_evals() as calls:
             out = original(*args)
-        counts[0] += 1
-        counts[1] += calls[0] > 0
+        ran[0] += calls[0] > 0
         return out
 
     setattr(integrator, scan_name, scan)
     try:
-        run()
+        with counted_steps() as steps:
+            run()
     finally:
         setattr(integrator, scan_name, original)
-    return counts
+    return steps[0], ran[0]
 
 
 def _load(name):
@@ -360,11 +416,11 @@ def test_exclusion_skips_most_root_scans_on_swing_capture():
     params = Params(**spec["params"])
     pivot = SinePivot(spec["pivot"]["amp"], spec["pivot"]["omega"], spec["pivot"]["phase"])
     start = State(q=spec["initial"]["q0"], p=spec["initial"]["p0"], t=0.0)
-    scans, ran = _scan_counts(
+    steps, ran = _scan_counts(
         "_poly_first_sign_change", lambda: integrate(start, params, pivot, spec["horizon"])
     )
-    assert scans > 100
-    assert ran < 0.1 * scans
+    assert steps > 100
+    assert ran < 0.1 * steps
 
 
 def test_exclusion_skips_most_guard_scans():
@@ -373,12 +429,12 @@ def test_exclusion_skips_most_guard_scans():
     params = Params(mu=0.0)
     pivot = SinePivot(0.5, 1.5)
     start = State(q=1.2, p=0.4, t=0.0)
-    scans, ran = _scan_counts(
+    steps, ran = _scan_counts(
         "_guard_exit",
         lambda: integrate(start, params, pivot, 15.0, region_guard=(-5.0, 2.0)),
     )
-    assert scans > 100
-    assert ran < 0.1 * scans
+    assert steps > 100
+    assert ran < 0.1 * steps
 
 
 # --- the stage bound: sound, and skipping nearly every step ---------------
@@ -465,7 +521,8 @@ def test_stage_bound_only_skips_steps_without_events(seg, theta_max):
         assert refstepper._poly_first_sign_change(ref, 1.0, theta_max) is None
         assert not _dense_sign_change([ref.eval(th)[1] for th in grid], new.p0)
 
-    reach = integrator._stage_reach(new.h, new.kq)
+    # the stage bound of q, |h| * sum_i _BETA[i] |kq_i|
+    reach = abs(new.h) * sum(b * abs(k) for b, k in zip(integrator._BETA, new.kq))
     guards = [(0.0, math.pi), (new.q0 - 1e-6, new.q0 + 1e-3)]
     # guards just outside the stage bound, where only its margin decides
     guards += [(new.q0 - f * reach, new.q0 + f * reach) for f in (1.5, 1 + 1e-11, 1 + 1e-13)]
@@ -505,40 +562,55 @@ def test_stage_exclusion_keeps_its_rounding_margin(scan):
     assert scan() is not None
 
 
+@contextlib.contextmanager
+def counted_segments():
+    """Count the DenseSegments built inside the block."""
+    calls = [0]
+    original = DenseSegment.__init__
+
+    def counting(self, *args):
+        calls[0] += 1
+        original(self, *args)
+
+    DenseSegment.__init__ = counting
+    try:
+        yield calls
+    finally:
+        DenseSegment.__init__ = original
+
+
 def test_stage_bound_skips_nearly_every_frictionless_shooting_step():
     # `shoot` bisects frictionless_forced.json's curve under the guard
-    # 0 < q < pi; the coefficients are formed only on the steps near an exit
-    steps = [0]
-    original = integrator._slip
-
-    def counting_stretch(*args):
-        for step in original(*args):
-            steps[0] += 1
-            yield step
-
-    integrator._slip = counting_stretch
-    try:
-        with counted_coeffs() as formed, tempfile.TemporaryDirectory() as out:
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(["shoot", os.path.join(SCENARIOS, "frictionless_forced.json"), "--out", out])
-    finally:
-        integrator._slip = original
+    # 0 < q < pi; the coefficients are formed, and a segment is built, only
+    # on the steps near an exit
+    with counted_steps() as steps, counted_coeffs() as formed, counted_segments() as built:
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["shoot", os.path.join(SCENARIOS, "frictionless_forced.json"), "--out", out])
     assert steps[0] > 5000
     # 75 of 8,942 steps (0.8%) when this test was written
     assert formed[0] < 0.02 * steps[0]
+    assert built[0] < 0.02 * steps[0]
 
 
 # --- first-same-as-last reuse ----------------------------------------------
 
 
 def _without_fsal(monkeypatch):
-    """Make every step attempt evaluate its first stage afresh."""
-    original = integrator._rk_step
+    """Make every step evaluate its first stage afresh: each step of a
+    stretch is the first step of a new `_slip` from where the one before
+    ended, with no stage carried in."""
+    original = integrator._slip
 
-    def rk_step(f, t, q, p, h, t1, kq0, kp0):
-        return original(f, t, q, p, h, t1, *f(t, q, p))
+    def slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
+        while True:
+            step = next(original(f, branch, t, q, p, h, t_limit, tol, frictional, None))
+            yield step
+            *_, t, q, p, h, hit = step
+            # where `_slip` ends a stretch: on p = 0, on t_limit or off the branch
+            if hit or t >= t_limit or not p * branch > 0.0:
+                return
 
-    monkeypatch.setattr(integrator, "_rk_step", rk_step)
+    monkeypatch.setattr(integrator, "_slip", slip)
 
 
 FSAL_CASES = [
