@@ -286,10 +286,14 @@ class TablePivot(PivotLaw):
         ts, vs = self.times, self.values
         if any(t1 - t0 <= 0 for t0, t1 in zip(ts, ts[1:])):
             raise ValueError("table pivot times must be strictly increasing")
+        slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])]
+        # an overflowed slope between finite values would make the line give
+        # an infinite a(t) inside its interval and the release scan step zero
+        for t0, v0, v1, slope in zip(ts, vs, vs[1:], slopes):
+            if math.isinf(slope) and math.isfinite(v0) and math.isfinite(v1):
+                raise ValueError(f"table pivot slope overflows on the interval from t = {t0!r}")
         # computed once: the release scan reads it for every stuck stretch
-        self._lipschitz = max(
-            abs((v1 - v0) / (t1 - t0)) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])
-        )
+        self._lipschitz = max(abs(slope) for slope in slopes)
 
     def accel(self, t: float) -> float:
         return interp(t, self.times, self.values)

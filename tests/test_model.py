@@ -79,6 +79,14 @@ class TestPivotLaws:
         assert pv.sup_bound(0.0, 2.0) == pytest.approx(2.0)
         assert pv.sup_bound(0.0, 0.5) == pytest.approx(1.0)
 
+    def test_table_rejects_an_overflowing_slope(self):
+        # 6 over knots 3.3e-308 apart overflows the slope, which made a(0)
+        # infinite and the release scan's step zero
+        with pytest.raises(ValueError, match="slope overflows"):
+            TablePivot([-1.1125369292536007e-308, 2.2250738585072014e-308], [0.0, 6.0])
+        with pytest.raises(ValueError, match="slope overflows"):
+            TablePivot([0.0, 1.0], [-1e308, 1e308])
+
     @pytest.mark.parametrize(
         "pv",
         [

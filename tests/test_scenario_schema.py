@@ -194,7 +194,7 @@ OVERFLOWING = [
     ("params", {"mu": 1e308}),
     ("pivot", {"kind": "sine", "amp": 1e308, "omega": 1.0}),
     ("tolerances", {"stick_band": 1e300}),
-    ("pivot", {"kind": "table", "times": [0, 1e-300], "values": [0, 1e300]}),
+    ("pivot", {"kind": "table", "times": [0, 1], "values": [0, 1e308]}),
     ("pivot", {"kind": "poly", "coeffs": [1e308, 1e308]}),
     ("tolerances", {"rel_tol": 1e300, "abs_tol": 1e300, "stick_band": 1e302}),
 ]
@@ -213,6 +213,14 @@ class TestFloatRange:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith(message), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_a_table_slope_past_the_float_range_is_refused(self, tmp_path, capsys, command):
+        # knots 1e-300 apart under values 1e300 apart: a(t) was infinite
+        # between them and the release scan's step zero
+        pivot = {"kind": "table", "times": [0, 1e-300], "values": [0, 1e300]}
+        err = rejected(tmp_path, capsys, command, {**POINT, "pivot": pivot}, "pivot")
+        assert err.startswith("scenario error") and "slope overflows" in err, err
 
     @pytest.mark.parametrize(
         "pivot, params, checks",

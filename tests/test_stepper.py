@@ -22,7 +22,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from drypend import cli, integrator, model
@@ -72,7 +72,10 @@ def pivots(draw):
     times = sorted(set(draw(st.lists(reals(-1, 120), min_size=2, max_size=12))))
     assume(len(times) >= 2)
     values = draw(st.lists(reals(-30, 30), min_size=len(times), max_size=len(times)))
-    return TablePivot(times, values)
+    try:
+        return TablePivot(times, values)
+    except ValueError:  # knots too close for their values: the slope overflows
+        reject()
 
 
 @st.composite
@@ -129,7 +132,7 @@ def tolerances(draw):
 @given(stepper_cases(), tolerances())
 # stages that overflow: both steppers reach math.cos(-inf) and raise
 @example(
-    (Params(l=1.0, g=1.0, mu=0.3), TablePivot([0.0, 1e-300], [0.0, 1e300]), 1.0, 0.0, -1.0, 0.0, 0.5),
+    (Params(l=1.0, g=1.0, mu=0.3), TablePivot([0.0, 1.0], [0.0, 1e300]), 1.0, 0.0, -1.0, 0.0, 0.5),
     Tolerances(),
 )
 def test_field_and_step_match_the_looped_reference(case, tol):
