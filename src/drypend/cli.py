@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from itertools import count
+from typing import NamedTuple
 
 from .model import (
     PIVOT_KINDS,
@@ -130,34 +131,18 @@ def _check_horizon(pivot: PivotLaw, tolerances: Tolerances, t0: float, horizon: 
             )
 
 
-class Scenario:
+class Scenario(NamedTuple):
     """One loaded scenario: its normalized fields and what they build."""
 
-    __slots__ = (
-        "name", "params", "pivot", "initial", "horizon", "tolerances", "mode", "start", "family"
-    )
-
-    def __init__(
-        self,
-        name: str,
-        params: Params,
-        pivot: PivotLaw,
-        initial: dict,
-        horizon: float,
-        tolerances: Tolerances,
-        mode: str,
-        start: State | None = None,
-        family: list[SigmaCurve] | None = None,
-    ):
-        self.name = name
-        self.params = params
-        self.pivot = pivot
-        self.initial = initial  # normalized point or curve spec
-        self.horizon = horizon
-        self.tolerances = tolerances
-        self.mode = mode  # "closed" | "strict"
-        self.start = start  # built from a point spec
-        self.family = family  # built from a curve spec, one per shift
+    name: str
+    params: Params
+    pivot: PivotLaw
+    initial: dict  # normalized point or curve spec
+    horizon: float
+    tolerances: Tolerances
+    mode: str  # "closed" | "strict"
+    start: State | None = None  # built from a point spec
+    family: list[SigmaCurve] | None = None  # built from a curve spec, one per shift
 
     @property
     def strict(self) -> bool:
@@ -488,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     if args.strict:
-        scen.mode = "strict"
+        scen = scen._replace(mode="strict")
 
     try:
         if args.command == "simulate":

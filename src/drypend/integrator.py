@@ -76,19 +76,12 @@ class Tolerances(_TolerancesFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        rel_tol: float = 1e-9,
-        abs_tol: float = 1e-11,
-        event_tol: float = 1e-10,
-        stick_band: float = 1e-8,
-        max_dt: float = 0.05,
-    ):
-        self = tuple.__new__(cls, (rel_tol, abs_tol, event_tol, stick_band, max_dt))
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
             if not (value > 0):
                 raise ValueError(f"{name} must be strictly positive")
-        if stick_band < 10 * abs_tol:
+        if self.stick_band < 10 * self.abs_tol:
             raise ValueError("stick_band must be at least 10 * abs_tol")
         return self
 
@@ -226,30 +219,20 @@ _NEG_INF = -math.inf
 
 
 class DenseSegment:
-    """Quartic interpolant of one accepted step on [t0, t0 + h].
+    """Quartic interpolant of one accepted step on [t0, t0 + h].  It forms
+    the power-basis coefficients of the step's stages (kq, kp) when built:
+    a segment is built only where an event scan, a bisection or a recorded
+    time reads it."""
 
-    It keeps the step's stages (kq, kp).  Their power-basis coefficients,
-    which `eval` reads, are formed by `_dense_coeffs` the first time they are
-    needed, so a step that no event scan has to look at never forms them.
-    """
-
-    __slots__ = ("t0", "h", "q0", "p0", "kq", "kp", "_coeffs")
+    __slots__ = ("t0", "h", "q0", "p0", "coeffs")
 
     def __init__(self, t0: float, h: float, q0: float, p0: float, kq: tuple, kp: tuple):
         self.t0 = t0
         self.h = h
         self.q0 = q0
         self.p0 = p0
-        self.kq = kq
-        self.kp = kp
-        self._coeffs = None
-
-    @property
-    def coeffs(self) -> tuple[tuple, tuple]:
-        """(cq, cp): the dense coefficients of q and p, one per power of theta."""
-        if self._coeffs is None:
-            self._coeffs = _dense_coeffs(self.kq, self.kp)
-        return self._coeffs
+        # (cq, cp): the dense coefficients of q and p, one per power of theta
+        self.coeffs = _dense_coeffs(kq, kp)
 
     def eval(self, theta: float) -> tuple[float, float]:
         th = theta
@@ -259,9 +242,6 @@ class DenseSegment:
         acc_p = (((0.0 * th + d3) * th + d2) * th + d1) * th + d0
         hth = self.h * th
         return self.q0 + hth * acc_q, self.p0 + hth * acc_p
-
-    def eval_at(self, t: float) -> tuple[float, float]:
-        return self.eval((t - self.t0) / self.h)
 
 
 def _dense_coeffs(kq, kp) -> tuple[tuple, tuple]:
@@ -361,17 +341,12 @@ def _first_exit(seg: DenseSegment, i: int, theta_end: float, lo: float, hi: floa
 
     The quartic is scanned on a fixed subdivision; a transversal crossing
     cannot hide between scan points at the scales the step controller
-    allows.  The scan is skipped when x stays inside (lo, hi) with room for
-    rounding: first when the stage bound keeps it there (`_stage_clear`,
-    which holds for theta in [0, 1]), then when the Bernstein coefficients
-    of x on [0, theta_end] lie inside.  Then no scan point can reach an end.
+    allows.  The scan is skipped when the Bernstein coefficients of x on
+    [0, theta_end] lie inside (lo, hi) with room for rounding; then no scan
+    point can reach an end.  The caller has already run the cheaper stage
+    bound (`_stage_clear`) on the step.
     """
-    if i:
-        x0, k = seg.p0, seg.kp
-    else:
-        x0, k = seg.q0, seg.kq
-    if theta_end <= 1.0 and _stage_clear(x0, seg.h, k, lo, hi):
-        return None
+    x0 = seg.p0 if i else seg.q0
     end_lo = 0.0 if lo == _NEG_INF else abs(lo)
     end_hi = 0.0 if hi == _INF else abs(hi)
     b_lo, b_hi, mag = _bernstein_bounds(x0, seg.h, seg.coeffs[i], theta_end)
@@ -387,18 +362,6 @@ def _first_exit(seg: DenseSegment, i: int, theta_end: float, lo: float, hi: floa
             return prev_theta, th, x
         prev_theta = th
     return None
-
-
-def _poly_first_sign_change(seg: DenseSegment, theta_max: float = 1.0):
-    """Scan-point bracket (theta_a, theta_b) in [0, theta_max] of the first
-    sign change of the dense p, or None.
-
-    A grazing double root that no scan point shows is caught later by the
-    stick-band projection.
-    """
-    lo, hi = (0.0, _INF) if seg.p0 > 0 else (_NEG_INF, 0.0)
-    hit = _first_exit(seg, 1, theta_max, lo, hi)
-    return None if hit is None else hit[:2]
 
 
 def _bisect_switch(seg: DenseSegment, tol: Tolerances, bracket) -> tuple[float, float, float]:
@@ -437,7 +400,8 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
     brackets 0 is shortened to end on the surface (|p| <= stick_band / 10),
     so no step straddles a sign change; that step ends the stretch, as does
     one that reaches `t_limit` or leaves the branch.  The scan is skipped,
-    and no segment is built, when the stage bound keeps p off 0.
+    and no segment is built, when the stage bound keeps p off 0; else the
+    segment's Bernstein test and scan (`_first_exit`) look for the root.
 
     Each attempt is one DOPRI5 step to the end time t1, which is t + h or
     a time that t + h only rounds near.  Every stage sum is written out in
@@ -528,9 +492,11 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
         seg = None
         if frictional and not _stage_clear(p, h, kp, p_lo, p_hi):
             seg = DenseSegment(t, h, q, p, kq, kp)
-            bracket = _poly_first_sign_change(seg)
-            if bracket is not None:
-                t_sw, q_sw, p_sw = _bisect_switch(seg, tol, bracket)
+            # a grazing double root that no scan point shows is caught later
+            # by the stick-band projection
+            root = _first_exit(seg, 1, 1.0, p_lo, p_hi)
+            if root is not None:
+                t_sw, q_sw, p_sw = _bisect_switch(seg, tol, root[:2])
                 if t_sw > t:  # guard against a root at the very start of the step
                     yield t, h, q, p, kq, kp, seg, t_sw, q_sw, p_sw, h_next, True
                     return
@@ -610,15 +576,15 @@ def slide_until_release(
     pivot: PivotLaw,
     horizon: float,
     tol: Tolerances,
-) -> tuple[State, Event]:
+) -> Event:
     """Advance a stuck state at fixed angle until static friction fails.
 
-    Returns the state at the release time together with a StickRelease event
-    whose direction is the sign of the unbalanced drift, or the state at
-    `horizon` with a HorizonReached event if friction holds throughout.
-    The release time is the first root of |drift| - bound, located to
-    event_tol; a constant pivot law makes the margin time-invariant, so a
-    stuck state then holds to the horizon outright.
+    Returns a StickRelease event at the release time whose direction is the
+    sign of the unbalanced drift, or a HorizonReached event at `horizon` if
+    friction holds throughout; the state stays at the event's angle with
+    p = 0 until then.  The release time is the first root of |drift| - bound,
+    located to event_tol; a constant pivot law makes the margin
+    time-invariant, so a stuck state then holds to the horizon outright.
     """
     if state.mode != STUCK:
         raise ValueError("slide_until_release requires a stuck state")
@@ -632,10 +598,7 @@ def slide_until_release(
         raise ValueError("slide_until_release requires stiction to hold at entry")
 
     if pivot.lipschitz_bound == 0.0:
-        return (
-            State(q=q, p=0.0, t=horizon, mode=STUCK),
-            Event(t=horizon, q=q, kind=HORIZON),
-        )
+        return Event(t=horizon, q=q, kind=HORIZON)
 
     dt = _release_scan_step(params, pivot, q, tol)
     t_lo = t0
@@ -653,14 +616,9 @@ def slide_until_release(
                 else:
                     lo = mid
             drift, _ = stiction_drift_and_bound(params, pivot, q, hi)
-            direction = 1 if drift > 0 else -1
-            released = State(q=q, p=0.0, t=hi, mode=STUCK)
-            return released, Event(t=hi, q=q, kind=STICK_RELEASE, direction=direction)
+            return Event(t=hi, q=q, kind=STICK_RELEASE, direction=1 if drift > 0 else -1)
         t_lo = t_hi
-    return (
-        State(q=q, p=0.0, t=horizon, mode=STUCK),
-        Event(t=horizon, q=q, kind=HORIZON),
-    )
+    return Event(t=horizon, q=q, kind=HORIZON)
 
 
 def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
@@ -785,19 +743,20 @@ def integrate(
             if state.mode == STUCK:
                 q_stuck = state.q
                 t_entry = state.t
-                released, ev = slide_until_release(state, params, pivot, horizon, tol)
+                ev = slide_until_release(state, params, pivot, horizon, tol)
                 # dense samples across the stuck stretch so gaps stay <= max_dt
                 t_next_sample = t_entry + tol.max_dt
-                while t_next_sample < released.t:
+                while t_next_sample < ev.t:
                     traj.append(t_next_sample, q_stuck, 0.0, STUCK)
                     t_next_sample += tol.max_dt
-                rec_idx = _record_due(recorded, rec_times, rec_idx, released.t, None, q_stuck, 0.0, STUCK)
-                traj.append(released.t, q_stuck, 0.0, STUCK)
+                rec_idx = _record_due(recorded, rec_times, rec_idx, ev.t, None, q_stuck, 0.0, STUCK)
+                traj.append(ev.t, q_stuck, 0.0, STUCK)
                 traj.events.append(ev)
                 bump_events()
                 if ev.kind == HORIZON:
-                    return _finish(traj, params, pivot, horizon)
-                state = reseed(q_stuck, released.t, ev.direction, tol)
+                    check_escape_trap(traj, params, pivot, horizon)
+                    return traj
+                state = reseed(q_stuck, ev.t, ev.direction, tol)
                 traj.append(state.t, state.q, state.p, state.mode)
                 h_next = None
                 continue
@@ -817,9 +776,12 @@ def integrate(
             )
             direction = None  # how the stretch ends on p = 0: 0 sticks, else crosses
             for t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, hit in stretch:
-                # the guard scan, unless the stage bound keeps q inside on
-                # the whole step; a step cut on p = 0 is scanned to its end
-                if guarded and (hit or not _stage_clear(q0, h, kq, q_lo, q_hi)):
+                # the guard scan, unless the stage bound keeps q inside up to
+                # the step's end; it holds for theta in [0, 1], so also on a
+                # step cut on p = 0 whose end (t1 - t0) / h does not round past 1
+                if guarded and not (
+                    _stage_clear(q0, h, kq, q_lo, q_hi) and (not hit or (t1 - t0) / h <= 1.0)
+                ):
                     seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
                     exit_hit = _guard_exit(seg, (t1 - t0) / h if hit else 1.0, q_lo, q_hi)
                     if exit_hit is not None:
@@ -830,7 +792,8 @@ def integrate(
                         traj.append(t_x, q_x, p_x, SLIPPING)
                         traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
                         bump_events()
-                        return _finish(traj, params, pivot, horizon)
+                        check_escape_trap(traj, params, pivot, horizon)
+                        return traj
                 if rec_times[rec_idx] <= t1 + 1e-18:  # a recorded time is due
                     seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
                     rec_idx = _record_due(recorded, rec_times, rec_idx, t1, seg)
@@ -859,18 +822,13 @@ def integrate(
                 h_next = None
 
         traj.events.append(Event(t=state.t, q=state.q, kind=HORIZON))
-        return _finish(traj, params, pivot, horizon)
+        check_escape_trap(traj, params, pivot, horizon)
+        return traj
     except (ArithmeticError, ValueError) as exc:
         # math.sin of an angle, or a float power, that left the float range
         raise IntegrationError(
             f"the motion left the float range near t = {t1}: {exc}"
         ) from exc
-
-
-def _finish(traj, params, pivot, horizon):
-    if params.mu > 0.0:
-        check_escape_trap(traj, params, pivot, horizon)
-    return traj
 
 
 # how far |p| may re-exceed p_star, for rounding, before the trap counts as broken

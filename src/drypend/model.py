@@ -49,13 +49,14 @@ class Params(_ParamsFields):
 
     __slots__ = ()
 
-    def __new__(cls, l: float = 1.0, m: float = 1.0, g: float = 9.8, mu: float = 0.5):
-        for name, value in (("l", l), ("m", m), ("g", g)):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self[:3]):
             if not (value > 0):
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not (mu >= 0):
-            raise ValueError(f"mu must be >= 0, got {mu}")
-        return tuple.__new__(cls, (l, m, g, mu))
+        if not (self.mu >= 0):
+            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        return self
 
     def to_dict(self) -> dict:
         return self._asdict()

@@ -199,12 +199,12 @@ def classify_exit(
         direction = classify_switch(params, pivot, q_b, t_b)
         if direction == 0:
             stuck = State(q=q_b, p=0.0, t=t_b, mode=STUCK)
-            released, ev = slide_until_release(stuck, params, pivot, horizon, tol)
-            traj.append(released.t, q_b, 0.0, STUCK)
+            ev = slide_until_release(stuck, params, pivot, horizon, tol)
+            traj.append(ev.t, q_b, 0.0, STUCK)
             traj.events.append(ev)
             if ev.kind == HORIZON:
                 return _survival_report(q0, p0, horizon, strict, traj)
-            t_b, direction = released.t, ev.direction
+            t_b, direction = ev.t, ev.direction
             last = Event(t=t_b, q=q_b, kind=REGION_EXIT, side=side)
         if direction != (-1 if side == SIDE_LOW else 1):
             raise IntegrationError(

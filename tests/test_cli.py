@@ -138,7 +138,8 @@ class TestSimulate:
 
     def test_svg_escapes_the_scenario_name(self, tmp_path):
         scen = load_scenario(write_scenario(tmp_path, horizon=1.0))
-        scen.name = name = "a<b & c"
+        name = "a<b & c"
+        scen = scen._replace(name=name)
         cmd_simulate(scen, str(tmp_path / "out"), svg=True)
         root = ElementTree.parse(tmp_path / "out" / "phase.svg").getroot()
         assert name in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]

@@ -147,24 +147,24 @@ class TestClassifySwitch:
 class TestSlideUntilRelease:
     def test_time_invariant_stiction_holds_to_horizon(self):
         st = State(q=math.pi / 2, p=0.0, t=0.0, mode="stuck")
-        end, ev = slide_until_release(st, P, ZERO, 100.0, TOL)
-        assert ev.kind == HORIZON and end.t == 100.0 and end.mode == "stuck"
+        ev = slide_until_release(st, P, ZERO, 100.0, TOL)
+        assert ev.kind == HORIZON and ev.t == 100.0 and ev.q == st.q
 
     def test_release_time_matches_analytic(self):
         # at q = pi/2 the margin is |a sin(w t)| - mu g: first root at
         # asin(mu g / a) / w, releasing in the drift direction (+1)
         pv = SinePivot(amp=6.0, omega=1.0)
         st = State(q=math.pi / 2, p=0.0, t=0.0, mode="stuck")
-        end, ev = slide_until_release(st, P, pv, 100.0, TOL)
+        ev = slide_until_release(st, P, pv, 100.0, TOL)
         t_star = math.asin(P.mu * P.g / 6.0)
-        assert ev.kind == STICK_RELEASE and ev.direction == 1
-        assert abs(end.t - t_star) <= 2 * TOL.event_tol
+        assert ev.kind == STICK_RELEASE and ev.direction == 1 and ev.q == st.q
+        assert abs(ev.t - t_star) <= 2 * TOL.event_tol
 
     def test_just_inside_stiction_interval_stays(self):
         q = math.atan(2.0) + 1e-9
         st = State(q=q, p=0.0, t=0.0, mode="stuck")
-        end, ev = slide_until_release(st, P, ZERO, 50.0, TOL)
-        assert ev.kind == HORIZON and end.mode == "stuck"
+        ev = slide_until_release(st, P, ZERO, 50.0, TOL)
+        assert ev.kind == HORIZON and ev.t == 50.0 and ev.q == q
 
     def test_rejects_released_entry(self):
         st = State(q=0.3, p=0.0, t=0.0, mode="stuck")

@@ -283,6 +283,15 @@ def counted_evals():
         DenseSegment.eval = original
 
 
+def _root_scan(seg, theta_max=1.0):
+    """The p = 0 scan that `_slip` runs on a segment whose stage bound did
+    not clear: the scan-point bracket (theta_a, theta_b) of the first sign
+    change of the dense p on [0, theta_max], or None."""
+    lo, hi = (0.0, math.inf) if seg.p0 > 0 else (-math.inf, 0.0)
+    hit = integrator._first_exit(seg, 1, theta_max, lo, hi)
+    return None if hit is None else hit[:2]
+
+
 theta_maxes = st.one_of(st.just(1.0), reals(1e-9, 1.0), st.sampled_from([1 - 2 ** -52, 0.5]))
 
 
@@ -291,7 +300,7 @@ theta_maxes = st.one_of(st.just(1.0), reals(1e-9, 1.0), st.sampled_from([1 - 2 *
 def test_event_scans_match_the_reference(seg, theta_max):
     new, ref = _segments(*seg)
     sign0 = 1.0 if new.p0 > 0 else -1.0
-    assert bits(integrator._poly_first_sign_change(new, theta_max)) == bits(
+    assert bits(_root_scan(new, theta_max)) == bits(
         refstepper._poly_first_sign_change(ref, sign0, theta_max)
     )
     for q_lo, q_hi in ((0.0, math.pi), (-1.0, 0.5), (new.q0 - 1e-9, new.q0 + 1e-9)):
@@ -327,7 +336,7 @@ def test_exclusion_keeps_its_rounding_margin(eps, skipped):
     k = _stages_for((-4.0 / h, 6.0 / h, -4.0 / h, 1.0 / h))
     seg = DenseSegment(0.0, h, 1.0, 1.0 + eps, (0.0,) * 7, k)
     with counted_evals() as calls:
-        integrator._poly_first_sign_change(seg)
+        _root_scan(seg)
     assert (calls[0] == 0) == skipped
     # the same for the guard: q(th) = q_lo + eps + (1 - th)^4
     seg = DenseSegment(0.0, h, 2.0 + eps, 1.0, k, (0.0,) * 7)
@@ -349,7 +358,7 @@ def test_exclusion_only_skips_scans_that_find_nothing(seg, theta_max):
     grid = [theta_max * i / 1000 for i in range(1, 1001)]
 
     with counted_evals() as calls:
-        found = integrator._poly_first_sign_change(new, theta_max)
+        found = _root_scan(new, theta_max)
     if calls[0] == 0:  # the Bernstein test excluded a root
         assert found is None
         assert refstepper._poly_first_sign_change(ref, 1.0, theta_max) is None
@@ -419,8 +428,9 @@ def test_exclusion_skips_most_root_scans_on_swing_capture():
     params = Params(**spec["params"])
     pivot = SinePivot(spec["pivot"]["amp"], spec["pivot"]["omega"], spec["pivot"]["phase"])
     start = State(q=spec["initial"]["q0"], p=spec["initial"]["p0"], t=0.0)
+    # no region guard, so every `_first_exit` is a p = 0 scan
     steps, ran = _scan_counts(
-        "_poly_first_sign_change", lambda: integrate(start, params, pivot, spec["horizon"])
+        "_first_exit", lambda: integrate(start, params, pivot, spec["horizon"])
     )
     assert steps > 100
     assert ran < 0.1 * steps
@@ -514,55 +524,89 @@ def counted_coeffs():
 @PROPERTY
 @given(seg=st.one_of(stepped_segments(), adversarial_segments()), theta_max=theta_maxes)
 def test_stage_bound_only_skips_steps_without_events(seg, theta_max):
+    _, h, q0, p0, kq, kp = seg
     new, ref = _segments(*seg)
     grid = [theta_max * i / 1000 for i in range(1, 1001)]
 
-    with counted_coeffs() as formed:
-        found = integrator._poly_first_sign_change(new, theta_max)
-    if formed[0] == 0:  # the stage test excluded a root
-        assert found is None
+    # the p = 0 test of `_slip`, whose ends follow the sign of p0
+    p_lo, p_hi = (0.0, math.inf) if p0 > 0 else (-math.inf, 0.0)
+    if integrator._stage_clear(p0, h, kp, p_lo, p_hi):  # the stage test excluded a root
+        assert _root_scan(new, theta_max) is None
         assert refstepper._poly_first_sign_change(ref, 1.0, theta_max) is None
-        assert not _dense_sign_change([ref.eval(th)[1] for th in grid], new.p0)
+        assert not _dense_sign_change([ref.eval(th)[1] for th in grid], p0)
 
     # the stage bound of q, |h| * sum_i _BETA[i] |kq_i|
-    reach = abs(new.h) * sum(b * abs(k) for b, k in zip(integrator._BETA, new.kq))
-    guards = [(0.0, math.pi), (new.q0 - 1e-6, new.q0 + 1e-3)]
+    reach = abs(h) * sum(b * abs(k) for b, k in zip(integrator._BETA, kq))
+    guards = [(0.0, math.pi), (q0 - 1e-6, q0 + 1e-3)]
     # guards just outside the stage bound, where only its margin decides
-    guards += [(new.q0 - f * reach, new.q0 + f * reach) for f in (1.5, 1 + 1e-11, 1 + 1e-13)]
+    guards += [(q0 - f * reach, q0 + f * reach) for f in (1.5, 1 + 1e-11, 1 + 1e-13)]
     for q_lo, q_hi in guards:
         if not q_lo < q_hi:
             continue
-        seg_q = integrator.DenseSegment(new.t0, new.h, new.q0, new.p0, new.kq, new.kp)
-        with counted_coeffs() as formed:
-            exit_hit = integrator._guard_exit(seg_q, theta_max, q_lo, q_hi)
-        if formed[0] == 0:
-            assert exit_hit is None
+        if integrator._stage_clear(q0, h, kq, q_lo, q_hi):
+            assert integrator._guard_exit(new, theta_max, q_lo, q_hi) is None
             assert refstepper._guard_exit(ref, theta_max, q_lo, q_hi) is None
             assert all(q_lo < ref.eval(th)[0] < q_hi for th in grid)
 
 
 @pytest.mark.parametrize(
-    "scan",
+    "i, x0, h, k, lo, hi",
     [
         # q(th) = 1 + 2.5e-16 b_3(th) rounds onto q_hi = 1 + 2^-52 near th = 1,
         # though the stage bound 0.6511 * 2.5e-16 stays under q_hi - q0 = 2^-52
-        lambda: integrator._guard_exit(
-            DenseSegment(0.0, 1.0, 1.0, 0.0, (0.0, 0.0, 0.0, 2.5e-16, 0.0, 0.0, 0.0), (0.0,) * 7),
-            1.0,
-            0.0,
-            math.nextafter(1.0, 2.0),
-        ),
+        (0, 1.0, 1.0, (0.0, 0.0, 0.0, 2.5e-16, 0.0, 0.0, 0.0), 0.0, math.nextafter(1.0, 2.0)),
         # subnormal stages: the formed coefficients round to whole multiples
         # of 2^-1074, and p reaches 0 though |p0| exceeds the stage bound
-        lambda: integrator._poly_first_sign_change(
-            DenseSegment(0.0, 10.0, 1.0, 2.27e-322, (0.0,) * 7, (-1.73e-322, 0.0, 0.0, 0.0, -5e-324, 0.0, 0.0))
-        ),
+        (1, 2.27e-322, 10.0, (-1.73e-322, 0.0, 0.0, 0.0, -5e-324, 0.0, 0.0), 0.0, math.inf),
     ],
     ids=["guard", "root"],
 )
-def test_stage_exclusion_keeps_its_rounding_margin(scan):
-    # each of these finds an event that the bare stage bound would exclude
-    assert scan() is not None
+def test_stage_exclusion_keeps_its_rounding_margin(i, x0, h, k, lo, hi):
+    # each of these steps has an event that the bare stage bound would
+    # exclude: the stage test keeps it, and the scan finds it
+    assert integrator._stage_clear(x0, h, k, lo, hi) is False
+    zero = (0.0,) * 7
+    seg = DenseSegment(0.0, h, 1.0, x0, zero, k) if i else DenseSegment(0.0, h, x0, 0.0, k, zero)
+    assert integrator._first_exit(seg, i, 1.0, lo, hi) is not None
+
+
+def test_each_step_runs_each_stage_test_once(monkeypatch):
+    # a strongly forced frictional swing under a region guard that lands on
+    # p = 0 again and again: the stage test of p runs once on every step (in
+    # `_slip`), and that of q once on every step that ends where the stage
+    # bound holds (in `integrate`), a step cut on p = 0 included
+    steps = []  # (kq, kp, hit, theta_end) of every accepted step
+    original_slip = integrator._slip
+
+    def slip(*args):
+        for step in original_slip(*args):
+            t0, h, _, _, kq, kp, _, t1, _, _, _, hit = step
+            steps.append((kq, kp, hit, (t1 - t0) / h))
+            yield step
+
+    tested = []  # the stage tuple of each stage test
+    original_clear = integrator._stage_clear
+
+    def stage_clear(x0, h, k, lo, hi):
+        tested.append(k)
+        return original_clear(x0, h, k, lo, hi)
+
+    monkeypatch.setattr(integrator, "_slip", slip)
+    monkeypatch.setattr(integrator, "_stage_clear", stage_clear)
+    integrate(
+        State(q=1.0, p=0.5, t=0.0), Params(mu=0.3), SinePivot(10.0, 2.0), 15.0,
+        region_guard=(-10.0, 10.0),
+    )
+    # each step's stage tuples are built once, so identity names the step and
+    # the quantity of a test; `steps` keeps them alive, so the ids stay unique
+    times = {}
+    for k in tested:
+        times[id(k)] = times.get(id(k), 0) + 1
+    assert sum(hit for *_, hit, _ in steps) >= 10
+    for kq, kp, _, theta_end in steps:
+        assert times.pop(id(kp)) == 1
+        assert times.pop(id(kq), 0) == 1 or theta_end > 1.0
+    assert times == {}  # each test was of some step's stages, and at most once
 
 
 @contextlib.contextmanager
