@@ -29,7 +29,7 @@ from .model import (
     fingerprint_of,
     pivot_from_dict,
 )
-from .integrator import IntegrationError, Tolerances, integrate
+from .integrator import _MAX_STEPS, IntegrationError, Tolerances, integrate
 from .wazewski import (
     CurveValidationError,
     PreconditionFailed,
@@ -106,8 +106,8 @@ def _parse_pivot(spec) -> PivotLaw:
 
 def _check_horizon(pivot: PivotLaw, tolerances: Tolerances, t0: float, horizon: float):
     """The rules that tie fields together.  The run covers [t0, horizon], the
-    step cap must advance time anywhere on it, and the pivot's bounds, which
-    the velocity trap relies on, must hold there."""
+    step cap must advance time anywhere on it within the step budget, and the
+    pivot's bounds, which the velocity trap relies on, must hold there."""
     if not (0 < horizon < math.inf):
         raise ValidationError("horizon must be positive and finite")
     if not (t0 < horizon):
@@ -117,6 +117,11 @@ def _check_horizon(pivot: PivotLaw, tolerances: Tolerances, t0: float, horizon: 
         raise ValidationError(
             f"tolerances.max_dt = {tolerances.max_dt} must exceed {spacing}, "
             f"the spacing of doubles near the times of the run"
+        )
+    if (horizon - t0) / tolerances.max_dt > _MAX_STEPS:
+        raise ValidationError(
+            f"tolerances.max_dt = {tolerances.max_dt} asks for more than {_MAX_STEPS} "
+            f"steps over [{t0}, {horizon}], the most one integration may take"
         )
     if isinstance(pivot, PolyPivot):
         if t0 < 0:

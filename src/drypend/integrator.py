@@ -1,13 +1,18 @@
 """Event-driven time stepping for the friction pendulum.
 
-Between events the slipping field is smooth, so it is advanced with an
-embedded Dormand-Prince 5(4) pair whose quartic dense output doubles as the
-event interpolant.  The friction sign is frozen per step (the smooth
+Between events the slipping field is smooth but for the kinks of its
+friction term, so it is advanced with the Dormand-Prince 8(5,3) pair
+(DOP853), and a step that crosses a kink is cut to end on it.  Events are
+detected on each step's quintic Hermite, which the step's ends and their
+field values give for free, and located on DOP853's 7th-order dense output,
+whose three extra stages are formed only where detection fires or a
+recorded time falls.  The friction sign is frozen per step (the smooth
 extension of the current branch), steps are cut at roots of p so that no
 accepted step straddles the switching surface, and the surface itself is
 handled by classifying the one-sided limit fields: either the trajectory
 crosses and is re-seeded on the far side, or it sticks and time is advanced
-analytically at fixed angle until static friction is defeated.
+analytically at fixed angle until static friction is defeated.  Each
+integration takes at most `_MAX_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .model import (
     branch_field,
     fingerprint_of,
     limit_fields,
+    normal_force,
     p_star,
     stiction_drift_and_bound,
 )
@@ -51,6 +57,11 @@ class StepUnderflow(IntegrationError):
 class ChatterLimit(IntegrationError):
     """More than the allowed number of events; tolerances almost certainly
     misconfigured (stick band too small relative to event width)."""
+
+
+class StepLimit(IntegrationError):
+    """More steps in one integration, or more points in one release scan,
+    than `_MAX_STEPS`: a step cap or a pivot law too fine for the horizon."""
 
 
 class TrapViolation(IntegrationError):
@@ -154,64 +165,122 @@ class Trajectory:
         return traj
 
 
-# --- Dormand-Prince 5(4) tableau with quartic dense output -----------------
-
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+# --- Dormand-Prince 8(5,3) ---------------------------------------------------
+#
+# The coefficients of Hairer's DOP853 (Prince & Dormand 1981), rounded to
+# double precision.  The step's nonzero a_ij and weights are named, and the
+# written-out sums below leave the zero ones out.  Stage 11 sits at t + h,
+# and stage 12 is the first-same-as-last field value at the step's end.
+# Stages 13-15 are formed only for the dense output, whose coefficients are
+# tables of their nonzero entries.
+# the nodes c_i of stages 1-11
+_C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = (
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
 )
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-# difference between the 5th and 4th order weights (7 entries; last is the
-# FSAL stage evaluated at the step end)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+# the nonzero a_ij, row by row: stages 1-11
+_A1_0 = 0.05260015195876773
+_A2_0, _A2_1 = 0.0197250569845379, 0.0591751709536137
+_A3_0, _A3_2 = 0.02958758547680685, 0.08876275643042054
+_A4_0, _A4_2, _A4_3 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_A5_0, _A5_3, _A5_4 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_A6_0, _A6_3, _A6_4, _A6_5 = 0.037109375, 0.17025221101954405, 0.06021653898045596, -0.017578125
+_A7_0, _A7_3, _A7_4, _A7_5, _A7_6 = (
+    0.03709200011850479, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+    0.008273789163814023,
 )
-
-# the tableau entries by name, for the written-out stages below
-(_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43), (
-    _A50, _A51, _A52, _A53, _A54
-) = _A[1:]
-_C1, _C2, _C3, _C4, _C5 = _C[1:]
-_B0, _B1, _B2, _B3, _B4, _B5 = _B
-_E0, _E1, _E2, _E3, _E4, _E5, _E6 = _E
-# the dense-output weights by column (power of theta) and stage: _Wci = _P[i][c]
-(
-    (_W00, _W01, _W02, _W03, _W04, _W05, _W06),
-    (_W10, _W11, _W12, _W13, _W14, _W15, _W16),
-    (_W20, _W21, _W22, _W23, _W24, _W25, _W26),
-    (_W30, _W31, _W32, _W33, _W34, _W35, _W36),
-) = zip(*_P)
+_A8_0, _A8_3, _A8_4, _A8_5, _A8_6, _A8_7 = (
+    0.6241109587160757, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+    20.154067550477894, -43.48988418106996,
+)
+_A9_0, _A9_3, _A9_4, _A9_5, _A9_6, _A9_7, _A9_8 = (
+    0.47766253643826434, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+    15.279233632882423, -33.28821096898486, -0.020331201708508627,
+)
+_A10_0, _A10_3, _A10_4, _A10_5, _A10_6, _A10_7, _A10_8, _A10_9 = (
+    -0.9371424300859873, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+    -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196,
+)
+_A11_0, _A11_3, _A11_4, _A11_5, _A11_6, _A11_7, _A11_8, _A11_9, _A11_10 = (
+    2.273310147516538, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+    27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+    0.6433927460157636,
+)
+# the nonzero weights b_j of the 8th-order solution (row 12 of a_ij)
+_B0, _B5, _B6, _B7, _B8, _B9, _B10, _B11 = (
+    0.054293734116568765, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+)
+# the nonzero weights of the 5th- and the 3rd-order error estimates
+_E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11 = (
+    0.01312004499419488, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+)
+_E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11 = (
+    -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+    -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
+)
+# the dense output's stages 13-15: (c_i, ((j, a_ij), ...)) over the nonzero a_ij
+_DENSE_STAGES = (
+    (0.1, (
+        (0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+        (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+        (11, 0.007567897660545699), (12, -0.008298),
+    )),
+    (0.2, (
+        (0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+        (7, -0.05492374857139099), (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+        (12, -0.00034046500868740456), (13, 0.1413124436746325),
+    )),
+    (0.7777777777777778, (
+        (0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+        (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+        (13, 2.9475147891527724), (14, -9.15095847217987),
+    )),
+)
+# the dense output's rows 3-6: ((j, d_j), ...) over the nonzero weights of stages 0-15
+_DENSE_ROWS = (
+    (
+        (0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+        (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+        (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+        (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894),
+    ),
+    (
+        (0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+        (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+        (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+        (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408),
+    ),
+    (
+        (0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+        (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+        (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+        (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279),
+    ),
+    (
+        (0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+        (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+        (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+        (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564),
+    ),
+)
 
 _MIN_STEP = 1e-14
 _MAX_EVENTS = 10 ** 6
+# The most steps one integration may take, and the most points one release
+# scan may test.  Over every op of every benchmark design and every golden
+# input, the most steps one integration took was 4,277 and the most margin
+# evaluations one stuck stretch made was 161; the budget leaves a margin of
+# about 23 times over the first.  At tens of microseconds a step it stops,
+# within seconds, a run that would not end in hours.
+_MAX_STEPS = 100_000
 
-# The largest |b_i(theta)| on [0, 1], rounded up, of the dense-output weight
-# polynomials b_i(theta) = theta * sum_k _P[i][k] theta^k.  The interpolant is
-# x(theta) = x0 + h * sum_i k_i b_i(theta) for the stages k_i of x, so it
-# stays within |h| * sum_i _BETA[i] |k_i| of x0 on the whole step.
-_BETA = (0.1170, 0.0, 0.4732, 0.6511, 0.3224, 0.1310, 0.0699)
-_BETA0, _BETA1, _BETA2, _BETA3, _BETA4, _BETA5, _BETA6 = _BETA
-
-# An event scan is skipped only when a bound on the interpolant clears the
-# event level by this multiple of the magnitudes involved.  For the Bernstein
-# coefficients that margin is about 1e4 times the rounding of both the
-# coefficients and of any value the scan itself would compute; for the stage
-# bound it is at least five times the worst-case rounding of the formed
-# coefficients and of their evaluation (each row of _P sums, in magnitude, to
-# under 110 times its _BETA).  So a skipped scan is one that could not have
-# found an event.  The absolute floor covers the rounding of subnormal terms.
+# An event scan is skipped only when the Bernstein coefficients of the step's
+# Hermite clear the event level by this multiple of the magnitudes of the
+# terms that form them, about 1e4 times their rounding.  So a skip is one that
+# no point of that Hermite could have contradicted.  The absolute floor
+# covers the rounding of subnormal terms.
 _EXCLUSION_SLACK = 1e-12
 _EXCLUSION_FLOOR = 1e-300
 _INF = math.inf
@@ -219,95 +288,106 @@ _NEG_INF = -math.inf
 
 
 class DenseSegment:
-    """Quartic interpolant of one accepted step on [t0, t0 + h].  It forms
-    the power-basis coefficients of the step's stages (kq, kp) when built:
-    a segment is built only where an event scan, a bisection or a recorded
-    time reads it."""
+    """The 7th-order dense output of one accepted step on [t0, t0 + h]:
 
-    __slots__ = ("t0", "h", "q0", "p0", "coeffs")
+        x(theta) = x0 + theta (r0 + (1 - theta) (r1 + theta (r2 + (1 - theta)
+                   (r3 + theta (r4 + (1 - theta) (r5 + theta r6))))))
 
-    def __init__(self, t0: float, h: float, q0: float, p0: float, kq: tuple, kp: tuple):
+    for the rows r of q (`rq`) and of p (`rp`).  `of_step` forms them from a
+    step's stages and three more; a segment is built only where an event or
+    a kink of the friction term is located, or a recorded time falls."""
+
+    __slots__ = ("t0", "h", "q0", "p0", "rq", "rp")
+
+    def __init__(self, t0: float, h: float, q0: float, p0: float, rq: tuple, rp: tuple):
         self.t0 = t0
         self.h = h
         self.q0 = q0
         self.p0 = p0
-        # (cq, cp): the dense coefficients of q and p, one per power of theta
-        self.coeffs = _dense_coeffs(kq, kp)
+        self.rq = rq
+        self.rp = rp
+
+    @classmethod
+    def of_step(cls, f, t0, h, q0, p0, q1, p1, kq, kp) -> "DenseSegment":
+        """The segment of the step of size h from (t0, q0, p0) to (q1, p1)
+        with stages kq, kp (0-12) of the field f.  Stages 13-15 are summed
+        as the step's are, and each row is summed over the stages in the
+        order of the tableau; a segment is rare, so these run as loops."""
+        kq, kp = list(kq), list(kp)
+        for c, row in _DENSE_STAGES:
+            aq, ap = q0, p0
+            for j, a in row:
+                w = h * a
+                aq += w * kq[j]
+                ap += w * kp[j]
+            kq_i, kp_i = f(t0 + c * h, aq, ap)
+            kq.append(kq_i)
+            kp.append(kp_i)
+        rows = []
+        for x0, x1, k in ((q0, q1, kq), (p0, p1, kp)):
+            d = x1 - x0
+            row = [d, h * k[0] - d, 2.0 * d - h * (k[12] + k[0])]
+            for weights in _DENSE_ROWS:
+                acc = 0.0
+                for j, w in weights:
+                    acc += w * k[j]
+                row.append(h * acc)
+            rows.append(tuple(row))
+        return cls(t0, h, q0, p0, rows[0], rows[1])
 
     def eval(self, theta: float) -> tuple[float, float]:
         th = theta
-        (c0, c1, c2, c3), (d0, d1, d2, d3) = self.coeffs
-        # Horner in theta, highest power first, from an accumulator of 0.0
-        acc_q = (((0.0 * th + c3) * th + c2) * th + c1) * th + c0
-        acc_p = (((0.0 * th + d3) * th + d2) * th + d1) * th + d0
-        hth = self.h * th
-        return self.q0 + hth * acc_q, self.p0 + hth * acc_p
+        u = 1.0 - th
+        r0, r1, r2, r3, r4, r5, r6 = self.rq
+        s0, s1, s2, s3, s4, s5, s6 = self.rp
+        # the nested form from the innermost row out, from an accumulator of 0.0
+        acc_q = (((((((0.0 + r6) * th + r5) * u + r4) * th + r3) * u + r2) * th + r1) * u + r0) * th
+        acc_p = (((((((0.0 + s6) * th + s5) * u + s4) * th + s3) * u + s2) * th + s1) * u + s0) * th
+        return self.q0 + acc_q, self.p0 + acc_p
 
 
-def _dense_coeffs(kq, kp) -> tuple[tuple, tuple]:
-    """(cq, cp): the power-basis coefficients of the dense q and p, one per
-    power of theta, each summed over the stages in the order of the tableau."""
-    kq0, kq1, kq2, kq3, kq4, kq5, kq6 = kq
-    kp0, kp1, kp2, kp3, kp4, kp5, kp6 = kp
-    return (
-        (
-            0.0 + kq0 * _W00 + kq1 * _W01 + kq2 * _W02 + kq3 * _W03 + kq4 * _W04 + kq5 * _W05 + kq6 * _W06,
-            0.0 + kq0 * _W10 + kq1 * _W11 + kq2 * _W12 + kq3 * _W13 + kq4 * _W14 + kq5 * _W15 + kq6 * _W16,
-            0.0 + kq0 * _W20 + kq1 * _W21 + kq2 * _W22 + kq3 * _W23 + kq4 * _W24 + kq5 * _W25 + kq6 * _W26,
-            0.0 + kq0 * _W30 + kq1 * _W31 + kq2 * _W32 + kq3 * _W33 + kq4 * _W34 + kq5 * _W35 + kq6 * _W36,
-        ),
-        (
-            0.0 + kp0 * _W00 + kp1 * _W01 + kp2 * _W02 + kp3 * _W03 + kp4 * _W04 + kp5 * _W05 + kp6 * _W06,
-            0.0 + kp0 * _W10 + kp1 * _W11 + kp2 * _W12 + kp3 * _W13 + kp4 * _W14 + kp5 * _W15 + kp6 * _W16,
-            0.0 + kp0 * _W20 + kp1 * _W21 + kp2 * _W22 + kp3 * _W23 + kp4 * _W24 + kp5 * _W25 + kp6 * _W26,
-            0.0 + kp0 * _W30 + kp1 * _W31 + kp2 * _W32 + kp3 * _W33 + kp4 * _W34 + kp5 * _W35 + kp6 * _W36,
-        ),
-    )
-
-
-def _stage_clear(x0: float, h: float, k, lo: float, hi: float) -> bool:
-    """Whether the stages k of x keep x(theta), 0 <= theta <= 1, inside
-    (lo, hi) with room for rounding, so that no scan point of the step can
-    reach an end.  An end may be infinite.
-
-    The bound |x(theta) - x0| <= |h| * sum_i _BETA[i] |k_i| takes seven
-    products and no dense coefficient; a non-finite stage gives NaN, which
-    never clears.
-    """
-    k0, k1, k2, k3, k4, k5, k6 = k
-    reach = abs(h) * (
-        _BETA0 * abs(k0) + _BETA1 * abs(k1) + _BETA2 * abs(k2) + _BETA3 * abs(k3)
-        + _BETA4 * abs(k4) + _BETA5 * abs(k5) + _BETA6 * abs(k6)
-    )
-    # the finite ends, whose magnitudes scale the rounding of x - end
+def _levels(lo: float, hi: float, mag: float) -> tuple[float, float]:
+    """(lo + slack, hi - slack): the levels a Bernstein coefficient of
+    magnitude sum `mag` must lie strictly between.  An end may be infinite."""
     end_lo = 0.0 if lo == _NEG_INF else abs(lo)
     end_hi = 0.0 if hi == _INF else abs(hi)
-    slack = _EXCLUSION_SLACK * (reach + abs(x0) + end_lo + end_hi) + _EXCLUSION_FLOOR
-    return x0 - reach - lo > slack and hi - x0 - reach > slack
+    slack = _EXCLUSION_SLACK * (mag + end_lo + end_hi) + _EXCLUSION_FLOOR
+    return lo + slack, hi - slack
 
 
-def _bernstein_bounds(x0: float, h: float, c, theta_max: float):
-    """Enclosure of x(th) = x0 + h*th*(c0 + c1 th + c2 th^2 + c3 th^3) on [0, theta_max].
+def _hermite_q_clear(h, q0, p0, f0, q1, p1, f1, lo, hi) -> bool:
+    """Whether the quintic Hermite of q on a step of size h, the polynomial
+    with value q, slope p and second derivative f = dp/dt at both ends,
+    stays inside (lo, hi) with room for rounding.
 
-    Returns (lo, hi, mag): the least and the greatest Bernstein coefficient
-    of the quartic on that interval, between which it stays (convex hull
-    property), and the sum of the magnitudes of its power-basis terms there,
-    which bounds the rounding error of both.
+    It lies in the convex hull of its Bernstein coefficients q0,
+    q0 + h p0/5, q0 + 2h p0/5 + h^2 f0/20, q1 - 2h p1/5 + h^2 f1/20,
+    q1 - h p1/5 and q1; the slack covers their rounding.  A non-finite
+    value never clears.
     """
-    s = h * theta_max
-    b1 = s * c[0]
-    s *= theta_max
-    b2 = s * c[1]
-    s *= theta_max
-    b3 = s * c[2]
-    s *= theta_max
-    b4 = s * c[3]
-    x1 = x0 + 0.25 * b1
-    x2 = x0 + 0.5 * b1 + b2 / 6.0
-    x3 = x0 + 0.75 * b1 + 0.5 * b2 + 0.25 * b3
-    x4 = x0 + b1 + b2 + b3 + b4
-    mag = abs(x0) + abs(b1) + abs(b2) + abs(b3) + abs(b4)
-    return min(x0, x1, x2, x3, x4), max(x0, x1, x2, x3, x4), mag
+    u0, u1 = h * p0 / 5.0, h * p1 / 5.0
+    v0, v1 = h * h * f0 / 20.0, h * h * f1 / 20.0
+    b1 = q0 + u0
+    b2 = q0 + 2.0 * u0 + v0
+    b3 = q1 - 2.0 * u1 + v1
+    b4 = q1 - u1
+    mag = abs(q0) + abs(q1) + 2.0 * (abs(u0) + abs(u1)) + abs(v0) + abs(v1)
+    a, z = _levels(lo, hi, mag)
+    return a < q0 < z and a < b1 < z and a < b2 < z and a < b3 < z and a < b4 < z and a < q1 < z
+
+
+def _hermite_p_clear(h, q0, p0, f0, q1, p1, f1, lo, hi) -> bool:
+    """Whether the derivative of that Hermite, a quartic in p, stays inside
+    (lo, hi) with room for rounding.  Its Bernstein coefficients are p0,
+    p0 + h f0/4, 5 (b3 - b2)/h = 5 (q1 - q0)/h - 2 (p0 + p1) + h (f1 - f0)/4,
+    p1 - h f1/4 and p1, the middle one formed from q1 - q0 so that its
+    rounding scales with p and not with q/h."""
+    u0, u1 = h * f0 / 4.0, h * f1 / 4.0
+    d = 5.0 * (q1 - q0) / h
+    c2 = d - 2.0 * (p0 + p1) + (u1 - u0)
+    mag = abs(d) + 3.0 * (abs(p0) + abs(p1)) + 2.0 * (abs(u0) + abs(u1))
+    a, z = _levels(lo, hi, mag)
+    return a < p0 < z and a < p0 + u0 < z and a < c2 < z and a < p1 - u1 < z and a < p1 < z
 
 
 def _initial_step(q: float, p: float, dq: float, dp: float, tol: Tolerances) -> float:
@@ -318,7 +398,7 @@ def _initial_step(q: float, p: float, dq: float, dp: float, tol: Tolerances) -> 
     if d1 <= 1e-12:
         h = tol.max_dt
     else:
-        h = 0.01 * scale ** 0.2 / max(d1, 1e-12) ** 0.2
+        h = 0.01 * scale ** 0.125 / max(d1, 1e-12) ** 0.125
         h = min(h, 0.1 * (1.0 + d0) / d1)
     return max(min(h, tol.max_dt), _MIN_STEP * 10)
 
@@ -339,20 +419,11 @@ def _first_exit(seg: DenseSegment, i: int, theta_end: float, lo: float, hi: floa
     p (i = 1) reaches x <= lo or x >= hi: (theta_a, theta_b, x) with theta_a
     the scan point before it, or None.  An end may be infinite.
 
-    The quartic is scanned on a fixed subdivision; a transversal crossing
-    cannot hide between scan points at the scales the step controller
-    allows.  The scan is skipped when the Bernstein coefficients of x on
-    [0, theta_end] lie inside (lo, hi) with room for rounding; then no scan
-    point can reach an end.  The caller has already run the cheaper stage
-    bound (`_stage_clear`) on the step.
+    The dense output is scanned on a fixed subdivision; a transversal
+    crossing cannot hide between scan points at the scales the step
+    controller allows.  The caller runs it only on a step whose Hermite test
+    did not clear.
     """
-    x0 = seg.p0 if i else seg.q0
-    end_lo = 0.0 if lo == _NEG_INF else abs(lo)
-    end_hi = 0.0 if hi == _INF else abs(hi)
-    b_lo, b_hi, mag = _bernstein_bounds(x0, seg.h, seg.coeffs[i], theta_end)
-    slack = _EXCLUSION_SLACK * (mag + end_lo + end_hi) + _EXCLUSION_FLOOR
-    if b_lo - lo > slack and hi - b_hi > slack:
-        return None
     n = 16
     prev_theta = 0.0
     for k in range(1, n + 1):
@@ -389,33 +460,65 @@ def _bisect_switch(seg: DenseSegment, tol: Tolerances, bracket) -> tuple[float, 
     return seg.t0 + theta * seg.h, q, p
 
 
-def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
+# A kink of the friction term this close to a step's start, in units of the
+# step, is stepped over: it costs the step an error of order the square of
+# its distance, and a step that starts on the kink, where the normal force
+# rounds either way, is not cut again.
+_KINK_AT_START = 2.0 ** -20
+
+
+def _kink_theta(seg: DenseSegment, normal, positive: bool) -> float:
+    """A theta in (0, 1] within 2^-60 past where the normal force on the
+    dense output leaves the side `positive` (N > 0)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        q, p = seg.eval(mid)
+        if (normal(seg.t0 + mid * seg.h, q, p) > 0.0) == positive:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
     """The accepted steps of one slipping stretch of the field `f`, which has
     the friction sign frozen to `branch`, from (t, q, p).
 
     Each step is yielded as (t, h, q, p, kq, kp, seg, t1, q1, p1, h_next,
-    hit): its start, size and stages, the DenseSegment of them if the p = 0
-    scan formed one (else None), where it ends, the step to try next, and
-    whether it ends on p = 0.  When `frictional`, a step whose dense p
-    brackets 0 is shortened to end on the surface (|p| <= stick_band / 10),
-    so no step straddles a sign change; that step ends the stretch, as does
-    one that reaches `t_limit` or leaves the branch.  The scan is skipped,
-    and no segment is built, when the stage bound keeps p off 0; else the
-    segment's Bernstein test and scan (`_first_exit`) look for the root.
+    switch): its start, size and stages 0-12, the DenseSegment of them if
+    the p = 0 test formed one (else None), its end, the step to try next,
+    and, on a step that ends the stretch on p = 0, the (t, q, p) there, with
+    |p| <= stick_band / 10 (else None).  `normal` is the field's
+    `normal_force` when it has friction, else None.  With friction, a step
+    whose dense p brackets 0 is cut there, so no step straddles a sign
+    change; that step ends the stretch, as does one that reaches `t_limit`
+    or leaves the branch.  The p = 0 test is the Hermite test of p
+    (`_hermite_p_clear`), which needs no field evaluation; only a step it
+    does not clear gets a segment, whose scan (`_first_exit`) and bisection
+    locate the root.
 
-    Each attempt is one DOPRI5 step to the end time t1, which is t + h or
-    a time that t + h only rounds near.  Every stage sum is written out in
-    the order of the tableau, zero weights included, so the arithmetic is
-    that of a loop over the tableau.  A step that reaches `t_limit` is cut
+    Each attempt is one DOP853 step to the end time t1, which is t + h or a
+    time that t + h only rounds near.  Every stage sum is written out in the
+    order of the tableau, its zero entries left out, so the arithmetic is
+    that of a loop over the tableau's nonzero entries.  The error is Hairer's
+    combination of the 5th- and 3rd-order estimates, and the step factor is
+    0.9 * err ** -1/8 within [0.2, 5].  A step that reaches `t_limit` is cut
     to end on it exactly, with its last stage evaluated there, and passes on
     as `h_next` no less than the step it was cut from, so a cut to a knot of
-    the pivot law does not shrink the steps after it.  Inside the stretch
-    each step's first stage is the last stage of the step before (FSAL).
-    The first step's is the field value of `carried`, ((t, q, p, branch),
-    (dq, dp)), when that was taken at exactly this start, else f(t, q, p);
-    it is also shared by rejected attempts and by the starting-step
-    estimate when `h` is None.
+    the pivot law does not shrink the steps after it.  An accepted step over
+    which the normal force changes sign is cut the same way to end where
+    its dense output does (`_kink_theta`): the friction term's derivative
+    jumps there, and the error estimate, which assumes a smooth field,
+    misses what that costs; a kink within `_KINK_AT_START` of the step's
+    start is stepped over.  Inside the stretch each step's first stage is
+    the last stage of the step before (FSAL); that last stage is evaluated
+    only on an accepted attempt.  The first step's is the field value of
+    `carried`, ((t, q, p, branch), (dq, dp)), when that was taken at exactly
+    this start, else f(t, q, p); it is also shared by rejected attempts and
+    by the starting-step estimate when `h` is None.
     """
+    frictional = normal is not None
     if frictional and branch == 0.0:
         raise ValueError("stepping requires p != 0 when mu > 0")
     # -0.0 == 0.0, so a start with a zero in it is not matched by value
@@ -427,8 +530,10 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
         h = _initial_step(q, p, kq0, kp0, tol)
     abs_tol, rel_tol, max_dt = tol.abs_tol, tol.rel_tol, tol.max_dt
     sqrt = math.sqrt
-    # the p = 0 scan's ends: p keeps the sign of `branch` inside the stretch
+    # the p = 0 test's ends: p keeps the sign of `branch` inside the stretch
     p_lo, p_hi = (0.0, _INF) if branch > 0 else (_NEG_INF, 0.0)
+    # the side of the friction term's kink the step starts on
+    n_pos = n_end = frictional and normal(t, q, p) > 0.0
     while True:
         h = min(h, max_dt)
         h_uncut = h
@@ -438,72 +543,153 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, frictional, carried):
             h, t1 = t_limit - t, t_limit
         if h <= 0:
             raise ValueError("no room to step before t_limit")
+        on_kink = False
         while True:
-            w0 = h * _A10
+            w0 = h * _A1_0
             kq1, kp1 = f(t + _C1 * h, q + w0 * kq0, p + w0 * kp0)
-            w0, w1 = h * _A20, h * _A21
+            w0, w1 = h * _A2_0, h * _A2_1
             kq2, kp2 = f(t + _C2 * h, q + w0 * kq0 + w1 * kq1, p + w0 * kp0 + w1 * kp1)
-            w0, w1, w2 = h * _A30, h * _A31, h * _A32
-            kq3, kp3 = f(
-                t + _C3 * h,
-                q + w0 * kq0 + w1 * kq1 + w2 * kq2,
-                p + w0 * kp0 + w1 * kp1 + w2 * kp2,
-            )
-            w0, w1, w2, w3 = h * _A40, h * _A41, h * _A42, h * _A43
+            w0, w2 = h * _A3_0, h * _A3_2
+            kq3, kp3 = f(t + _C3 * h, q + w0 * kq0 + w2 * kq2, p + w0 * kp0 + w2 * kp2)
+            w0, w2, w3 = h * _A4_0, h * _A4_2, h * _A4_3
             kq4, kp4 = f(
                 t + _C4 * h,
-                q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3,
-                p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3,
+                q + w0 * kq0 + w2 * kq2 + w3 * kq3,
+                p + w0 * kp0 + w2 * kp2 + w3 * kp3,
             )
-            w0, w1, w2, w3, w4 = h * _A50, h * _A51, h * _A52, h * _A53, h * _A54
+            w0, w3, w4 = h * _A5_0, h * _A5_3, h * _A5_4
             kq5, kp5 = f(
                 t + _C5 * h,
-                q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4,
-                p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4,
+                q + w0 * kq0 + w3 * kq3 + w4 * kq4,
+                p + w0 * kp0 + w3 * kp3 + w4 * kp4,
             )
-            w0, w1, w2, w3, w4, w5 = h * _B0, h * _B1, h * _B2, h * _B3, h * _B4, h * _B5
-            q1 = q + w0 * kq0 + w1 * kq1 + w2 * kq2 + w3 * kq3 + w4 * kq4 + w5 * kq5
-            p1 = p + w0 * kp0 + w1 * kp1 + w2 * kp2 + w3 * kp3 + w4 * kp4 + w5 * kp5
-            kq6, kp6 = f(t1, q1, p1)
-            # the error estimate: the 5th minus the 4th order solution
-            err_q = h * (
-                0.0 + _E0 * kq0 + _E1 * kq1 + _E2 * kq2 + _E3 * kq3 + _E4 * kq4 + _E5 * kq5 + _E6 * kq6
+            w0, w3, w4, w5 = h * _A6_0, h * _A6_3, h * _A6_4, h * _A6_5
+            kq6, kp6 = f(
+                t + _C6 * h,
+                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5,
+                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5,
             )
-            err_p = h * (
-                0.0 + _E0 * kp0 + _E1 * kp1 + _E2 * kp2 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6
+            w0, w3, w4, w5, w6 = h * _A7_0, h * _A7_3, h * _A7_4, h * _A7_5, h * _A7_6
+            kq7, kp7 = f(
+                t + _C7 * h,
+                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6,
+                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6,
             )
+            w0, w3, w4, w5, w6, w7 = (
+                h * _A8_0, h * _A8_3, h * _A8_4, h * _A8_5, h * _A8_6, h * _A8_7,
+            )
+            kq8, kp8 = f(
+                t + _C8 * h,
+                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7,
+                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7,
+            )
+            w0, w3, w4, w5, w6, w7, w8 = (
+                h * _A9_0, h * _A9_3, h * _A9_4, h * _A9_5, h * _A9_6, h * _A9_7, h * _A9_8,
+            )
+            kq9, kp9 = f(
+                t + _C9 * h,
+                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8,
+                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8,
+            )
+            w0, w3, w4, w5, w6, w7, w8, w9 = (
+                h * _A10_0, h * _A10_3, h * _A10_4, h * _A10_5, h * _A10_6, h * _A10_7, h * _A10_8,
+                h * _A10_9,
+            )
+            kq10, kp10 = f(
+                t + _C10 * h,
+                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8
+                + w9 * kq9,
+                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8
+                + w9 * kp9,
+            )
+            w0, w3, w4, w5, w6, w7, w8, w9, w10 = (
+                h * _A11_0, h * _A11_3, h * _A11_4, h * _A11_5, h * _A11_6, h * _A11_7, h * _A11_8,
+                h * _A11_9, h * _A11_10,
+            )
+            kq11, kp11 = f(
+                t + _C11 * h,
+                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8
+                + w9 * kq9 + w10 * kq10,
+                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8
+                + w9 * kp9 + w10 * kp10,
+            )
+            w0, w5, w6, w7, w8, w9, w10, w11 = (
+                h * _B0, h * _B5, h * _B6, h * _B7, h * _B8, h * _B9, h * _B10, h * _B11
+            )
+            q1 = (
+                q + w0 * kq0 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8 + w9 * kq9
+                + w10 * kq10 + w11 * kq11
+            )
+            p1 = (
+                p + w0 * kp0 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8 + w9 * kp9
+                + w10 * kp10 + w11 * kp11
+            )
+            # the error estimates per unit h: the 8th-order solution minus a
+            # 5th-order and minus a 3rd-order one, scaled per component
             sq = abs_tol + rel_tol * max(abs(q), abs(q1))
             sp = abs_tol + rel_tol * max(abs(p), abs(p1))
-            err = sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
+            eq = (
+                0.0 + _E5_0 * kq0 + _E5_5 * kq5 + _E5_6 * kq6 + _E5_7 * kq7 + _E5_8 * kq8
+                + _E5_9 * kq9 + _E5_10 * kq10 + _E5_11 * kq11
+            ) / sq
+            ep = (
+                0.0 + _E5_0 * kp0 + _E5_5 * kp5 + _E5_6 * kp6 + _E5_7 * kp7 + _E5_8 * kp8
+                + _E5_9 * kp9 + _E5_10 * kp10 + _E5_11 * kp11
+            ) / sp
+            err5 = eq * eq + ep * ep
+            eq = (
+                0.0 + _E3_0 * kq0 + _E3_5 * kq5 + _E3_6 * kq6 + _E3_7 * kq7 + _E3_8 * kq8
+                + _E3_9 * kq9 + _E3_10 * kq10 + _E3_11 * kq11
+            ) / sq
+            ep = (
+                0.0 + _E3_0 * kp0 + _E3_5 * kp5 + _E3_6 * kp6 + _E3_7 * kp7 + _E3_8 * kp8
+                + _E3_9 * kp9 + _E3_10 * kp10 + _E3_11 * kp11
+            ) / sp
+            err3 = eq * eq + ep * ep
+            err = 0.0 if err5 == 0.0 else h * err5 / sqrt((err5 + 0.01 * err3) * 2.0)
             if err <= 1.0:
-                break
-            h *= max(0.2, 0.9 * err ** -0.2)
+                kq12, kp12 = f(t1, q1, p1)
+                kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6, kq7, kq8, kq9, kq10, kq11, kq12)
+                kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6, kp7, kp8, kp9, kp10, kp11, kp12)
+                if not frictional:
+                    break
+                n_end = normal(t1, q1, p1) > 0.0
+                if on_kink or n_end == n_pos:
+                    break
+                # the normal force changes sign on the step: end it there
+                seg = DenseSegment.of_step(f, t, h, q, p, q1, p1, kq, kp)
+                theta = _kink_theta(seg, normal, n_pos)
+                if theta < _KINK_AT_START:
+                    break
+                h *= theta
+                t1 = t + h
+                landing = on_kink = True
+                continue
+            h *= max(0.2, 0.9 * err ** -0.125)
             if not h >= _MIN_STEP:  # also a NaN step
                 raise StepUnderflow(f"step size underflow at t = {t}")
             t1 = t + h
-            landing = False
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            landing = on_kink = False
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         h_next = min(h * factor, max_dt)
         if landing:
             h_next = max(h_next, h_uncut)
-        kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6)
-        kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6)
 
         seg = None
-        if frictional and not _stage_clear(p, h, kp, p_lo, p_hi):
-            seg = DenseSegment(t, h, q, p, kq, kp)
+        if frictional and not _hermite_p_clear(h, q, p, kp0, q1, p1, kp12, p_lo, p_hi):
+            seg = DenseSegment.of_step(f, t, h, q, p, q1, p1, kq, kp)
             # a grazing double root that no scan point shows is caught later
             # by the stick-band projection
             root = _first_exit(seg, 1, 1.0, p_lo, p_hi)
             if root is not None:
-                t_sw, q_sw, p_sw = _bisect_switch(seg, tol, root[:2])
-                if t_sw > t:  # guard against a root at the very start of the step
-                    yield t, h, q, p, kq, kp, seg, t_sw, q_sw, p_sw, h_next, True
+                switch = _bisect_switch(seg, tol, root[:2])
+                if switch[0] > t:  # guard against a root at the very start of the step
+                    yield t, h, q, p, kq, kp, seg, t1, q1, p1, h_next, switch
                     return
-        yield t, h, q, p, kq, kp, seg, t1, q1, p1, h_next, False
+        yield t, h, q, p, kq, kp, seg, t1, q1, p1, h_next, None
         if t1 >= t_limit or not p1 * branch > 0.0:
             return
-        t, q, p, h, kq0, kp0 = t1, q1, p1, h_next, kq6, kp6
+        t, q, p, h, kq0, kp0, n_pos = t1, q1, p1, h_next, kq12, kp12, n_end
 
 
 def step_smooth(
@@ -527,18 +713,21 @@ def step_smooth(
     t, p = state.t, state.p
     branch = 1.0 if p > 0 else (-1.0 if p < 0 else 0.0)
     f = branch_field(params, pivot, branch)
+    normal = normal_force(params, pivot) if params.mu != 0.0 else None
     stretch = _slip(
-        f, branch, t, state.q, p, h, math.inf if t_limit is None else t_limit, tol,
-        params.mu != 0.0, fsal,
+        f, branch, t, state.q, p, h, math.inf if t_limit is None else t_limit, tol, normal, fsal
     )
-    t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, hit = next(stretch)
+    t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, switch = next(stretch)
+    seg = seg or DenseSegment.of_step(f, t0, h, q0, p0, q1, p1, kq, kp)
+    if switch is not None:
+        t1, q1, p1 = switch
     return StepResult(
         state=State(q=q1, p=p1, t=t1, mode=SLIPPING),
-        segment=seg or DenseSegment(t0, h, q0, p0, kq, kp),
-        h_used=t1 - t if hit else h,
+        segment=seg,
+        h_used=t1 - t if switch else h,
         h_next=h_next,
-        hit_switch=hit,
-        fsal=None if hit else ((t1, q1, p1, branch), (kq[6], kp[6])),
+        hit_switch=switch is not None,
+        fsal=None if switch else ((t1, q1, p1, branch), (kq[12], kp[12])),
     )
 
 
@@ -570,6 +759,32 @@ def _release_scan_step(params: Params, pivot: PivotLaw, q: float, tol: Tolerance
     return min(tol.max_dt, 0.5 / (1.0 + l_margin))
 
 
+def _never_releases(params: Params, a_max: float, q: float) -> bool:
+    """Whether static friction holds at the angle q for every pivot
+    acceleration a in [-a_max, a_max], with room for the kernel's rounding.
+
+    At a fixed q the margin l (|drift| - bound) = |a s - g c| - mu |a c + g s|
+    (s = sin q, c = cos q) is piecewise linear in a, with kinks at
+    a = g c / s and a = -g s / c.  So its largest value on the interval is
+    at an end or at a kink inside it, and those few values decide.
+    """
+    l, g, mu = params.l, params.g, params.mu
+    s, c = math.sin(q), math.cos(q)
+    candidates = [-a_max, a_max]
+    if s != 0.0 and -a_max < g * c / s < a_max:
+        candidates.append(g * c / s)
+    if c != 0.0 and -a_max < -g * s / c < a_max:
+        candidates.append(-g * s / c)
+    # |drift| + bound is at most this, which scales the kernel's rounding
+    slack = _EXCLUSION_SLACK * (a_max + g) * (1.0 + mu) / l + _EXCLUSION_FLOOR
+    for a in candidates:
+        drift = (a / l) * s - (g / l) * c
+        bound = (mu / l) * abs(a * c + g * s)
+        if not abs(drift) - bound < -slack:  # also a NaN margin
+            return False
+    return True
+
+
 def slide_until_release(
     state: State,
     params: Params,
@@ -583,8 +798,10 @@ def slide_until_release(
     sign of the unbalanced drift, or a HorizonReached event at `horizon` if
     friction holds throughout; the state stays at the event's angle with
     p = 0 until then.  The release time is the first root of |drift| - bound,
-    located to event_tol; a constant pivot law makes the margin
-    time-invariant, so a stuck state then holds to the horizon outright.
+    located to event_tol.  A stuck state holds to the horizon outright when
+    the pivot law is constant, or when no acceleration the law can reach
+    (`pivot.accel_bound`) releases it at this angle.  A scan of more than
+    `_MAX_STEPS` points raises StepLimit.
     """
     if state.mode != STUCK:
         raise ValueError("slide_until_release requires a stuck state")
@@ -597,12 +814,18 @@ def slide_until_release(
     if margin(t0) > 0:
         raise ValueError("slide_until_release requires stiction to hold at entry")
 
-    if pivot.lipschitz_bound == 0.0:
+    if pivot.lipschitz_bound == 0.0 or _never_releases(params, pivot.accel_bound, q):
         return Event(t=horizon, q=q, kind=HORIZON)
 
     dt = _release_scan_step(params, pivot, q, tol)
     t_lo = t0
+    n = 0
     while t_lo < horizon:
+        n += 1
+        if n > _MAX_STEPS:
+            raise StepLimit(
+                f"more than {_MAX_STEPS} release-scan points at t = {t_lo!r}, h = {dt!r}"
+            )
         t_hi = min(t_lo + dt, horizon)
         if margin(t_hi) > 0.0:
             # bisect the first sign change; keep the released side on top
@@ -727,6 +950,7 @@ def integrate(
     h_next = initial_dt
     carried = None  # ((t, q, p, branch), stage) at the end of the last full step
     n_events = 0
+    n_steps = 0
     # the end of the pivot law's smooth piece being stepped; the piece and
     # its branch fields are read at the first slipping stretch past it
     piece_end = -math.inf
@@ -765,25 +989,32 @@ def integrate(
             if state.t >= piece_end:
                 piece_end, piece_accel = pivot.piece(state.t)
                 fields = {}
+                normal = normal_force(params, pivot, piece_accel) if frictional else None
                 t_limit = min(horizon, piece_end)
             branch = 1.0 if state.p > 0 else (-1.0 if state.p < 0 else 0.0)
             field = fields.get(branch)
             if field is None:
                 field = fields[branch] = branch_field(params, pivot, branch, piece_accel)
             stretch = _slip(
-                field, branch, state.t, state.q, state.p, h_next, t_limit, tol,
-                frictional, carried,
+                field, branch, state.t, state.q, state.p, h_next, t_limit, tol, normal, carried
             )
             direction = None  # how the stretch ends on p = 0: 0 sticks, else crosses
-            for t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, hit in stretch:
-                # the guard scan, unless the stage bound keeps q inside up to
+            for t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, switch in stretch:
+                n_steps += 1
+                if n_steps > _MAX_STEPS:
+                    raise StepLimit(
+                        f"more than {_MAX_STEPS} steps: step {n_steps} at t = {t0!r}, h = {h!r}"
+                    )
+                # the guard scan, unless the Hermite of q stays inside up to
                 # the step's end; it holds for theta in [0, 1], so also on a
-                # step cut on p = 0 whose end (t1 - t0) / h does not round past 1
+                # step cut on p = 0 whose end does not round past theta = 1
+                theta_end = 1.0 if switch is None else (switch[0] - t0) / h
                 if guarded and not (
-                    _stage_clear(q0, h, kq, q_lo, q_hi) and (not hit or (t1 - t0) / h <= 1.0)
+                    theta_end <= 1.0
+                    and _hermite_q_clear(h, q0, p0, kp[0], q1, p1, kp[12], q_lo, q_hi)
                 ):
-                    seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
-                    exit_hit = _guard_exit(seg, (t1 - t0) / h if hit else 1.0, q_lo, q_hi)
+                    seg = seg or DenseSegment.of_step(field, t0, h, q0, p0, q1, p1, kq, kp)
+                    exit_hit = _guard_exit(seg, theta_end, q_lo, q_hi)
                     if exit_hit is not None:
                         theta_x, side = exit_hit
                         t_x = t0 + theta_x * h
@@ -794,17 +1025,19 @@ def integrate(
                         bump_events()
                         check_escape_trap(traj, params, pivot, horizon)
                         return traj
+                if switch is not None:
+                    t1, q1, p1 = switch
                 if rec_times[rec_idx] <= t1 + 1e-18:  # a recorded time is due
-                    seg = seg or DenseSegment(t0, h, q0, p0, kq, kp)
+                    seg = seg or DenseSegment.of_step(field, t0, h, q0, p0, q1, p1, kq, kp)
                     rec_idx = _record_due(recorded, rec_times, rec_idx, t1, seg)
-                if hit:
+                if switch is not None:
                     direction = classify_switch(params, pivot, q1, t1)
                     break
                 add_sample((t1, q1, p1, SLIPPING))
                 if frictional and abs(p1) < stick_band and classify_switch(params, pivot, q1, t1) == 0:
                     direction = 0
                     break
-            carried = None if hit else ((t1, q1, p1, branch), (kq[6], kp[6]))
+            carried = None if switch else ((t1, q1, p1, branch), (kq[12], kp[12]))
             if direction is None:  # the stretch ran to t_limit or off its branch
                 state = State(q=q1, p=p1, t=t1, mode=SLIPPING)
             elif direction == 0:

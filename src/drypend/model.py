@@ -14,9 +14,10 @@ interval between the two one-sided limits, which `limit_fields` returns.
 
 The field is written in two kernels only: `branch_field` (off the surface,
 one friction branch) and `stiction_drift_and_bound` (on p = 0), from which
-the one-sided limits are taken.  Every function takes and returns Python
-floats; the integrator and the verification checks evaluate the same
-kernels.  numpy is imported only by `PolyPivot`, for the roots behind its
+the one-sided limits are taken; `normal_force` is the argument of the
+first one's friction magnitude, whose sign changes are its kinks.  Every
+function takes and returns Python floats; the integrator and the
+verification checks evaluate the same kernels.  numpy is imported only by `PolyPivot`, for the roots behind its
 bounds.
 """
 
@@ -89,6 +90,13 @@ class PivotLaw:
         raise NotImplementedError
 
     def sup_bound(self, t0: float, t1: float) -> float:
+        raise NotImplementedError
+
+    @property
+    def accel_bound(self) -> float:
+        """An upper bound of |a(t)| for every t the law is used at (a poly
+        law's window [0, t_max]); the release test reads it at every stuck
+        stretch, so a law computes it at most once."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -170,6 +178,10 @@ class ConstantPivot(PivotLaw):
     def sup_bound(self, t0, t1):
         return abs(self.a)
 
+    @property
+    def accel_bound(self) -> float:
+        return abs(self.a)
+
 
 class SinePivot(PivotLaw):
     """a(t) = amp * sin(omega * t + phase)."""
@@ -187,6 +199,10 @@ class SinePivot(PivotLaw):
     @property
     def lipschitz_bound(self) -> float:
         return abs(self.amp * self.omega)
+
+    @property
+    def accel_bound(self) -> float:
+        return abs(self.amp)
 
     def sup_bound(self, t0, t1):
         if t1 < t0:
@@ -226,6 +242,7 @@ class PolyPivot(PivotLaw):
         self.t_max = float(t_max)
         self._poly = np.polynomial.Polynomial(self.coeffs)
         self._deriv = self._poly.deriv()
+        self._accel_bound = None  # sup_bound(0, t_max), when first read
 
     def accel(self, t: float) -> float:
         # Polynomial.__call__'s arithmetic in pure Python: the map of the
@@ -268,6 +285,12 @@ class PolyPivot(PivotLaw):
             raise ValueError("empty interval")
         return self._abs_max(self._poly, t0, t1)
 
+    @property
+    def accel_bound(self) -> float:
+        if self._accel_bound is None:
+            self._accel_bound = self.sup_bound(0.0, self.t_max)
+        return self._accel_bound
+
 
 class TablePivot(PivotLaw):
     """Tabulated samples with linear interpolation, clamped outside the knots.
@@ -293,8 +316,9 @@ class TablePivot(PivotLaw):
         for t0, v0, v1, slope in zip(ts, vs, vs[1:], slopes):
             if math.isinf(slope) and math.isfinite(v0) and math.isfinite(v1):
                 raise ValueError(f"table pivot slope overflows on the interval from t = {t0!r}")
-        # computed once: the release scan reads it for every stuck stretch
+        # computed once: the release scan reads them for every stuck stretch
         self._lipschitz = max(abs(slope) for slope in slopes)
+        self._accel_bound = max(abs(v) for v in vs)
 
     def accel(self, t: float) -> float:
         return interp(t, self.times, self.values)
@@ -329,6 +353,10 @@ class TablePivot(PivotLaw):
     @property
     def lipschitz_bound(self) -> float:
         return self._lipschitz
+
+    @property
+    def accel_bound(self) -> float:
+        return self._accel_bound
 
     def sup_bound(self, t0, t1):
         if t1 < t0:
@@ -412,6 +440,22 @@ def branch_field(
         return p, (a / l) * s - mu_l * mag * branch - g_l * c
 
     return f
+
+
+def normal_force(params: Params, pivot: PivotLaw, accel: Callable | None = None) -> Callable:
+    """N(t, q, p) = a cos q - l p^2 + g sin q, computed as in `branch_field`,
+    whose friction term is proportional to |N|.  The slipping field is
+    smooth except where N changes sign, where its derivative jumps; the
+    integrator ends a step there.  `accel` is as in `branch_field`."""
+    l, g = params.l, params.g
+    if accel is None:
+        accel = pivot.accel
+    sin, cos = math.sin, math.cos
+
+    def normal(t, q, p):
+        return accel(t) * cos(q) - l * p * p + g * sin(q)
+
+    return normal
 
 
 def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q: float, t: float):

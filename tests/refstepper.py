@@ -1,10 +1,12 @@
-"""Reference DOPRI5 stepper for the oracle tests: the looped forms.
+"""Reference DOP853 stepper for the oracle tests: the looped forms.
 
-These are the stage loop, dense-output coefficients, Horner evaluation and
-16-point event scans as drypend had them before its stepper was written out
-stage by stage, copied verbatim, and the step-size control around the stage
-loop (`_accepted_step`).  The package's stepper must reproduce them bit for
-bit; nothing in `src/` imports this module.
+The stage loop, error estimate and step-size control (`_accepted_step`),
+the dense-output rows and their nested evaluation, and the 16-point event
+scans, written as loops over the tableau.  The tableau is scipy's
+(`scipy.integrate._ivp.dop853_coefficients`), converted to Python floats,
+and the loops run over its nonzero entries in order.  The package's
+written-out stepper must reproduce them bit for bit; nothing in `src/`
+imports this module.
 """
 
 from __future__ import annotations
@@ -12,64 +14,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.integrate._ivp import dop853_coefficients as _dop853
+
 SIDE_LOW = "low"
 SIDE_HIGH = "high"
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-# difference between the 5th and 4th order weights (7 entries; last is the
-# FSAL stage evaluated at the step end)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
-)
+
+def _nonzero(row) -> tuple:
+    return tuple((j, float(w)) for j, w in enumerate(row) if w != 0.0)
+
+
+_C = tuple(float(c) for c in _dop853.C)
+# row i: the nonzero (j, a_ij); rows 1-11 are the step's stages, 13-15 the
+# dense output's
+_A = tuple(_nonzero(_dop853.A[i, :i]) for i in range(16))
+_B = _nonzero(_dop853.B)
+_E5 = _nonzero(_dop853.E5)
+_E3 = _nonzero(_dop853.E3)
+_D = tuple(_nonzero(row) for row in _dop853.D)
 
 _MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
 class DenseSegment:
-    """Quartic interpolant of one accepted step on [t0, t0 + h]."""
+    """DOP853's dense output of one accepted step on [t0, t0 + h], by rows."""
 
     t0: float
     h: float
     q0: float
     p0: float
-    cq: tuple[float, float, float, float]
-    cp: tuple[float, float, float, float]
+    rq: tuple
+    rp: tuple
 
     def eval(self, theta: float) -> tuple[float, float]:
-        th = theta
-        acc_q = 0.0
-        acc_p = 0.0
-        # Horner in theta, highest power first
-        for cqi, cpi in zip(reversed(self.cq), reversed(self.cp)):
-            acc_q = acc_q * th + cqi
-            acc_p = acc_p * th + cpi
-        q = self.q0 + self.h * th * acc_q
-        p = self.p0 + self.h * th * acc_p
-        return q, p
-
-    def eval_at(self, t: float) -> tuple[float, float]:
-        return self.eval((t - self.t0) / self.h)
-
-    @property
-    def t1(self) -> float:
-        return self.t0 + self.h
+        # scipy's loop: from the last row, alternately times theta and 1 - theta
+        out = []
+        for x0, rows in ((self.q0, self.rq), (self.p0, self.rp)):
+            acc = 0.0
+            for i, r in enumerate(reversed(rows)):
+                acc += r
+                acc *= theta if i % 2 == 0 else 1 - theta
+            out.append(x0 + acc)
+        return out[0], out[1]
 
 
 def _field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
@@ -83,45 +70,47 @@ def _field(params: Params, pivot: PivotLaw, branch: float) -> Callable:
     return f
 
 
+def _stage(f, t, q, p, h, kq, kp, i):
+    """Stage i from the stages before it."""
+    aq = q
+    ap = p
+    for j, a_ij in _A[i]:
+        aq += h * a_ij * kq[j]
+        ap += h * a_ij * kp[j]
+    return f(t + _C[i] * h, aq, ap)
+
+
 def _rk_step(f, t: float, q: float, p: float, h: float):
-    """One DOPRI5 step: returns (q1, p1, err_q, err_p, K)."""
-    kq = [0.0] * 7
-    kp = [0.0] * 7
+    """One DOP853 attempt: (q1, p1, (kq, kp)) with stages 0-11 filled in."""
+    kq = [0.0] * 13
+    kp = [0.0] * 13
     kq[0], kp[0] = f(t, q, p)
-    for i in range(1, 6):
-        aq = q
-        ap = p
-        row = _A[i]
-        for j, a_ij in enumerate(row):
-            aq += h * a_ij * kq[j]
-            ap += h * a_ij * kp[j]
-        kq[i], kp[i] = f(t + _C[i] * h, aq, ap)
+    for i in range(1, 12):
+        kq[i], kp[i] = _stage(f, t, q, p, h, kq, kp, i)
     q1 = q
     p1 = p
-    for i in range(6):
-        q1 += h * _B[i] * kq[i]
-        p1 += h * _B[i] * kp[i]
-    kq[6], kp[6] = f(t + h, q1, p1)
-    err_q = 0.0
-    err_p = 0.0
-    for i in range(7):
-        err_q += _E[i] * kq[i]
-        err_p += _E[i] * kp[i]
-    return q1, p1, h * err_q, h * err_p, (kq, kp)
+    for j, b in _B:
+        q1 += h * b * kq[j]
+        p1 += h * b * kp[j]
+    return q1, p1, (kq, kp)
 
 
-def _dense_coeffs(kq, kp) -> tuple[tuple, tuple]:
-    cq = []
-    cp = []
-    for col in range(4):
-        sq = 0.0
-        sp = 0.0
-        for i in range(7):
-            sq += kq[i] * _P[i][col]
-            sp += kp[i] * _P[i][col]
-        cq.append(sq)
-        cp.append(sp)
-    return tuple(cq), tuple(cp)
+def _error(kq, kp, sq, sp, h):
+    """Hairer's combined error norm of the 5th- and 3rd-order estimates."""
+    norms = []
+    for weights in (_E5, _E3):
+        eq = 0.0
+        ep = 0.0
+        for j, e in weights:
+            eq += e * kq[j]
+            ep += e * kp[j]
+        eq /= sq
+        ep /= sp
+        norms.append(eq * eq + ep * ep)
+    err5, err3 = norms
+    if err5 == 0.0:
+        return 0.0
+    return h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
 
 
 class StepUnderflow(RuntimeError):
@@ -131,27 +120,49 @@ class StepUnderflow(RuntimeError):
 def _accepted_step(f, t: float, q: float, p: float, h: float, tol: Tolerances):
     """The first accepted step from (t, q, p) of a stepper that tries steps
     of size min(h, max_dt) and shrinks each rejected one by the error
-    control: (h, q1, p1, kq, kp, h_next), with h the size of the step.
+    control: (h, q1, p1, kq, kp, h_next), with h the size of the step and
+    kq, kp its stages 0-12.
 
-    The error of an attempt is the RMS of its two error estimates, each
-    scaled by abs_tol plus rel_tol times the larger magnitude at the two
-    ends; an error up to 1 is accepted.  The factor applied to h is
-    0.9 * err ** -0.2 within [0.2, 5] (5 for a zero error).  Nothing ends
-    the step early here: no event and no end time.
+    The scale of each component is abs_tol plus rel_tol times the larger
+    magnitude at the two ends; an error up to 1 is accepted.  The factor
+    applied to h is 0.9 * err ** -1/8 within [0.2, 5] (5 for a zero error).
+    Stage 12, the field at the step's end, is evaluated once the step is
+    accepted.  Nothing ends the step early here: no event and no end time.
     """
     h = min(h, tol.max_dt)
     while True:
-        q1, p1, err_q, err_p, (kq, kp) = _rk_step(f, t, q, p, h)
+        q1, p1, (kq, kp) = _rk_step(f, t, q, p, h)
         sq = tol.abs_tol + tol.rel_tol * max(abs(q), abs(q1))
         sp = tol.abs_tol + tol.rel_tol * max(abs(p), abs(p1))
-        err = math.sqrt(0.5 * ((err_q / sq) ** 2 + (err_p / sp) ** 2))
+        err = _error(kq, kp, sq, sp, h)
         if err <= 1.0:
             break
-        h *= max(0.2, 0.9 * err ** -0.2)
+        h *= max(0.2, 0.9 * err ** -0.125)
         if not h >= _MIN_STEP:
             raise StepUnderflow(f"step size underflow at t = {t}")
-    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    kq[12], kp[12] = f(t + h, q1, p1)
+    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
     return h, q1, p1, tuple(kq), tuple(kp), min(h * factor, tol.max_dt)
+
+
+def _dense_rows(f, t: float, h: float, q: float, p: float, q1: float, p1: float, kq, kp):
+    """The dense-output rows (rq, rp) of an accepted step with stages 0-12:
+    stages 13-15 as the step's, then scipy's rows of q and of p."""
+    kq = list(kq) + [0.0] * 3
+    kp = list(kp) + [0.0] * 3
+    for i in range(13, 16):
+        kq[i], kp[i] = _stage(f, t, q, p, h, kq, kp, i)
+    rows = []
+    for x0, x1, k in ((q, q1, kq), (p, p1, kp)):
+        d = x1 - x0
+        row = [d, h * k[0] - d, 2.0 * d - h * (k[12] + k[0])]
+        for weights in _D:
+            s = 0.0
+            for j, w in weights:
+                s += w * k[j]
+            row.append(h * s)
+        rows.append(tuple(row))
+    return rows[0], rows[1]
 
 
 def _initial_step(f, t: float, q: float, p: float, tol: Tolerances) -> float:
@@ -163,7 +174,7 @@ def _initial_step(f, t: float, q: float, p: float, tol: Tolerances) -> float:
     if d1 <= 1e-12:
         h = tol.max_dt
     else:
-        h = 0.01 * scale ** 0.2 / max(d1, 1e-12) ** 0.2
+        h = 0.01 * scale ** 0.125 / max(d1, 1e-12) ** 0.125
         h = min(h, 0.1 * (1.0 + d0) / d1)
     return max(min(h, tol.max_dt), _MIN_STEP * 10)
 
@@ -171,9 +182,10 @@ def _initial_step(f, t: float, q: float, p: float, tol: Tolerances) -> float:
 def _poly_first_sign_change(seg: DenseSegment, sign0: float, theta_max: float = 1.0):
     """Smallest theta in (0, theta_max] where the dense p changes sign, or None.
 
-    The quartic is scanned on a fixed subdivision; a transversal root cannot
-    hide between scan points at the scales the step controller allows, and a
-    grazing double root is caught later by the stick-band projection.
+    The interpolant is scanned on a fixed subdivision; a transversal root
+    cannot hide between scan points at the scales the step controller
+    allows, and a grazing double root is caught later by the stick-band
+    projection.
     """
     n = 16
     prev_theta = 0.0

@@ -1,6 +1,8 @@
 """numpy stays off the start-up path: the CLI imports it only to verify.
 
-numpy's import is about as long as a whole simulation.  The model runs on
+numpy's import is about as long as a whole simulation.  scipy, which the
+tests use as an oracle, stays off every run path: the stepper's tableau is
+written out in `drypend.integrator`, so no command imports it.  The model runs on
 floats, and numpy builds only the verification checks' sample grids (and a
 poly pivot's bounds).  Nor does the CLI's import load `dataclasses` and the
 `inspect` it brings: the value types are named tuples and slotted classes.
@@ -33,13 +35,15 @@ FRICTIONLESS = {
     "horizon": 5,
 }
 
-# after `import drypend.cli`, run main(argv) and report its code and numpy's state
+# after `import drypend.cli`, run main(argv) and report its code, numpy's
+# state and whether scipy was ever imported
 CHILD = """
 import json, sys
 import drypend.cli as cli
 imported = "numpy" in sys.modules
 rc = cli.main(json.loads(sys.argv[1])) if sys.argv[1] != "null" else None
-print(json.dumps({"at_import": imported, "rc": rc, "after": "numpy" in sys.modules}))
+print(json.dumps({"at_import": imported, "rc": rc, "after": "numpy" in sys.modules,
+                  "scipy": "scipy" in sys.modules}))
 """
 
 
@@ -56,7 +60,7 @@ def run_child(argv):
 
 
 def test_import_leaves_numpy_out():
-    assert run_child(None) == {"at_import": False, "rc": None, "after": False}
+    assert run_child(None) == {"at_import": False, "rc": None, "after": False, "scipy": False}
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
@@ -94,12 +98,12 @@ def test_commands_run_without_numpy(tmp_path, command, scenario, flags):
     else:
         path = os.path.join(SCENARIOS, scenario)
     report = run_child([command, str(path), "--out", str(tmp_path / "out"), *flags])
-    assert report == {"at_import": False, "rc": 0, "after": False}
+    assert report == {"at_import": False, "rc": 0, "after": False, "scipy": False}
     assert (tmp_path / "out" / "scenario.normalized.json").exists()
 
 
 def test_verify_imports_numpy_and_runs(tmp_path):
     path = os.path.join(SCENARIOS, "swing_capture.json")
     report = run_child(["verify", path, "--out", str(tmp_path / "out")])
-    assert report == {"at_import": False, "rc": 0, "after": True}
+    assert report == {"at_import": False, "rc": 0, "after": True, "scipy": False}
     assert (tmp_path / "out" / "verify.json").exists()
