@@ -168,11 +168,10 @@ class Trajectory:
 # --- Dormand-Prince 8(5,3) ---------------------------------------------------
 #
 # The coefficients of Hairer's DOP853 (Prince & Dormand 1981), rounded to
-# double precision.  The step's nonzero a_ij and weights are named, and the
+# double precision.  The nonzero a_ij and weights are named, and the
 # written-out sums below leave the zero ones out.  Stage 11 sits at t + h,
 # and stage 12 is the first-same-as-last field value at the step's end.
-# Stages 13-15 are formed only for the dense output, whose coefficients are
-# tables of their nonzero entries.
+# Stages 13-15 are formed only for the dense output.
 # the nodes c_i of stages 1-11
 _C1, _C2, _C3, _C4, _C5, _C6, _C7, _C8, _C9, _C10, _C11 = (
     0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
@@ -220,50 +219,40 @@ _E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11 = (
     -0.18980075407240762, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
     -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082,
 )
-# the dense output's stages 13-15: (c_i, ((j, a_ij), ...)) over the nonzero a_ij
-_DENSE_STAGES = (
-    (0.1, (
-        (0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
-        (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
-        (11, 0.007567897660545699), (12, -0.008298),
-    )),
-    (0.2, (
-        (0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
-        (7, -0.05492374857139099), (10, -0.00010834732869724932), (11, 0.0003825710908356584),
-        (12, -0.00034046500868740456), (13, 0.1413124436746325),
-    )),
-    (0.7777777777777778, (
-        (0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
-        (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
-        (13, 2.9475147891527724), (14, -9.15095847217987),
-    )),
+# the nodes and the nonzero a_ij of the dense output's stages 13-15
+_C13, _C14, _C15 = 0.1, 0.2, 0.7777777777777778
+_A13_0, _A13_6, _A13_7, _A13_8, _A13_9, _A13_10, _A13_11, _A13_12 = (
+    0.056167502283047954, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+    0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298,
 )
-# the dense output's rows 3-6: ((j, d_j), ...) over the nonzero weights of stages 0-15
-_DENSE_ROWS = (
-    (
-        (0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
-        (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
-        (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
-        (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894),
-    ),
-    (
-        (0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
-        (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
-        (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
-        (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408),
-    ),
-    (
-        (0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
-        (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
-        (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
-        (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279),
-    ),
-    (
-        (0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
-        (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
-        (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
-        (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564),
-    ),
+_A14_0, _A14_5, _A14_6, _A14_7, _A14_10, _A14_11, _A14_12, _A14_13 = (
+    0.03183464816350214, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+    -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325,
+)
+_A15_0, _A15_5, _A15_6, _A15_7, _A15_8, _A15_12, _A15_13, _A15_14 = (
+    -0.42889630158379194, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+    0.3567271874552811, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987,
+)
+# the nonzero weights d_j of the dense output's rows 3-6, over stages 0-15
+_D3_0, _D3_5, _D3_6, _D3_7, _D3_8, _D3_9, _D3_10, _D3_11, _D3_12, _D3_13, _D3_14, _D3_15 = (
+    -8.428938276109013, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+    2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+    -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894,
+)
+_D4_0, _D4_5, _D4_6, _D4_7, _D4_8, _D4_9, _D4_10, _D4_11, _D4_12, _D4_13, _D4_14, _D4_15 = (
+    10.427508642579134, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+    -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+    15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408,
+)
+_D5_0, _D5_5, _D5_6, _D5_7, _D5_8, _D5_9, _D5_10, _D5_11, _D5_12, _D5_13, _D5_14, _D5_15 = (
+    19.985053242002433, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+    -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+    -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279,
+)
+_D6_0, _D6_5, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14, _D6_15 = (
+    -25.69393346270375, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+    93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+    -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564,
 )
 
 _MIN_STEP = 1e-14
@@ -295,7 +284,8 @@ class DenseSegment:
 
     for the rows r of q (`rq`) and of p (`rp`).  `of_step` forms them from a
     step's stages and three more; a segment is built only where an event or
-    a kink of the friction term is located, or a recorded time falls."""
+    a kink of the friction term is located, or a recorded time falls: under
+    a dense `record_at`, as the dependence check asks, on most steps."""
 
     __slots__ = ("t0", "h", "q0", "p0", "rq", "rp")
 
@@ -310,30 +300,97 @@ class DenseSegment:
     @classmethod
     def of_step(cls, f, t0, h, q0, p0, q1, p1, kq, kp) -> "DenseSegment":
         """The segment of the step of size h from (t0, q0, p0) to (q1, p1)
-        with stages kq, kp (0-12) of the field f.  Stages 13-15 are summed
-        as the step's are, and each row is summed over the stages in the
-        order of the tableau; a segment is rare, so these run as loops."""
-        kq, kp = list(kq), list(kp)
-        for c, row in _DENSE_STAGES:
-            aq, ap = q0, p0
-            for j, a in row:
-                w = h * a
-                aq += w * kq[j]
-                ap += w * kp[j]
-            kq_i, kp_i = f(t0 + c * h, aq, ap)
-            kq.append(kq_i)
-            kp.append(kp_i)
-        rows = []
-        for x0, x1, k in ((q0, q1, kq), (p0, p1, kp)):
-            d = x1 - x0
-            row = [d, h * k[0] - d, 2.0 * d - h * (k[12] + k[0])]
-            for weights in _DENSE_ROWS:
-                acc = 0.0
-                for j, w in weights:
-                    acc += w * k[j]
-                row.append(h * acc)
-            rows.append(tuple(row))
-        return cls(t0, h, q0, p0, rows[0], rows[1])
+        with stages kq, kp (0-12) of the field f.  Stages 13-15 and the rows
+        are written out as `_slip`'s stages are: each sum in the order of the
+        tableau, its zero entries left out, and each row's sum from 0.0, so
+        the arithmetic is that of a loop over the nonzero entries."""
+        kq0, _, _, _, _, kq5, kq6, kq7, kq8, kq9, kq10, kq11, kq12 = kq
+        kp0, _, _, _, _, kp5, kp6, kp7, kp8, kp9, kp10, kp11, kp12 = kp
+        w0, w6, w7, w8, w9, w10, w11, w12 = (
+            h * _A13_0, h * _A13_6, h * _A13_7, h * _A13_8, h * _A13_9, h * _A13_10, h * _A13_11,
+            h * _A13_12,
+        )
+        kq13, kp13 = f(
+            t0 + _C13 * h,
+            q0 + w0 * kq0 + w6 * kq6 + w7 * kq7 + w8 * kq8 + w9 * kq9 + w10 * kq10 + w11 * kq11
+            + w12 * kq12,
+            p0 + w0 * kp0 + w6 * kp6 + w7 * kp7 + w8 * kp8 + w9 * kp9 + w10 * kp10 + w11 * kp11
+            + w12 * kp12,
+        )
+        w0, w5, w6, w7, w10, w11, w12, w13 = (
+            h * _A14_0, h * _A14_5, h * _A14_6, h * _A14_7, h * _A14_10, h * _A14_11, h * _A14_12,
+            h * _A14_13,
+        )
+        kq14, kp14 = f(
+            t0 + _C14 * h,
+            q0 + w0 * kq0 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w10 * kq10 + w11 * kq11 + w12 * kq12
+            + w13 * kq13,
+            p0 + w0 * kp0 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w10 * kp10 + w11 * kp11 + w12 * kp12
+            + w13 * kp13,
+        )
+        w0, w5, w6, w7, w8, w12, w13, w14 = (
+            h * _A15_0, h * _A15_5, h * _A15_6, h * _A15_7, h * _A15_8, h * _A15_12, h * _A15_13,
+            h * _A15_14,
+        )
+        kq15, kp15 = f(
+            t0 + _C15 * h,
+            q0 + w0 * kq0 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8 + w12 * kq12 + w13 * kq13
+            + w14 * kq14,
+            p0 + w0 * kp0 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8 + w12 * kp12 + w13 * kp13
+            + w14 * kp14,
+        )
+        dq, dp = q1 - q0, p1 - p0
+        rq = (
+            dq,
+            h * kq0 - dq,
+            2.0 * dq - h * (kq12 + kq0),
+            h * (
+                0.0 + _D3_0 * kq0 + _D3_5 * kq5 + _D3_6 * kq6 + _D3_7 * kq7 + _D3_8 * kq8
+                + _D3_9 * kq9 + _D3_10 * kq10 + _D3_11 * kq11 + _D3_12 * kq12 + _D3_13 * kq13
+                + _D3_14 * kq14 + _D3_15 * kq15
+            ),
+            h * (
+                0.0 + _D4_0 * kq0 + _D4_5 * kq5 + _D4_6 * kq6 + _D4_7 * kq7 + _D4_8 * kq8
+                + _D4_9 * kq9 + _D4_10 * kq10 + _D4_11 * kq11 + _D4_12 * kq12 + _D4_13 * kq13
+                + _D4_14 * kq14 + _D4_15 * kq15
+            ),
+            h * (
+                0.0 + _D5_0 * kq0 + _D5_5 * kq5 + _D5_6 * kq6 + _D5_7 * kq7 + _D5_8 * kq8
+                + _D5_9 * kq9 + _D5_10 * kq10 + _D5_11 * kq11 + _D5_12 * kq12 + _D5_13 * kq13
+                + _D5_14 * kq14 + _D5_15 * kq15
+            ),
+            h * (
+                0.0 + _D6_0 * kq0 + _D6_5 * kq5 + _D6_6 * kq6 + _D6_7 * kq7 + _D6_8 * kq8
+                + _D6_9 * kq9 + _D6_10 * kq10 + _D6_11 * kq11 + _D6_12 * kq12 + _D6_13 * kq13
+                + _D6_14 * kq14 + _D6_15 * kq15
+            ),
+        )
+        rp = (
+            dp,
+            h * kp0 - dp,
+            2.0 * dp - h * (kp12 + kp0),
+            h * (
+                0.0 + _D3_0 * kp0 + _D3_5 * kp5 + _D3_6 * kp6 + _D3_7 * kp7 + _D3_8 * kp8
+                + _D3_9 * kp9 + _D3_10 * kp10 + _D3_11 * kp11 + _D3_12 * kp12 + _D3_13 * kp13
+                + _D3_14 * kp14 + _D3_15 * kp15
+            ),
+            h * (
+                0.0 + _D4_0 * kp0 + _D4_5 * kp5 + _D4_6 * kp6 + _D4_7 * kp7 + _D4_8 * kp8
+                + _D4_9 * kp9 + _D4_10 * kp10 + _D4_11 * kp11 + _D4_12 * kp12 + _D4_13 * kp13
+                + _D4_14 * kp14 + _D4_15 * kp15
+            ),
+            h * (
+                0.0 + _D5_0 * kp0 + _D5_5 * kp5 + _D5_6 * kp6 + _D5_7 * kp7 + _D5_8 * kp8
+                + _D5_9 * kp9 + _D5_10 * kp10 + _D5_11 * kp11 + _D5_12 * kp12 + _D5_13 * kp13
+                + _D5_14 * kp14 + _D5_15 * kp15
+            ),
+            h * (
+                0.0 + _D6_0 * kp0 + _D6_5 * kp5 + _D6_6 * kp6 + _D6_7 * kp7 + _D6_8 * kp8
+                + _D6_9 * kp9 + _D6_10 * kp10 + _D6_11 * kp11 + _D6_12 * kp12 + _D6_13 * kp13
+                + _D6_14 * kp14 + _D6_15 * kp15
+            ),
+        )
+        return cls(t0, h, q0, p0, rq, rp)
 
     def eval(self, theta: float) -> tuple[float, float]:
         th = theta
@@ -1085,32 +1142,3 @@ def check_escape_trap(traj: Trajectory, params: Params, pivot: PivotLaw, horizon
                 f"|p| = {abs(p)} exceeded p_star = {cap} at t = {t} after entering the trap"
             )
 
-
-def trajectory_residuals(traj: Trajectory, params: Params, pivot: PivotLaw) -> float:
-    """Midpoint-rule residual of consecutive sample pairs between events.
-
-    Samples straddling an event or inside stuck stretches are skipped; the
-    rest must be consistent with the single smooth branch to O(dt^2).
-    """
-    event_times = sorted(e.t for e in traj.events)
-    worst = 0.0
-    for (t0, q0, p0, m0), (t1, q1, p1, m1) in zip(traj.samples, traj.samples[1:]):
-        if m0 != SLIPPING or m1 != SLIPPING:
-            continue
-        dt = t1 - t0
-        if dt <= 1e-12:
-            continue
-        if any(t0 < te < t1 for te in event_times):
-            continue
-        if (p0 > 0) != (p1 > 0):
-            continue
-        branch = 1.0 if p0 > 0 else -1.0
-        tm = 0.5 * (t0 + t1)
-        qm = 0.5 * (q0 + q1)
-        pm = 0.5 * (p0 + p1)
-        fq, fp = branch_field(params, pivot, branch)(tm, qm, pm)
-        rq = abs((q1 - q0) / dt - fq)
-        rp = abs((p1 - p0) / dt - fp)
-        scale = dt * dt * (1.0 + abs(fp))
-        worst = max(worst, max(rq, rp) / scale if scale > 0 else 0.0)
-    return worst

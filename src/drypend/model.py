@@ -420,24 +420,46 @@ def branch_field(
     params: Params, pivot: PivotLaw, branch: float, accel: Callable | None = None
 ) -> Callable:
     """The slipping kernel: f(t, q, p) -> (dq/dt, dp/dt) with the friction
-    sign frozen to `branch`.
+    sign frozen to `branch` (1, -1 or 0).
 
     This is the smooth extension of the slipping field across p = 0; the
     integrator steps it between events, and the checks evaluate it at their
     sample points with the branch of sign(p).  `accel`, when given, stands
     for `pivot.accel`: the integrator passes the one of a `pivot.piece`.
+
+    The kernel is built for what `params` hold, in one of two forms.  Each
+    has the bits of the general form (a/l) s - (mu/l) |N| branch - (g/l) c,
+    summed left to right, with s = sin q, c = cos q and N = a c - l p^2 + g s:
+
+    - mu = 0: (a/l) s - (g/l) c.  The friction term is 0.0 |N| branch, a
+      zero while |N| is finite, and subtracting a zero changes at most the
+      sign of a zero sum, which the last term keeps unless (g/l) c is +0.0.
+      So the forms differ only where |N| leaves the float range, where the
+      general form gives NaN (0 * inf), and where (g/l) c rounds to +0.0.
+    - mu > 0: (mu/l) branch is one constant.  With branch 1 or -1 its
+      product with |N| rounds once either way.  With branch 0, which the
+      integrator never steps with friction, the general form gives NaN
+      where (mu/l) |N| overflows, and this one 0.
     """
     l, g, mu = params.l, params.g, params.mu
-    mu_l, g_l = mu / l, g / l
+    g_l = g / l
     if accel is None:
         accel = pivot.accel
     sin, cos = math.sin, math.cos
 
+    if mu == 0.0:
+
+        def f(t, q, p):
+            return p, (accel(t) / l) * sin(q) - g_l * cos(q)
+
+        return f
+
+    friction = (mu / l) * branch
+
     def f(t, q, p):
         a = accel(t)
         s, c = sin(q), cos(q)
-        mag = abs(a * c - l * p * p + g * s)
-        return p, (a / l) * s - mu_l * mag * branch - g_l * c
+        return p, (a / l) * s - friction * abs(a * c - l * p * p + g * s) - g_l * c
 
     return f
 

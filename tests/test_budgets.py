@@ -2,7 +2,8 @@
 to the horizon at once, and a step budget bounds each integration.
 
 The reproducers run the real CLI in a subprocess under a time limit, so a
-hang fails the test instead of stalling the suite.
+hang fails the test instead of stalling the suite; the step budget under
+each curve command runs in-process, with the budget lowered.
 """
 
 import json
@@ -16,11 +17,16 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from drypend import integrator
+from drypend import cli, integrator
 from drypend.integrator import HORIZON, StepLimit, Tolerances, integrate, slide_until_release
 from drypend.model import ConstantPivot, Params, PolyPivot, SinePivot, State, TablePivot
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+# a curve whose ends leave the region at once and whose first midpoint, the
+# apex at rest, leaves it after 27 steps; `verify` steps 100 from the apex
+FALLING_CURVE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "scenarios", "frictionless_forced.json"
+)
 
 
 def run_cli(tmp_path, scenario, command="simulate", timeout=60):
@@ -82,6 +88,23 @@ def test_a_law_too_fine_for_the_horizon_exhausts_the_step_budget(tmp_path):
     assert f"more than {integrator._MAX_STEPS} steps" in proc.stderr
     assert "t = " in proc.stderr and "h = " in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["shoot", "verify"])
+def test_step_budget_fails_shoot_and_verify(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 20)
+    out = tmp_path / "out"
+    assert cli.main([command, FALLING_CURVE, "--out", str(out)]) == 2
+    assert "more than 20 steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_step_budget_is_recorded_in_the_sweep_entry_of_its_curve(tmp_path, monkeypatch):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 20)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", FALLING_CURVE, "--out", str(out)]) == 3
+    (entry,) = json.loads((out / "sweep.json").read_text())
+    assert entry["error"].startswith("StepLimit: more than 20 steps")
 
 
 def test_step_limit_names_the_step_its_time_and_size(monkeypatch):

@@ -9,10 +9,11 @@ time box.
 The physics draws keep the work of a run bounded: the pivot's rate times the
 horizon, |da/dt| (1 + mu) / l * horizon, stays below RATE_TIMES_HORIZON, and
 no mutation gives the horizon, the start time or a rate-bearing field an
-extreme magnitude.  Two hangs are known beyond that bound: a sine pivot with
-amp 1 and omega 1e17, started at rest at q = pi/2, makes the release scan's
-step 0.5 / (1 + L) fall below the spacing of doubles near t; and omega 1e308
-hangs the stepper.  The pointwise checks of `verify` integrate nothing, so
+extreme magnitude.  Beyond that bound no hang is known: a sine pivot with
+amp 1 and omega 1e17, started at rest at q = pi/2, holds to the horizon at
+once, since no acceleration the law reaches releases it, and omega 1e308
+exits 2 once an integration takes more than the step budget (both in
+`test_budgets.py`).  The pointwise checks of `verify` integrate nothing, so
 they run on those extreme magnitudes too.
 """
 

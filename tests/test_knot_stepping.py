@@ -1,7 +1,7 @@
 """Stepping a table pivot law knot to knot.
 
 A table law is linear between its knots and has a kink at each one, where
-DOPRI5's error estimate, which assumes a smooth field, rejects step after
+the step's error estimate, which assumes a smooth field, rejects step after
 step.  `integrate` therefore ends a step on every knot and steps each
 interval's line.  These tests check that every knot is a step end, that the
 slipping stretches agree with scipy's DOP853 run piece by piece (an oracle

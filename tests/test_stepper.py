@@ -100,16 +100,10 @@ def stepper_cases(draw):
 
 
 def _tableau():
-    """The package's coefficients by name: the step's named ones, and the
-    dense output's tables under the same scheme of names."""
-    pattern = r"_(C\d+|A\d+_\d+|B\d+|E[35]_\d+)"
-    tab = {n: getattr(integrator, n) for n in dir(integrator) if re.fullmatch(pattern, n)}
-    for i, (c, row) in enumerate(integrator._DENSE_STAGES, start=13):
-        tab[f"_C{i}"] = c
-        tab.update({f"_A{i}_{j}": a for j, a in row})
-    for k, row in enumerate(integrator._DENSE_ROWS, start=3):
-        tab.update({f"_D{k}_{j}": d for j, d in row})
-    return tab
+    """The package's coefficients by name: the step's and the dense
+    output's, all named under one scheme."""
+    pattern = r"_(C\d+|A\d+_\d+|B\d+|E[35]_\d+|D\d+_\d+)"
+    return {n: getattr(integrator, n) for n in dir(integrator) if re.fullmatch(pattern, n)}
 
 
 def test_tableau_is_scipys_dop853():
@@ -273,6 +267,14 @@ def tolerances(draw):
     (Params(l=1.0, g=1.0, mu=0.3), TablePivot([0.0, 1.0], [0.0, 1e300]), 1.0, 0.0, -1.0, 0.0, 0.5),
     Tolerances(),
 )
+# the frictionless kernel, which leaves out a friction term of 0.0 |N| branch,
+# where that term and the terms around it are signed zeros or subnormal
+@example((Params(mu=0.0), ConstantPivot(-3.0), 1.0, 0.0, 0.0, -5e-324, 0.05), Tolerances())
+@example((Params(mu=0.0), ConstantPivot(-3.0), -1.0, 0.0, 0.0, -5e-324, 0.05), Tolerances())
+@example((Params(mu=0.0), ConstantPivot(-3.0), 0.0, 0.0, 0.0, -5e-324, 0.05), Tolerances())
+@example((Params(mu=0.0), ConstantPivot(-3.0), 1.0, 0.0, -0.0, -5e-324, 0.05), Tolerances())
+@example((Params(mu=0.0), ConstantPivot(-3.0), -1.0, 0.0, -0.0, -5e-324, 0.05), Tolerances())
+@example((Params(mu=0.0), ConstantPivot(-3.0), 0.0, 0.0, -0.0, -5e-324, 0.05), Tolerances())
 def test_field_and_step_match_the_looped_reference(case, tol):
     params, pivot, branch, t, q, p, h = case
     f_ref = refstepper._field(params, pivot, branch)
