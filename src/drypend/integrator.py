@@ -558,10 +558,17 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
     Each attempt is one DOP853 step to the end time t1, which is t + h or a
     time that t + h only rounds near.  Every stage sum is written out in the
     order of the tableau, its zero entries left out, so the arithmetic is
-    that of a loop over the tableau's nonzero entries.  The error is Hairer's
-    combination of the 5th- and 3rd-order estimates, and the step factor is
-    0.9 * err ** -1/8 within [0.2, 5].  A step that reaches `t_limit` is cut
-    to end on it exactly, with its last stage evaluated there, and passes on
+    that of a loop over the tableau's nonzero entries.  The products
+    h * a_ij, h * b_j and c_i * h are formed once per step size, when h
+    differs from the one they were formed for, and read by every attempt of
+    that size; a rejection, a landing and a kink cut each change h.  The
+    error is Hairer's combination of the 5th- and 3rd-order estimates, and
+    the step factor is 0.9 * err ** -1/8 within [0.2, 5].  At the cap
+    max_dt, a step whose 5th-order estimate alone bounds that error by 0.4
+    (h^2 err5 <= 0.32), and whose 3rd-order one is not NaN, is accepted
+    with max_dt as the next step, as the norm would decide, without forming
+    the norm or the step factor.  A step that reaches `t_limit` is cut to
+    end on it exactly, with its last stage evaluated there, and passes on
     as `h_next` no less than the step it was cut from, so a cut to a knot of
     the pivot law does not shrink the steps after it.  An accepted step over
     which the normal force changes sign is cut the same way to end where
@@ -587,6 +594,13 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
         h = _initial_step(q, p, kq0, kp0, tol)
     abs_tol, rel_tol, max_dt = tol.abs_tol, tol.rel_tol, tol.max_dt
     sqrt = math.sqrt
+    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = (
+        _E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11
+    )
+    e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = (
+        _E3_0, _E3_5, _E3_6, _E3_7, _E3_8, _E3_9, _E3_10, _E3_11
+    )
+    h_w = None  # the h that the stage weights below were formed for
     # the p = 0 test's ends: p keeps the sign of `branch` inside the stretch
     p_lo, p_hi = (0.0, _INF) if branch > 0 else (_NEG_INF, 0.0)
     # the side of the friction term's kink the step starts on
@@ -602,133 +616,162 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
             raise ValueError("no room to step before t_limit")
         on_kink = False
         while True:
-            w0 = h * _A1_0
-            kq1, kp1 = f(t + _C1 * h, q + w0 * kq0, p + w0 * kp0)
-            w0, w1 = h * _A2_0, h * _A2_1
-            kq2, kp2 = f(t + _C2 * h, q + w0 * kq0 + w1 * kq1, p + w0 * kp0 + w1 * kp1)
-            w0, w2 = h * _A3_0, h * _A3_2
-            kq3, kp3 = f(t + _C3 * h, q + w0 * kq0 + w2 * kq2, p + w0 * kp0 + w2 * kp2)
-            w0, w2, w3 = h * _A4_0, h * _A4_2, h * _A4_3
+            if h != h_w:
+                # each h * a_ij, h * b_j and c_i * h, one tableau row a line
+                h_w = h
+                wa1_0 = h * _A1_0
+                wa2_0, wa2_1 = h * _A2_0, h * _A2_1
+                wa3_0, wa3_2 = h * _A3_0, h * _A3_2
+                wa4_0, wa4_2, wa4_3 = h * _A4_0, h * _A4_2, h * _A4_3
+                wa5_0, wa5_3, wa5_4 = h * _A5_0, h * _A5_3, h * _A5_4
+                wa6_0, wa6_3, wa6_4, wa6_5 = h * _A6_0, h * _A6_3, h * _A6_4, h * _A6_5
+                wa7_0, wa7_3, wa7_4, wa7_5, wa7_6 = (
+                    h * _A7_0, h * _A7_3, h * _A7_4, h * _A7_5, h * _A7_6
+                )
+                wa8_0, wa8_3, wa8_4, wa8_5, wa8_6, wa8_7 = (
+                    h * _A8_0, h * _A8_3, h * _A8_4, h * _A8_5, h * _A8_6, h * _A8_7
+                )
+                wa9_0, wa9_3, wa9_4, wa9_5, wa9_6, wa9_7, wa9_8 = (
+                    h * _A9_0, h * _A9_3, h * _A9_4, h * _A9_5, h * _A9_6, h * _A9_7, h * _A9_8
+                )
+                wa10_0, wa10_3, wa10_4, wa10_5, wa10_6, wa10_7, wa10_8, wa10_9 = (
+                    h * _A10_0, h * _A10_3, h * _A10_4, h * _A10_5, h * _A10_6, h * _A10_7,
+                    h * _A10_8, h * _A10_9,
+                )
+                wa11_0, wa11_3, wa11_4, wa11_5, wa11_6, wa11_7, wa11_8, wa11_9, wa11_10 = (
+                    h * _A11_0, h * _A11_3, h * _A11_4, h * _A11_5, h * _A11_6, h * _A11_7,
+                    h * _A11_8, h * _A11_9, h * _A11_10,
+                )
+                wb0, wb5, wb6, wb7, wb8, wb9, wb10, wb11 = (
+                    h * _B0, h * _B5, h * _B6, h * _B7, h * _B8, h * _B9, h * _B10, h * _B11
+                )
+                hc1, hc2, hc3, hc4, hc5, hc6, hc7, hc8, hc9, hc10, hc11 = (
+                    _C1 * h, _C2 * h, _C3 * h, _C4 * h, _C5 * h, _C6 * h, _C7 * h, _C8 * h,
+                    _C9 * h, _C10 * h, _C11 * h,
+                )
+            kq1, kp1 = f(t + hc1, q + wa1_0 * kq0, p + wa1_0 * kp0)
+            kq2, kp2 = f(t + hc2, q + wa2_0 * kq0 + wa2_1 * kq1, p + wa2_0 * kp0 + wa2_1 * kp1)
+            kq3, kp3 = f(t + hc3, q + wa3_0 * kq0 + wa3_2 * kq2, p + wa3_0 * kp0 + wa3_2 * kp2)
             kq4, kp4 = f(
-                t + _C4 * h,
-                q + w0 * kq0 + w2 * kq2 + w3 * kq3,
-                p + w0 * kp0 + w2 * kp2 + w3 * kp3,
+                t + hc4,
+                q + wa4_0 * kq0 + wa4_2 * kq2 + wa4_3 * kq3,
+                p + wa4_0 * kp0 + wa4_2 * kp2 + wa4_3 * kp3,
             )
-            w0, w3, w4 = h * _A5_0, h * _A5_3, h * _A5_4
             kq5, kp5 = f(
-                t + _C5 * h,
-                q + w0 * kq0 + w3 * kq3 + w4 * kq4,
-                p + w0 * kp0 + w3 * kp3 + w4 * kp4,
+                t + hc5,
+                q + wa5_0 * kq0 + wa5_3 * kq3 + wa5_4 * kq4,
+                p + wa5_0 * kp0 + wa5_3 * kp3 + wa5_4 * kp4,
             )
-            w0, w3, w4, w5 = h * _A6_0, h * _A6_3, h * _A6_4, h * _A6_5
             kq6, kp6 = f(
-                t + _C6 * h,
-                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5,
-                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5,
+                t + hc6,
+                q + wa6_0 * kq0 + wa6_3 * kq3 + wa6_4 * kq4 + wa6_5 * kq5,
+                p + wa6_0 * kp0 + wa6_3 * kp3 + wa6_4 * kp4 + wa6_5 * kp5,
             )
-            w0, w3, w4, w5, w6 = h * _A7_0, h * _A7_3, h * _A7_4, h * _A7_5, h * _A7_6
             kq7, kp7 = f(
-                t + _C7 * h,
-                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6,
-                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6,
-            )
-            w0, w3, w4, w5, w6, w7 = (
-                h * _A8_0, h * _A8_3, h * _A8_4, h * _A8_5, h * _A8_6, h * _A8_7,
+                t + hc7,
+                q + wa7_0 * kq0 + wa7_3 * kq3 + wa7_4 * kq4 + wa7_5 * kq5 + wa7_6 * kq6,
+                p + wa7_0 * kp0 + wa7_3 * kp3 + wa7_4 * kp4 + wa7_5 * kp5 + wa7_6 * kp6,
             )
             kq8, kp8 = f(
-                t + _C8 * h,
-                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7,
-                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7,
-            )
-            w0, w3, w4, w5, w6, w7, w8 = (
-                h * _A9_0, h * _A9_3, h * _A9_4, h * _A9_5, h * _A9_6, h * _A9_7, h * _A9_8,
+                t + hc8,
+                q + wa8_0 * kq0 + wa8_3 * kq3 + wa8_4 * kq4 + wa8_5 * kq5 + wa8_6 * kq6
+                + wa8_7 * kq7,
+                p + wa8_0 * kp0 + wa8_3 * kp3 + wa8_4 * kp4 + wa8_5 * kp5 + wa8_6 * kp6
+                + wa8_7 * kp7,
             )
             kq9, kp9 = f(
-                t + _C9 * h,
-                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8,
-                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8,
-            )
-            w0, w3, w4, w5, w6, w7, w8, w9 = (
-                h * _A10_0, h * _A10_3, h * _A10_4, h * _A10_5, h * _A10_6, h * _A10_7, h * _A10_8,
-                h * _A10_9,
+                t + hc9,
+                q + wa9_0 * kq0 + wa9_3 * kq3 + wa9_4 * kq4 + wa9_5 * kq5 + wa9_6 * kq6
+                + wa9_7 * kq7 + wa9_8 * kq8,
+                p + wa9_0 * kp0 + wa9_3 * kp3 + wa9_4 * kp4 + wa9_5 * kp5 + wa9_6 * kp6
+                + wa9_7 * kp7 + wa9_8 * kp8,
             )
             kq10, kp10 = f(
-                t + _C10 * h,
-                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8
-                + w9 * kq9,
-                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8
-                + w9 * kp9,
-            )
-            w0, w3, w4, w5, w6, w7, w8, w9, w10 = (
-                h * _A11_0, h * _A11_3, h * _A11_4, h * _A11_5, h * _A11_6, h * _A11_7, h * _A11_8,
-                h * _A11_9, h * _A11_10,
+                t + hc10,
+                q + wa10_0 * kq0 + wa10_3 * kq3 + wa10_4 * kq4 + wa10_5 * kq5 + wa10_6 * kq6
+                + wa10_7 * kq7 + wa10_8 * kq8 + wa10_9 * kq9,
+                p + wa10_0 * kp0 + wa10_3 * kp3 + wa10_4 * kp4 + wa10_5 * kp5 + wa10_6 * kp6
+                + wa10_7 * kp7 + wa10_8 * kp8 + wa10_9 * kp9,
             )
             kq11, kp11 = f(
-                t + _C11 * h,
-                q + w0 * kq0 + w3 * kq3 + w4 * kq4 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8
-                + w9 * kq9 + w10 * kq10,
-                p + w0 * kp0 + w3 * kp3 + w4 * kp4 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8
-                + w9 * kp9 + w10 * kp10,
-            )
-            w0, w5, w6, w7, w8, w9, w10, w11 = (
-                h * _B0, h * _B5, h * _B6, h * _B7, h * _B8, h * _B9, h * _B10, h * _B11
+                t + hc11,
+                q + wa11_0 * kq0 + wa11_3 * kq3 + wa11_4 * kq4 + wa11_5 * kq5 + wa11_6 * kq6
+                + wa11_7 * kq7 + wa11_8 * kq8 + wa11_9 * kq9 + wa11_10 * kq10,
+                p + wa11_0 * kp0 + wa11_3 * kp3 + wa11_4 * kp4 + wa11_5 * kp5 + wa11_6 * kp6
+                + wa11_7 * kp7 + wa11_8 * kp8 + wa11_9 * kp9 + wa11_10 * kp10,
             )
             q1 = (
-                q + w0 * kq0 + w5 * kq5 + w6 * kq6 + w7 * kq7 + w8 * kq8 + w9 * kq9
-                + w10 * kq10 + w11 * kq11
+                q + wb0 * kq0 + wb5 * kq5 + wb6 * kq6 + wb7 * kq7 + wb8 * kq8 + wb9 * kq9
+                + wb10 * kq10 + wb11 * kq11
             )
             p1 = (
-                p + w0 * kp0 + w5 * kp5 + w6 * kp6 + w7 * kp7 + w8 * kp8 + w9 * kp9
-                + w10 * kp10 + w11 * kp11
+                p + wb0 * kp0 + wb5 * kp5 + wb6 * kp6 + wb7 * kp7 + wb8 * kp8 + wb9 * kp9
+                + wb10 * kp10 + wb11 * kp11
             )
             # the error estimates per unit h: the 8th-order solution minus a
-            # 5th-order and minus a 3rd-order one, scaled per component
-            sq = abs_tol + rel_tol * max(abs(q), abs(q1))
-            sp = abs_tol + rel_tol * max(abs(p), abs(p1))
+            # 5th-order and minus a 3rd-order one, scaled per component; each
+            # scale takes the larger magnitude at the two ends as max() does,
+            # the first one unless the second is greater
+            aq, aq1, ap, ap1 = abs(q), abs(q1), abs(p), abs(p1)
+            sq = abs_tol + rel_tol * (aq1 if aq1 > aq else aq)
+            sp = abs_tol + rel_tol * (ap1 if ap1 > ap else ap)
             eq = (
-                0.0 + _E5_0 * kq0 + _E5_5 * kq5 + _E5_6 * kq6 + _E5_7 * kq7 + _E5_8 * kq8
-                + _E5_9 * kq9 + _E5_10 * kq10 + _E5_11 * kq11
+                0.0 + e5_0 * kq0 + e5_5 * kq5 + e5_6 * kq6 + e5_7 * kq7 + e5_8 * kq8
+                + e5_9 * kq9 + e5_10 * kq10 + e5_11 * kq11
             ) / sq
             ep = (
-                0.0 + _E5_0 * kp0 + _E5_5 * kp5 + _E5_6 * kp6 + _E5_7 * kp7 + _E5_8 * kp8
-                + _E5_9 * kp9 + _E5_10 * kp10 + _E5_11 * kp11
+                0.0 + e5_0 * kp0 + e5_5 * kp5 + e5_6 * kp6 + e5_7 * kp7 + e5_8 * kp8
+                + e5_9 * kp9 + e5_10 * kp10 + e5_11 * kp11
             ) / sp
             err5 = eq * eq + ep * ep
             eq = (
-                0.0 + _E3_0 * kq0 + _E3_5 * kq5 + _E3_6 * kq6 + _E3_7 * kq7 + _E3_8 * kq8
-                + _E3_9 * kq9 + _E3_10 * kq10 + _E3_11 * kq11
+                0.0 + e3_0 * kq0 + e3_5 * kq5 + e3_6 * kq6 + e3_7 * kq7 + e3_8 * kq8
+                + e3_9 * kq9 + e3_10 * kq10 + e3_11 * kq11
             ) / sq
             ep = (
-                0.0 + _E3_0 * kp0 + _E3_5 * kp5 + _E3_6 * kp6 + _E3_7 * kp7 + _E3_8 * kp8
-                + _E3_9 * kp9 + _E3_10 * kp10 + _E3_11 * kp11
+                0.0 + e3_0 * kp0 + e3_5 * kp5 + e3_6 * kp6 + e3_7 * kp7 + e3_8 * kp8
+                + e3_9 * kp9 + e3_10 * kp10 + e3_11 * kp11
             ) / sp
             err3 = eq * eq + ep * ep
-            err = 0.0 if err5 == 0.0 else h * err5 / sqrt((err5 + 0.01 * err3) * 2.0)
-            if err <= 1.0:
-                kq12, kp12 = f(t1, q1, p1)
-                kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6, kq7, kq8, kq9, kq10, kq11, kq12)
-                kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6, kp7, kp8, kp9, kp10, kp11, kp12)
-                if not frictional:
-                    break
-                n_end = normal(t1, q1, p1) > 0.0
-                if on_kink or n_end == n_pos:
-                    break
-                # the normal force changes sign on the step: end it there
-                seg = DenseSegment.of_step(f, t, h, q, p, q1, p1, kq, kp)
-                theta = _kink_theta(seg, normal, n_pos)
-                if theta < _KINK_AT_START:
-                    break
-                h *= theta
-                t1 = t + h
-                landing = on_kink = True
-                continue
-            h *= max(0.2, 0.9 * err ** -0.125)
-            if not h >= _MIN_STEP:  # also a NaN step
-                raise StepUnderflow(f"step size underflow at t = {t}")
+            if h == max_dt and h * h * err5 <= 0.32 and err3 == err3:
+                # At the cap, a step whose 5th-order estimate alone bounds
+                # the norm passes with the cap as its next step; the norm
+                # and the step factor are not formed.  As err3 >= 0,
+                # err = h err5 / sqrt(2 (err5 + 0.01 err3)) <= h sqrt(err5 / 2)
+                # <= 0.4 < 0.9^8 ~ 0.4305, so the factor is at least
+                # 0.9 * 0.4^(-1/8) ~ 1.009 and min(h * factor, max_dt), as a
+                # landing's max(h_next, h_uncut), is max_dt; with err5 = 0
+                # the factor was 5.  A NaN err5 fails the test.  A NaN err3,
+                # from stages past about 1e307 that overflow its sums, makes
+                # the norm NaN and rejects the step, so it fails the last.
+                h_next = max_dt
+            else:
+                err = 0.0 if err5 == 0.0 else h * err5 / sqrt((err5 + 0.01 * err3) * 2.0)
+                if not err <= 1.0:
+                    h *= max(0.2, 0.9 * err ** -0.125)
+                    if not h >= _MIN_STEP:  # also a NaN step
+                        raise StepUnderflow(f"step size underflow at t = {t}")
+                    t1 = t + h
+                    landing = on_kink = False
+                    continue
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
+                h_next = min(h * factor, max_dt)
+            kq12, kp12 = f(t1, q1, p1)
+            kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6, kq7, kq8, kq9, kq10, kq11, kq12)
+            kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6, kp7, kp8, kp9, kp10, kp11, kp12)
+            if not frictional:
+                break
+            n_end = normal(t1, q1, p1) > 0.0
+            if on_kink or n_end == n_pos:
+                break
+            # the normal force changes sign on the step: end it there
+            seg = DenseSegment.of_step(f, t, h, q, p, q1, p1, kq, kp)
+            theta = _kink_theta(seg, normal, n_pos)
+            if theta < _KINK_AT_START:
+                break
+            h *= theta
             t1 = t + h
-            landing = on_kink = False
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
-        h_next = min(h * factor, max_dt)
+            landing = on_kink = True
         if landing:
             h_next = max(h_next, h_uncut)
 

@@ -34,6 +34,8 @@ from typing import Callable, NamedTuple, Sequence
 SLIPPING = "slip"
 STUCK = "stuck"
 
+_sin = math.sin  # one global lookup in `SinePivot.accel`, called on every sine field evaluation
+
 
 class _ParamsFields(NamedTuple):
     l: float = 1.0
@@ -194,7 +196,7 @@ class SinePivot(PivotLaw):
         self.phase = float(phase)
 
     def accel(self, t: float) -> float:
-        return self.amp * math.sin(self.omega * t + self.phase)
+        return self.amp * _sin(self.omega * t + self.phase)
 
     @property
     def lipschitz_bound(self) -> float:

@@ -95,8 +95,8 @@ def _rk_step(f, t: float, q: float, p: float, h: float):
     return q1, p1, (kq, kp)
 
 
-def _error(kq, kp, sq, sp, h):
-    """Hairer's combined error norm of the 5th- and 3rd-order estimates."""
+def _norms(kq, kp, sq, sp):
+    """(err5, err3): the squared scaled 5th- and 3rd-order estimates."""
     norms = []
     for weights in (_E5, _E3):
         eq = 0.0
@@ -107,10 +107,21 @@ def _error(kq, kp, sq, sp, h):
         eq /= sq
         ep /= sp
         norms.append(eq * eq + ep * ep)
-    err5, err3 = norms
+    return norms[0], norms[1]
+
+
+def _error(kq, kp, sq, sp, h):
+    """Hairer's combined error norm of the 5th- and 3rd-order estimates."""
+    err5, err3 = _norms(kq, kp, sq, sp)
     if err5 == 0.0:
         return 0.0
     return h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+
+
+def _next_step(h: float, err: float, max_dt: float) -> float:
+    """The step to try after an accepted step of size h with error err."""
+    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
+    return min(h * factor, max_dt)
 
 
 class StepUnderflow(RuntimeError):
@@ -141,8 +152,7 @@ def _accepted_step(f, t: float, q: float, p: float, h: float, tol: Tolerances):
         if not h >= _MIN_STEP:
             raise StepUnderflow(f"step size underflow at t = {t}")
     kq[12], kp[12] = f(t + h, q1, p1)
-    factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
-    return h, q1, p1, tuple(kq), tuple(kp), min(h * factor, tol.max_dt)
+    return h, q1, p1, tuple(kq), tuple(kp), _next_step(h, err, tol.max_dt)
 
 
 def _dense_rows(f, t: float, h: float, q: float, p: float, q1: float, p1: float, kq, kp):

@@ -4,9 +4,11 @@
 control, dense-output rows, their nested evaluation and 16-point event
 scans, over scipy's tableau.  The package's versions must give the same
 bits (compared as IEEE 754 patterns, so -0.0 counts too), or raise the same
-exception where the stages leave the float range; the first step that
-`_slip` yields is compared with the reference's first accepted step.  The
-package's tableau must be scipy's, and its pair must show order 8.  The
+exception where the stages leave the float range; the steps that `_slip`
+yields are compared with the reference's accepted steps, chained from one
+to the next, and its shortcut at the step cap must only take steps that the
+reference's norm passes with the cap as the next step.  The package's
+tableau must be scipy's, and its pair must show order 8.  The
 first-same-as-last reuse must not change an integration, and the Hermite
 test that lets the event scans be skipped must only skip steps whose
 Hermite has no point past the level, while skipping most of them on
@@ -197,25 +199,29 @@ def test_global_order_is_about_eight():
 @st.composite
 def stretches(draw):
     """A frictionless or frictional slipping stretch under a sine law: the
-    branch's field, its start and the time it may run to."""
+    params, the pivot, the branch, its start and the time it may run to."""
     params = Params(l=draw(reals(0.5, 2.0)), mu=draw(st.sampled_from([0.0, 0.3, 0.8])))
     pivot = SinePivot(draw(reals(0, 10)), draw(reals(0, 3)), draw(reals(-3, 3)))
     p0 = draw(st.sampled_from([-1.0, 1.0])) * draw(reals(0.5, 4.0))
     branch = 1.0 if p0 > 0 else -1.0
-    return model.branch_field(params, pivot, branch), branch, draw(reals(0.3, 2.8)), p0, draw(
-        reals(0.5, 3.0)
-    )
+    return params, pivot, branch, draw(reals(0.3, 2.8)), p0, draw(reals(0.5, 3.0))
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(stretches())
+# a frictional stretch over which N changes sign: 1.24e-6 from the oracle
+# when stepped across the kink, 6.9e-10 when cut on it as `integrate` does
+@example((Params(l=1.3824561787596512, mu=0.3), SinePivot(0, 0, 0), -1.0, 2.796875, -3.875, 1.0))
 def test_stretch_end_matches_radau(stretch):
     # at the default tolerances; over 80 such stretches the median error was
     # about 1e-12 and the largest 3e-8 when this test was written
     from scipy.integrate import solve_ivp
 
-    f, branch, q0, p0, t_limit = stretch
-    for step in integrator._slip(f, branch, 0.0, q0, p0, None, t_limit, Tolerances(), None, None):
+    params, pivot, branch, q0, p0, t_limit = stretch
+    f = model.branch_field(params, pivot, branch)
+    # with friction, steps end where the normal force changes sign, as in `integrate`
+    normal = model.normal_force(params, pivot) if params.mu > 0 else None
+    for step in integrator._slip(f, branch, 0.0, q0, p0, None, t_limit, Tolerances(), normal, None):
         pass
     t1, q1, p1 = step[7:10]  # the stretch ends at t_limit or where p changes sign
     sol = solve_ivp(
@@ -336,6 +342,155 @@ def test_step_matches_the_looped_reference_on_linear_fields(coef, t, q, p, h, to
     assert _segment_rows(f, t, h1, q, p, q1, p1, kq, kp) == outcome(
         refstepper._dense_rows, f, t, h1, q, p, q1, p1, kq, kp
     )
+
+
+def _stretch_field(spec):
+    """The field of a stretch case: the frictionless pendulum of (params,
+    pivot), or the linear field of four coefficients."""
+    if len(spec) == 2:
+        return model.branch_field(spec[0], spec[1], 1.0)
+    alpha, beta, gamma, delta = spec
+
+    def f(t, q, p):
+        return alpha * p + beta * t, gamma * q + delta
+
+    return f
+
+
+@st.composite
+def stretch_cases(draw):
+    """A frictionless or a linear field, a start and a first step: stretches
+    that run at the cap, change h, and meet rejections."""
+    if draw(st.booleans()):
+        spec = (Params(l=draw(reals(0.2, 3)), g=draw(reals(1, 20)), mu=0.0), draw(pivots()))
+    else:
+        coef = st.one_of(reals(-10, 10), finite, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+        spec = tuple(draw(coef) for _ in range(4))
+    t = draw(st.one_of(reals(0, 100), st.sampled_from([0.0, -0.0])))
+    q = draw(st.one_of(reals(-4, 7), st.sampled_from([0.0, -0.0])))
+    p = draw(st.one_of(reals(-10, 10), finite, st.sampled_from([1e-300, -5e-324])))
+    h = draw(st.one_of(reals(1e-12, 2.0), st.sampled_from([1e-14, 0.05])))
+    return spec, t, q, p, h
+
+
+_STRETCH_STEPS = 40
+
+
+def _stretch_steps(f, branch, t, q, p, h, tol):
+    """The first steps `_slip` yields from (t, q, p) with no end time, as
+    (t, h, q1, p1, kq, kp, h_next) bits, then the name of what it raised."""
+    steps = []
+    try:
+        for t0, h, _, _, kq, kp, _, _, q1, p1, h_next, _ in integrator._slip(
+            f, branch, t, q, p, h, math.inf, tol, None, None
+        ):
+            steps.append(bits((t0, h, q1, p1, kq, kp, h_next)))
+            if len(steps) == _STRETCH_STEPS:
+                break
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        steps.append(type(exc).__name__)
+    return steps
+
+
+def _chained_steps(f, branch, t, q, p, h, tol):
+    """The same from chained `refstepper._accepted_step` calls, each from
+    the last one's end and h_next, up to where p leaves the branch."""
+    steps = []
+    while len(steps) < _STRETCH_STEPS:
+        try:
+            h1, q1, p1, kq, kp, h = refstepper._accepted_step(f, t, q, p, h, tol)
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            steps.append(type(exc).__name__)
+            break
+        steps.append(bits((t, h1, q1, p1, kq, kp, h)))
+        t, q, p = t + h1, q1, p1
+        if not p * branch > 0.0:
+            break
+    return steps
+
+
+@PROPERTY
+@given(case=stretch_cases(), tol=tolerances())
+# a forced frictionless swing at the default tolerances: every step at the
+# cap, where the shortcut decides
+@example(case=((Params(mu=0.0), SinePivot(2.0, 1.0)), 0.0, 1.1, 3.0, 0.05), tol=Tolerances())
+# a forced swing at tight tolerances: h changes at every step, and about
+# every other step meets a rejection
+@example(
+    case=((Params(mu=0.0, l=0.5), SinePivot(20.0, 7.0)), 0.0, 0.3, 9.0, 0.5),
+    tol=Tolerances(rel_tol=1e-12, abs_tol=1e-13, stick_band=1e-11, max_dt=0.5),
+)
+# a whirl at loose tolerances: steps at a cap of 0.5 that pass with a norm
+# past 0.9^8, so the next step is shorter than the cap
+@example(
+    case=((Params(g=9.0, mu=0.0), ConstantPivot(0.0)), 0.0, 0.0, 6.0, 1.0),
+    tol=Tolerances(rel_tol=1e-3, abs_tol=1e-4, stick_band=1e-2, max_dt=0.5),
+)
+# stages of 1e308 overflow the 3rd-order estimate's sums into NaN while the
+# 5th-order one stays small: the norm is NaN, every attempt is rejected and
+# the step underflows, also at the cap
+@example(
+    case=((Params(mu=0.0), SinePivot(2.0, 1.0)), 0.0, 1.1, 1e308, 0.01),
+    tol=Tolerances(max_dt=0.01),
+)
+def test_stretch_matches_chained_reference_steps(case, tol):
+    """Every step of a stretch, not only the first: each attempt must use
+    the weights of its own h, and the cap's shortcut must decide as the
+    norm would, across rejections, changes of h and runs at the cap."""
+    spec, t, q, p, h = case
+    f = _stretch_field(spec)
+    branch = -1.0 if p < 0 else 1.0
+    assert _stretch_steps(f, branch, t, q, p, h, tol) == _chained_steps(f, branch, t, q, p, h, tol)
+
+
+_stages = st.tuples(
+    *[st.one_of(reals(-1e3, 1e3), finite, st.sampled_from([0.0, -0.0, 1.0]))] * 13
+)
+
+
+@st.composite
+def scaled_error_cases(draw):
+    """Stages 0-12 of q and p, scales sq, sp and a step h = max_dt, with the
+    scales drawn so that h^2 err5 lands around 0.32."""
+    kq, kp = draw(_stages), draw(_stages)
+    max_dt = draw(st.one_of(reals(1e-14, 1e3), st.sampled_from([0.05, 0.5, 1.0])))
+    ratio = draw(reals(1e-3, 1e3))
+    err5 = refstepper._norms(kq, kp, 1.0, ratio)[0]
+    # err5 scales as 1 / s^2 when both scales are multiplied by s
+    s = math.sqrt(max_dt * max_dt * err5 / (0.32 * draw(reals(1e-3, 1.5))))
+    if not 0.0 < s * ratio < math.inf:
+        s, ratio = draw(reals(1e-300, 1e300)), 1.0
+    return kq, kp, s, s * ratio, max_dt
+
+
+@PROPERTY
+@given(scaled_error_cases())
+# h^2 err5 = 0.32 exactly, with err3 = 0: the norm is 0.39999999999999997
+@example(
+    (
+        (23.44728773340198, 0.0, 0.0, 0.0, 0.0, 1.0) + (0.0,) * 7,
+        (0.0,) * 13,
+        0.08109869335987148,
+        1.0,
+        0.05,
+    )
+)
+# err5 = 0: the factor is 5
+@example(((0.0,) * 13, (0.0,) * 13, 1.0, 1.0, 0.05))
+# a NaN err3 under a small err5 (see the chained test): not a skip
+@example(((1e308,) * 13, (0.0,) * 13, 5e300, 1.0, 0.05))
+def test_cap_shortcut_is_sound(case):
+    """Where `_slip` takes a step at the cap without the norm (h = max_dt,
+    h^2 err5 <= 0.32 and err3 not NaN), the reference's norm accepts it
+    with room, err <= 0.9^8, and sets max_dt as the next step."""
+    kq, kp, sq, sp, max_dt = case
+    err5, err3 = refstepper._norms(kq, kp, sq, sp)
+    err = refstepper._error(kq, kp, sq, sp, max_dt)
+    if max_dt * max_dt * err5 <= 0.32 and err3 == err3:
+        assert err <= 0.9 ** 8
+        assert refstepper._next_step(max_dt, err, max_dt) == max_dt
+    elif max_dt * max_dt * err5 <= 0.32:  # only a NaN err3 keeps it from the shortcut
+        assert not err <= 1.0
 
 
 def _segments(t0, h, q0, p0, rq, rp):
