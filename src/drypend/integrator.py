@@ -1,13 +1,14 @@
 """Event-driven time stepping for the friction pendulum.
 
-Between events the slipping field is smooth but for the kinks of its
-friction term, so it is advanced with the Dormand-Prince 8(5,3) pair
-(DOP853), and a step that crosses a kink is cut to end on it.  Events are
-detected on each step's quintic Hermite, which the step's ends and their
-field values give for free, and located on DOP853's 7th-order dense output,
-whose three extra stages are formed only where detection fires or a
-recorded time falls.  The friction sign is frozen per step (the smooth
-extension of the current branch), steps are cut at roots of p so that no
+Between events the motion follows one ODE, the slipping field with the
+friction sign frozen to the current branch, smooth but for the kinks of its
+friction term and the knots of a table pivot law.  One generator (`_slip`)
+steps each such stretch with the Dormand-Prince 8(5,3) pair (DOP853), and a
+step that would cross a kink or a knot is cut to end on it.
+Events are detected on each step's quintic Hermite, which the step's ends
+and their field values give for free, and located on DOP853's 7th-order
+dense output, whose three extra stages are formed only where detection
+fires or a recorded time falls.  Steps are cut at roots of p so that no
 accepted step straddles the switching surface, and the surface itself is
 handled by classifying the one-sided limit fields: either the trajectory
 crosses and is re-seeded on the far side, or it sticks and time is advanced
@@ -23,6 +24,7 @@ from typing import NamedTuple, Sequence
 from .model import (
     SLIPPING,
     STUCK,
+    ConstantPivot,
     Params,
     PivotLaw,
     State,
@@ -462,19 +464,16 @@ def _initial_step(q: float, p: float, dq: float, dp: float, tol: Tolerances) -> 
 
 class StepResult(NamedTuple):
     state: State
-    segment: DenseSegment
     h_used: float
     h_next: float
     hit_switch: bool
-    # ((t, q, p, branch), (dq, dp)): the field at the end of a full step,
-    # which the next step may reuse as its first stage
-    fsal: tuple | None = None
 
 
 def _first_exit(seg: DenseSegment, i: int, theta_end: float, lo: float, hi: float):
     """First scan point theta in (0, theta_end] where the dense q (i = 0) or
-    p (i = 1) reaches x <= lo or x >= hi: (theta_a, theta_b, x) with theta_a
-    the scan point before it, or None.  An end may be infinite.
+    p (i = 1) reaches x <= lo or x >= hi, or is NaN, as the overflowed rows
+    of an accepted step can give: (theta_a, theta_b, x) with theta_a the
+    scan point before it, or None.  An end may be infinite.
 
     The dense output is scanned on a fixed subdivision; a transversal
     crossing cannot hide between scan points at the scales the step
@@ -486,7 +485,7 @@ def _first_exit(seg: DenseSegment, i: int, theta_end: float, lo: float, hi: floa
     for k in range(1, n + 1):
         th = theta_end * k / n
         x = seg.eval(th)[i]
-        if x <= lo or x >= hi:
+        if not lo < x < hi:
             return prev_theta, th, x
         prev_theta = th
     return None
@@ -538,22 +537,38 @@ def _kink_theta(seg: DenseSegment, normal, positive: bool) -> float:
     return hi
 
 
-def _slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
-    """The accepted steps of one slipping stretch of the field `f`, which has
-    the friction sign frozen to `branch`, from (t, q, p).
+def _branch_pieces(params: Params, pivot: PivotLaw, branch: float):
+    """`_slip`'s piece(t) -> (t_end, field, normal) on the branch `branch`:
+    the end of `pivot.piece(t)`, and the field and normal force (None
+    without friction) of its a(t)."""
+    frictional = params.mu != 0.0
 
-    Each step is yielded as (t, h, q, p, kq, kp, seg, t1, q1, p1, h_next,
-    switch): its start, size and stages 0-12, the DenseSegment of them if
-    the p = 0 test formed one (else None), its end, the step to try next,
-    and, on a step that ends the stretch on p = 0, the (t, q, p) there, with
-    |p| <= stick_band / 10 (else None).  `normal` is the field's
-    `normal_force` when it has friction, else None.  With friction, a step
+    def piece(t):
+        t_end, accel = pivot.piece(t)
+        normal = normal_force(params, pivot, accel) if frictional else None
+        return t_end, branch_field(params, pivot, branch, accel), normal
+
+    return piece
+
+
+def _slip(piece, branch, t, q, p, h, t_end, tol):
+    """The accepted steps of one slipping stretch, from (t, q, p) to the
+    next event, with the friction sign frozen to `branch`.  piece(t) gives
+    (t_limit, f, normal): the end of the pivot law's smooth piece that
+    holds t, the field there and its normal force, None without friction.
+
+    Each step is yielded as (t, h, q, p, f, kq, kp, seg, t1, q1, p1, h_next,
+    switch): its start, size, field and stages 0-12, the DenseSegment of
+    them if the p = 0 test formed one (else None), its end, the step to try
+    next, and, on a step that ends the stretch on p = 0, the (t, q, p)
+    there, with |p| <= stick_band / 10 (else None).  With friction, a step
     whose dense p brackets 0 is cut there, so no step straddles a sign
-    change; that step ends the stretch, as does one that reaches `t_limit`
-    or leaves the branch.  The p = 0 test is the Hermite test of p
-    (`_hermite_p_clear`), which needs no field evaluation; only a step it
-    does not clear gets a segment, whose scan (`_first_exit`) and bisection
-    locate the root.
+    change; that step ends the stretch, as does one that leaves the branch
+    or reaches `t_end`.  Without friction the field is the same on either
+    branch, and only `t_end` ends the stretch.  The p = 0 test is the
+    Hermite test of p (`_hermite_p_clear`), which needs no field
+    evaluation; only a step it does not clear gets a segment, whose scan
+    (`_first_exit`) and bisection locate the root.
 
     Each attempt is one DOP853 step to the end time t1, which is t + h or a
     time that t + h only rounds near.  Every stage sum is written out in the
@@ -567,29 +582,28 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
     max_dt, a step whose 5th-order estimate alone bounds that error by 0.4
     (h^2 err5 <= 0.32), and whose 3rd-order one is not NaN, is accepted
     with max_dt as the next step, as the norm would decide, without forming
-    the norm or the step factor.  A step that reaches `t_limit` is cut to
-    end on it exactly, with its last stage evaluated there, and passes on
-    as `h_next` no less than the step it was cut from, so a cut to a knot of
-    the pivot law does not shrink the steps after it.  An accepted step over
-    which the normal force changes sign is cut the same way to end where
-    its dense output does (`_kink_theta`): the friction term's derivative
-    jumps there, and the error estimate, which assumes a smooth field,
-    misses what that costs; a kink within `_KINK_AT_START` of the step's
-    start is stepped over.  Inside the stretch each step's first stage is
-    the last stage of the step before (FSAL); that last stage is evaluated
-    only on an accepted attempt.  The first step's is the field value of
-    `carried`, ((t, q, p, branch), (dq, dp)), when that was taken at exactly
-    this start, else f(t, q, p); it is also shared by rejected attempts and
-    by the starting-step estimate when `h` is None.
+    the norm or the step factor.  A step that reaches a piece's end or
+    `t_end` is cut to end on it exactly, with its last stage evaluated
+    there, and passes on as `h_next` no less than the step it was cut from,
+    so a cut to a knot of the pivot law does not shrink the steps after it;
+    past a piece's end the next piece's field and normal force take over,
+    and that last stage stays the next first stage, as `PivotLaw.piece`
+    gives both pieces the bits of `accel` there.  An accepted step over which
+    the normal force changes sign is cut the same way to end where its
+    dense output does (`_kink_theta`): the friction term's derivative jumps
+    there, and the error estimate, which assumes a smooth field, misses
+    what that costs; a kink within `_KINK_AT_START` of the step's start is
+    stepped over.  Each step's first stage is the last stage of the step
+    before (FSAL); that last stage is evaluated only on an accepted
+    attempt.  The first step's is f(t, q, p), which rejected attempts share,
+    as does the starting-step estimate when `h` is None.
     """
+    t_limit, f, normal = piece(t)
+    t_limit = min(t_end, t_limit)
     frictional = normal is not None
     if frictional and branch == 0.0:
         raise ValueError("stepping requires p != 0 when mu > 0")
-    # -0.0 == 0.0, so a start with a zero in it is not matched by value
-    if carried is not None and carried[0] == (t, q, p, branch) and t != 0.0 and q != 0.0 and p != 0.0:
-        kq0, kp0 = carried[1]
-    else:
-        kq0, kp0 = f(t, q, p)
+    kq0, kp0 = f(t, q, p)
     if h is None:
         h = _initial_step(q, p, kq0, kp0, tol)
     abs_tol, rel_tol, max_dt = tol.abs_tol, tol.rel_tol, tol.max_dt
@@ -784,11 +798,16 @@ def _slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
             if root is not None:
                 switch = _bisect_switch(seg, tol, root[:2])
                 if switch[0] > t:  # guard against a root at the very start of the step
-                    yield t, h, q, p, kq, kp, seg, t1, q1, p1, h_next, switch
+                    yield t, h, q, p, f, kq, kp, seg, t1, q1, p1, h_next, switch
                     return
-        yield t, h, q, p, kq, kp, seg, t1, q1, p1, h_next, None
-        if t1 >= t_limit or not p1 * branch > 0.0:
+        yield t, h, q, p, f, kq, kp, seg, t1, q1, p1, h_next, None
+        if frictional and not p1 * branch > 0.0:
             return
+        if t1 >= t_limit:
+            if t1 >= t_end:
+                return
+            t_limit, f, normal = piece(t1)
+            t_limit = min(t_end, t_limit)
         t, q, p, h, kq0, kp0, n_pos = t1, q1, p1, h_next, kq12, kp12, n_end
 
 
@@ -799,35 +818,26 @@ def step_smooth(
     tol: Tolerances,
     h: float | None = None,
     t_limit: float | None = None,
-    fsal: tuple | None = None,
 ) -> StepResult:
     """One accepted adaptive step of the current smooth branch: the first
     step of the slipping stretch from `state` (see `_slip`), with the
-    friction sign frozen to sign(p).
-
-    `fsal` is the `fsal` of the previous StepResult, whose field value is
-    the first stage when it was taken at exactly this (t, q, p, branch).
-    """
+    friction sign frozen to sign(p)."""
     if state.mode != SLIPPING:
         raise ValueError("step_smooth requires a slipping state")
     t, p = state.t, state.p
     branch = 1.0 if p > 0 else (-1.0 if p < 0 else 0.0)
-    f = branch_field(params, pivot, branch)
-    normal = normal_force(params, pivot) if params.mu != 0.0 else None
     stretch = _slip(
-        f, branch, t, state.q, p, h, math.inf if t_limit is None else t_limit, tol, normal, fsal
+        _branch_pieces(params, pivot, branch), branch, t, state.q, p, h,
+        math.inf if t_limit is None else t_limit, tol,
     )
-    t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, switch = next(stretch)
-    seg = seg or DenseSegment.of_step(f, t0, h, q0, p0, q1, p1, kq, kp)
+    _, h, *_, t1, q1, p1, h_next, switch = next(stretch)
     if switch is not None:
         t1, q1, p1 = switch
     return StepResult(
         state=State(q=q1, p=p1, t=t1, mode=SLIPPING),
-        segment=seg,
         h_used=t1 - t if switch else h,
         h_next=h_next,
         hit_switch=switch is not None,
-        fsal=None if switch else ((t1, q1, p1, branch), (kq[12], kp[12])),
     )
 
 
@@ -866,7 +876,7 @@ def _never_releases(params: Params, a_max: float, q: float) -> bool:
     At a fixed q the margin l (|drift| - bound) = |a s - g c| - mu |a c + g s|
     (s = sin q, c = cos q) is piecewise linear in a, with kinks at
     a = g c / s and a = -g s / c.  So its largest value on the interval is
-    at an end or at a kink inside it, and those few values decide.
+    at an end or at a kink inside it, where the on-surface kernel decides.
     """
     l, g, mu = params.l, params.g, params.mu
     s, c = math.sin(q), math.cos(q)
@@ -878,8 +888,7 @@ def _never_releases(params: Params, a_max: float, q: float) -> bool:
     # |drift| + bound is at most this, which scales the kernel's rounding
     slack = _EXCLUSION_SLACK * (a_max + g) * (1.0 + mu) / l + _EXCLUSION_FLOOR
     for a in candidates:
-        drift = (a / l) * s - (g / l) * c
-        bound = (mu / l) * abs(a * c + g * s)
+        drift, bound = stiction_drift_and_bound(params, ConstantPivot(a), q, 0.0)
         if not abs(drift) - bound < -slack:  # also a NaN margin
             return False
     return True
@@ -988,8 +997,8 @@ def integrate(
 ) -> Trajectory:
     """Drive the mode machine from `initial` until `horizon` or a guard exit.
 
-    Each slipping stretch, up to p = 0, the end of the pivot law's smooth
-    piece or a change of friction branch, is stepped by one `_slip`
+    Each slipping stretch, from the start, a crossing or a release to the
+    next event, through the knots of a table law, is stepped by one `_slip`
     generator, and a State is built only where it ends.  Each landing on
     p = 0 is classified into a crossing (re-seeded at half the stick band on
     the far side) or a stick entry (projected onto the surface and advanced
@@ -1048,12 +1057,8 @@ def integrate(
     stick_band = tol.stick_band
     add_sample = traj.samples.append
     h_next = initial_dt
-    carried = None  # ((t, q, p, branch), stage) at the end of the last full step
     n_events = 0
     n_steps = 0
-    # the end of the pivot law's smooth piece being stepped; the piece and
-    # its branch fields are read at the first slipping stretch past it
-    piece_end = -math.inf
 
     def bump_events():
         nonlocal n_events
@@ -1085,21 +1090,14 @@ def integrate(
                 h_next = None
                 continue
 
-            # a slipping stretch, inside the pivot law's smooth piece
-            if state.t >= piece_end:
-                piece_end, piece_accel = pivot.piece(state.t)
-                fields = {}
-                normal = normal_force(params, pivot, piece_accel) if frictional else None
-                t_limit = min(horizon, piece_end)
+            # a slipping stretch, from its start to the next event
             branch = 1.0 if state.p > 0 else (-1.0 if state.p < 0 else 0.0)
-            field = fields.get(branch)
-            if field is None:
-                field = fields[branch] = branch_field(params, pivot, branch, piece_accel)
             stretch = _slip(
-                field, branch, state.t, state.q, state.p, h_next, t_limit, tol, normal, carried
+                _branch_pieces(params, pivot, branch), branch, state.t, state.q, state.p, h_next,
+                horizon, tol,
             )
             direction = None  # how the stretch ends on p = 0: 0 sticks, else crosses
-            for t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, switch in stretch:
+            for t0, h, q0, p0, field, kq, kp, seg, t1, q1, p1, h_next, switch in stretch:
                 n_steps += 1
                 if n_steps > _MAX_STEPS:
                     raise StepLimit(
@@ -1137,8 +1135,7 @@ def integrate(
                 if frictional and abs(p1) < stick_band and classify_switch(params, pivot, q1, t1) == 0:
                     direction = 0
                     break
-            carried = None if switch else ((t1, q1, p1, branch), (kq[12], kp[12]))
-            if direction is None:  # the stretch ran to t_limit or off its branch
+            if direction is None:  # the stretch ran to the horizon or off its branch
                 state = State(q=q1, p=p1, t=t1, mode=SLIPPING)
             elif direction == 0:
                 state = State(q=q1, p=0.0, t=t1, mode=STUCK)

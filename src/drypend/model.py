@@ -84,7 +84,9 @@ class PivotLaw:
         """(t_end, accel): the end of the smooth piece of a(t) that holds t,
         and an a(t) with the bits of `self.accel` on [t, t_end].  The
         integrator ends a step on every t_end, so that no step straddles a
-        kink of a(t): its error estimate assumes a smooth field."""
+        kink of a(t): its error estimate assumes a smooth field.  The next
+        step starts from the field value at t_end, which both pieces give
+        with these bits."""
         return math.inf, self.accel
 
     @property

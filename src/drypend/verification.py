@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Params, PivotLaw, State, branch_field, limit_fields
+from .model import Params, PivotLaw, State, branch_field, limit_fields, linspace
 from .integrator import Tolerances, integrate
 
 
@@ -245,7 +245,7 @@ def check_continuous_dependence(
         raise ValueError("deltas must be non-negative")
     if any(deltas[i + 1] >= deltas[i] for i in range(len(deltas) - 1)):
         raise ValueError("deltas must be strictly decreasing")
-    grid = list(np.linspace(base_ic.t, horizon, 257))
+    grid = linspace(base_ic.t, horizon, 257)
     base = integrate(base_ic, params, pivot, horizon, tol, record_at=grid)
     base_qp = np.array([(s.q, s.p) for s in base.recorded])
     directions = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]

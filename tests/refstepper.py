@@ -190,7 +190,8 @@ def _initial_step(f, t: float, q: float, p: float, tol: Tolerances) -> float:
 
 
 def _poly_first_sign_change(seg: DenseSegment, sign0: float, theta_max: float = 1.0):
-    """Smallest theta in (0, theta_max] where the dense p changes sign, or None.
+    """Smallest theta in (0, theta_max] where the dense p changes sign or is
+    NaN, or None.
 
     The interpolant is scanned on a fixed subdivision; a transversal root
     cannot hide between scan points at the scales the step controller
@@ -203,21 +204,22 @@ def _poly_first_sign_change(seg: DenseSegment, sign0: float, theta_max: float = 
     for i in range(1, n + 1):
         th = theta_max * i / n
         _, p = seg.eval(th)
-        if p == 0.0 or (p > 0) != (prev_p > 0):
+        if p == 0.0 or p != p or (p > 0) != (prev_p > 0):
             return prev_theta, th
         prev_theta, prev_p = th, p
     return None
 
 
 def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
-    """Earliest theta in (0, theta_end] where the dense q leaves [q_lo, q_hi]."""
+    """Earliest theta in (0, theta_end] where the dense q leaves (q_lo, q_hi)
+    or is NaN."""
     n = 16
     prev_theta = 0.0
     prev_q = seg.q0
     for i in range(1, n + 1):
         th = theta_end * i / n
         qv, _ = seg.eval(th)
-        if qv <= q_lo or qv >= q_hi:
+        if qv <= q_lo or qv >= q_hi or qv != qv:
             side = SIDE_LOW if qv <= q_lo else SIDE_HIGH
             bound = q_lo if side == SIDE_LOW else q_hi
             lo, hi = prev_theta, th

@@ -164,3 +164,20 @@ def test_the_shortcut_fires_on_an_apex_stuck_under_a_weak_law():
     assert not integrator._never_releases(params, SinePivot(5.0, 1.0).accel_bound, stuck_q)
     # a constant law holds wherever it holds at entry, and is never scanned
     assert ConstantPivot(3.0).accel_bound == 3.0
+
+
+def test_the_release_test_evaluates_the_on_surface_kernel(monkeypatch):
+    # the equations on p = 0 are written once: the release test reads
+    # `stiction_drift_and_bound` at each candidate acceleration, here the
+    # ends of [-1, 1] and the kink g c / s inside it
+    seen = []
+    kernel = integrator.stiction_drift_and_bound
+
+    def counting(params, pivot, q, t):
+        seen.append(pivot.accel(t))
+        return kernel(params, pivot, q, t)
+
+    monkeypatch.setattr(integrator, "stiction_drift_and_bound", counting)
+    params, q = Params(mu=0.5), math.pi / 2
+    assert integrator._never_releases(params, 1.0, q)
+    assert seen == [-1.0, 1.0, params.g * math.cos(q) / math.sin(q)]

@@ -59,7 +59,7 @@ def recorded_steps():
 
     def recording(*args):
         for step in original(*args):
-            t0, h, q0, p0, kq, kp, seg, t1, *_ = step
+            t0, h, q0, p0, f, kq, kp, seg, t1, *_ = step
             steps.append((t0, t1))
             yield step
 

@@ -9,9 +9,10 @@ yields are compared with the reference's accepted steps, chained from one
 to the next, and its shortcut at the step cap must only take steps that the
 reference's norm passes with the cap as the next step.  The package's
 tableau must be scipy's, and its pair must show order 8.  The
-first-same-as-last reuse must not change an integration, and the Hermite
-test that lets the event scans be skipped must only skip steps whose
-Hermite has no point past the level, while skipping most of them on
+first-same-as-last reuse must not change an integration, `integrate` must
+start one `_slip` generator per slipping stretch between events, and the
+Hermite test that lets the event scans be skipped must only skip steps
+whose Hermite has no point past the level, while skipping most of them on
 ordinary runs.
 """
 
@@ -160,18 +161,23 @@ def test_row_sums_and_quadrature_conditions():
     assert abs(float(sum(e3))) <= ulps * float(sum(map(abs, e3)))
 
 
+def slip_one_piece(f, branch, t, q, p, h, t_end, tol, normal=None):
+    """The steps `_slip` yields for a field f that is smooth for all time,
+    with its normal force, or None for a field without friction."""
+    return integrator._slip(lambda _: (math.inf, f, normal), branch, t, q, p, h, t_end, tol)
+
+
 def _fixed_step_end(h, t_end):
     """(q, p) at t_end of a frictionless, forced stretch stepped at fixed h:
     tolerances so loose that every attempt is accepted, and a cap of h."""
     params, pivot = Params(mu=0.0, l=2.0), SinePivot(2.0, 1.0)
     f = model.branch_field(params, pivot, 1.0)
     tol = Tolerances(rel_tol=1.0, abs_tol=1.0, event_tol=1.0, stick_band=10.0, max_dt=h)
-    t, q, p = 0.0, 1.1, 0.7
-    while t < t_end:  # a stretch also ends where p changes sign
-        for step in integrator._slip(f, 1.0 if p > 0 else -1.0, t, q, p, h, t_end, tol, None, None):
-            assert step[1] == h or step[7] == t_end
-        t, q, p = step[7:10]
-    return (q, p), (params, pivot)
+    # without friction the stretch runs on where p changes sign
+    for step in slip_one_piece(f, 1.0, 0.0, 1.1, 0.7, h, t_end, tol):
+        assert step[1] == h or step[8] == t_end
+    assert step[8] == t_end
+    return step[9:11], (params, pivot)
 
 
 def test_global_order_is_about_eight():
@@ -221,9 +227,10 @@ def test_stretch_end_matches_radau(stretch):
     f = model.branch_field(params, pivot, branch)
     # with friction, steps end where the normal force changes sign, as in `integrate`
     normal = model.normal_force(params, pivot) if params.mu > 0 else None
-    for step in integrator._slip(f, branch, 0.0, q0, p0, None, t_limit, Tolerances(), normal, None):
+    for step in slip_one_piece(f, branch, 0.0, q0, p0, None, t_limit, Tolerances(), normal):
         pass
-    t1, q1, p1 = step[7:10]  # the stretch ends at t_limit or where p changes sign
+    # the stretch ends at t_limit or, with friction, where p changes sign
+    t1, q1, p1 = step[8:11]
     sol = solve_ivp(
         lambda t, y: f(t, y[0], y[1]), (0.0, t1), [q0, p0], method="Radau", rtol=1e-13, atol=1e-15
     )
@@ -245,10 +252,10 @@ def outcome(fn, *args):
 def first_step(f, branch, t, q, p, h, tol):
     """The first step `_slip` yields from (t, q, p) with no end time and no
     event test, in the form of `refstepper._accepted_step`."""
-    t0, h, q0, p0, kq, kp, seg, t1, q1, p1, h_next, switch = next(
-        integrator._slip(f, branch, t, q, p, h, math.inf, tol, None, None)
+    t0, h, q0, p0, f0, kq, kp, seg, t1, q1, p1, h_next, switch = next(
+        slip_one_piece(f, branch, t, q, p, h, math.inf, tol)
     )
-    assert (t0, q0, p0, seg, switch) == (t, q, p, None, None)
+    assert (t0, q0, p0, f0, seg, switch) == (t, q, p, f, None, None)
     assert bits(t1) == bits(t + h)
     return h, q1, p1, kq, kp, h_next
 
@@ -381,8 +388,8 @@ def _stretch_steps(f, branch, t, q, p, h, tol):
     (t, h, q1, p1, kq, kp, h_next) bits, then the name of what it raised."""
     steps = []
     try:
-        for t0, h, _, _, kq, kp, _, _, q1, p1, h_next, _ in integrator._slip(
-            f, branch, t, q, p, h, math.inf, tol, None, None
+        for t0, h, _, _, _, kq, kp, _, _, q1, p1, h_next, _ in slip_one_piece(
+            f, branch, t, q, p, h, math.inf, tol
         ):
             steps.append(bits((t0, h, q1, p1, kq, kp, h_next)))
             if len(steps) == _STRETCH_STEPS:
@@ -394,7 +401,8 @@ def _stretch_steps(f, branch, t, q, p, h, tol):
 
 def _chained_steps(f, branch, t, q, p, h, tol):
     """The same from chained `refstepper._accepted_step` calls, each from
-    the last one's end and h_next, up to where p leaves the branch."""
+    the last one's end and h_next; these fields have no friction, so the
+    stretch runs on where p changes sign."""
     steps = []
     while len(steps) < _STRETCH_STEPS:
         try:
@@ -404,8 +412,6 @@ def _chained_steps(f, branch, t, q, p, h, tol):
             break
         steps.append(bits((t, h1, q1, p1, kq, kp, h)))
         t, q, p = t + h1, q1, p1
-        if not p * branch > 0.0:
-            break
     return steps
 
 
@@ -535,18 +541,23 @@ def _rows_for(power):
     return tuple(float(r) for r in np.linalg.solve(_BASIS, np.array(power, dtype=float)))
 
 
+def _stepped_segment(params, pivot, branch, t, q, p, h):
+    """The dense segment of one step of size h of the field of (params,
+    pivot, branch) from (t, q, p), as (t, h, q, p, rq, rp)."""
+    f = refstepper._field(params, pivot, branch)
+    q1, p1, (kq, kp) = refstepper._rk_step(f, t, q, p, h)
+    kq[12], kp[12] = f(t + h, q1, p1)
+    rq, rp = refstepper._dense_rows(f, t, h, q, p, q1, p1, kq, kp)
+    return t, h, q, p, rq, rp
+
+
 @st.composite
 def stepped_segments(draw):
     """A dense segment built by one real step of a drawn field."""
-    params, pivot, branch, t, q, p, h = draw(stepper_cases())
-    f = refstepper._field(params, pivot, branch)
     try:
-        q1, p1, (kq, kp) = refstepper._rk_step(f, t, q, p, h)
-        kq[12], kp[12] = f(t + h, q1, p1)
-        rq, rp = refstepper._dense_rows(f, t, h, q, p, q1, p1, kq, kp)
+        return _stepped_segment(*draw(stepper_cases()))
     except (ArithmeticError, ValueError):  # stages that leave the float range
         assume(False)
-    return t, h, q, p, rq, rp
 
 
 @st.composite
@@ -593,6 +604,17 @@ theta_maxes = st.one_of(st.just(1.0), reals(1e-9, 1.0), st.sampled_from([1 - 2 *
 
 @PROPERTY
 @given(seg=st.one_of(stepped_segments(), adversarial_segments()), theta_max=theta_maxes)
+# friction that speeds p up (branch -1 at p > 0) runs p to 2e49 in one step,
+# and rows 3-6 overflow: q and p are NaN at every scan point, where both
+# scans see an exit
+@example(
+    seg=_stepped_segment(
+        Params(l=2.9171347163871633, g=19.002023398371318, mu=0.8),
+        ConstantPivot(-12.545358093527156), -1.0, 80.00391285290084, 6.701939219668178,
+        8.162858700554168, 0.48438939107559537,
+    ),
+    theta_max=1.0,
+)
 def test_event_scans_match_the_reference(seg, theta_max):
     new, ref = _segments(*seg)
     sign0 = 1.0 if new.p0 > 0 else -1.0
@@ -603,6 +625,19 @@ def test_event_scans_match_the_reference(seg, theta_max):
         assert bits(integrator._guard_exit(new, theta_max, q_lo, q_hi)) == bits(
             refstepper._guard_exit(ref, theta_max, q_lo, q_hi)
         )
+
+
+def test_a_guard_exit_on_overflowed_rows_is_not_missed():
+    # without friction, from p = 1e306, the stages of q all round to p, so
+    # the step passes its error test while the sums of q's dense rows
+    # overflow: q is NaN at every scan point, and q leaves the guard on the
+    # first step, which the scan reports
+    traj = integrate(
+        State(q=1.1, p=1e306, t=0.0), Params(mu=0.0), SinePivot(2.0, 1.0), 0.05,
+        region_guard=(-10.0, 10.0),
+    )
+    assert [e.kind for e in traj.events] == ["region_exit"]
+    assert traj.events[0].t < 1e-3
 
 
 # --- the Hermite exclusion: sound, and not vacuous --------------------------
@@ -841,7 +876,7 @@ def test_each_step_runs_each_stage_test_once(monkeypatch):
 
     def slip(*args):
         for step in original_slip(*args):
-            t0, h, q0, p0, _, _, _, _, _, _, _, switch = step
+            t0, h, q0, p0, *_, switch = step
             theta_end = 1.0 if switch is None else (switch[0] - t0) / h
             steps.append(((h, q0, p0), theta_end, switch is not None))
             yield step
@@ -915,7 +950,7 @@ def test_no_step_crosses_a_kink_of_the_friction_term(monkeypatch):
     integrate(KINK_START, KINK_PARAMS, KINK_PIVOT, 4.5, KINK_TOL)
     normal = model.normal_force(KINK_PARAMS, KINK_PIVOT)
     kinks = 0
-    for t0, h, q0, p0, _, _, _, t1, q1, p1, _, _ in steps:
+    for t0, h, q0, p0, _, _, _, _, t1, q1, p1, _, _ in steps:
         n0, n1 = normal(t0, q0, p0), normal(t1, q1, p1)
         # a step may start or end on a kink, located on the dense output to
         # within about 1e-9 of N (N itself runs to about 40 here)
@@ -955,19 +990,22 @@ def test_crossings_after_kinks_match_the_oracle():
 def _without_fsal(monkeypatch):
     """Make every step evaluate its first stage afresh: each step of a
     stretch is the first step of a new `_slip` from where the one before
-    ended, with no stage carried in."""
+    ended, which reads the piece that holds that end."""
     original = integrator._slip
 
-    def slip(f, branch, t, q, p, h, t_limit, tol, normal, carried):
+    def first_steps(piece, branch, t, q, p, h, t_end, tol):
         while True:
-            step = next(original(f, branch, t, q, p, h, t_limit, tol, normal, None))
+            step = next(original(piece, branch, t, q, p, h, t_end, tol))
             yield step
             *_, t, q, p, h, switch = step
-            # where `_slip` ends a stretch: on p = 0, on t_limit or off the branch
-            if switch is not None or t >= t_limit or not p * branch > 0.0:
+            # where `_slip` ends a stretch: on p = 0, at t_end or, with
+            # friction, off the branch
+            if switch is not None or t >= t_end:
+                return
+            if piece(t)[2] is not None and not p * branch > 0.0:
                 return
 
-    monkeypatch.setattr(integrator, "_slip", slip)
+    monkeypatch.setattr(integrator, "_slip", first_steps)
 
 
 FSAL_CASES = [
@@ -1024,29 +1062,67 @@ def test_fsal_reuse_leaves_the_integration_unchanged(monkeypatch, params, pivot,
 
 def test_fsal_stage_is_not_used_for_another_start():
     params, pivot, tol = Params(mu=0.5), SinePivot(3.0, 1.0), Tolerances()
-    first = integrator.step_smooth(State(q=1.0, p=0.5, t=0.0), params, pivot, tol)
-    (t1, q1, p1, branch), (dq, dp) = first.fsal
-    assert (t1, q1, p1) == (first.state.t, first.state.q, first.state.p)
-    # a stage taken at another point is ignored, so the step is unchanged
-    wrong = ((t1, q1, p1, branch), (dq + 1.0, dp - 1.0))
-    moved = State(q=q1, p=p1 * (1 + 2 ** -52), t=t1)
-    assert bits(integrator.step_smooth(moved, params, pivot, tol, fsal=wrong).state.p) == bits(
-        integrator.step_smooth(moved, params, pivot, tol).state.p
-    )
-    # -0.0 == 0.0, but a stage taken at q = 0.0 is not reused at q = -0.0
-    zero = State(q=-0.0, p=0.5, t=1.0)
-    at_plus_zero = ((1.0, 0.0, 0.5, 1.0), (dq + 1.0, dp - 1.0))
-    assert bits(integrator.step_smooth(zero, params, pivot, tol, fsal=at_plus_zero).state.q) == bits(
-        integrator.step_smooth(zero, params, pivot, tol).state.q
-    )
+    piece = integrator._branch_pieces(params, pivot, 1.0)
+    stretch = integrator._slip(piece, 1.0, 0.0, 1.0, 0.5, None, math.inf, tol)
+    first, second = next(stretch), next(stretch)
+    *_, t1, q1, p1, h_next, _ = first
+    # the last stage of a step is the first stage of the step from its end
+    assert second[0] == t1 and second[2:4] == (q1, p1)
+    assert bits((second[5][0], second[6][0])) == bits((first[5][12], first[6][12]))
     # on its own start it is the field value there, so it gives the same step
-    same = integrator.step_smooth(first.state, params, pivot, tol, h=first.h_next, fsal=first.fsal)
-    fresh = integrator.step_smooth(first.state, params, pivot, tol, h=first.h_next)
-    assert bits((same.state.t, same.state.q, same.state.p)) == bits(
-        (fresh.state.t, fresh.state.q, fresh.state.p)
-    )
+    fresh = next(integrator._slip(piece, 1.0, t1, q1, p1, h_next, math.inf, tol))
+    assert bits(second[5:7] + second[8:12]) == bits(fresh[5:7] + fresh[8:12])
 
 
 def test_nan_step_raises_instead_of_looping():
     with pytest.raises(integrator.StepUnderflow):
         integrator.step_smooth(State(q=math.nan, p=0.5, t=0.0), Params(), ConstantPivot(0.0), Tolerances())
+
+
+# --- one generator per slipping stretch ------------------------------------
+
+# a sampled sine with knot noise, knots every 0.25 s, that sticks, releases
+# and crosses p = 0 within 8 s
+STRETCH_TABLE = TablePivot(
+    [0.25 * k for k in range(41)],
+    [9.0 * math.sin(0.325 * k + 0.4) * (1.0 + 0.1 * math.sin(7.1 * k)) for k in range(41)],
+)
+
+
+@pytest.mark.parametrize(
+    "params, pivot, start, horizon",
+    [
+        (Params(mu=0.3), STRETCH_TABLE, State(q=1.1, p=0.6, t=0.0), 8.0),
+        (Params(mu=0.0), SinePivot(2.0, 1.5), State(q=1.2, p=0.4, t=0.0), 15.0),
+    ],
+    ids=["table-friction", "sine-frictionless"],
+)
+def test_one_slip_per_stretch_between_events(monkeypatch, params, pivot, start, horizon):
+    # a stretch starts at the start, a crossing or a release, and `integrate`
+    # steps it with one `_slip` generator through the knots of a table law
+    # and, without friction, through the sign changes of p
+    spans = []  # [start, end] of the steps of each generator
+    original = integrator._slip
+
+    def slip(*args):
+        span = [args[2], args[2]]
+        spans.append(span)
+        for step in original(*args):
+            switch = step[-1]
+            span[1] = step[8] if switch is None else switch[0]
+            yield step
+
+    monkeypatch.setattr(integrator, "_slip", slip)
+    traj = integrate(start, params, pivot, horizon)
+    kinds = Counter(e.kind for e in traj.events)
+    assert len(spans) == 1 + kinds["crossing"] + kinds["stick_release"]
+    starts = [start.t] + [e.t for e in traj.events if e.kind in ("crossing", "stick_release")]
+    assert [span[0] for span in spans] == starts
+    if params.mu > 0:
+        assert kinds["crossing"] >= 1 and kinds["stick_release"] >= 2
+        knots_inside = sum(a < k < b for a, b in spans for k in pivot.times)
+        assert knots_inside >= 10
+    else:
+        assert spans == [[start.t, horizon]]
+        ps = [s[2] for s in traj.samples]
+        assert sum((a > 0) != (b > 0) for a, b in zip(ps, ps[1:])) >= 4
