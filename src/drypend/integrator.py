@@ -862,13 +862,6 @@ def reseed(q: float, t: float, direction: int, tol: Tolerances) -> State:
     return State(q=q, p=direction * tol.stick_band / 2, t=t, mode=SLIPPING)
 
 
-def _release_scan_step(params: Params, pivot: PivotLaw, q: float, tol: Tolerances) -> float:
-    # margin(t) inherits the pivot's Lipschitz constant; refine the scan when
-    # the law wiggles fast so short release windows are not skipped over
-    l_margin = (pivot.lipschitz_bound / params.l) * (abs(math.sin(q)) + params.mu * abs(math.cos(q)))
-    return min(tol.max_dt, 0.5 / (1.0 + l_margin))
-
-
 def _never_releases(params: Params, a_max: float, q: float) -> bool:
     """Whether static friction holds at the angle q for every pivot
     acceleration a in [-a_max, a_max], with room for the kernel's rounding.
@@ -926,7 +919,10 @@ def slide_until_release(
     if pivot.lipschitz_bound == 0.0 or _never_releases(params, pivot.accel_bound, q):
         return Event(t=horizon, q=q, kind=HORIZON)
 
-    dt = _release_scan_step(params, pivot, q, tol)
+    # margin(t) inherits the pivot's Lipschitz constant; refine the scan when
+    # the law wiggles fast so short release windows are not skipped over
+    l_margin = (pivot.lipschitz_bound / params.l) * (abs(math.sin(q)) + params.mu * abs(math.cos(q)))
+    dt = min(tol.max_dt, 0.5 / (1.0 + l_margin))
     t_lo = t0
     n = 0
     while t_lo < horizon:
@@ -954,12 +950,17 @@ def slide_until_release(
 
 
 def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
-    """Earliest theta in (0, theta_end] where the dense q leaves (q_lo, q_hi),
-    bisected from the first scan point outside, and the side it leaves by."""
+    """(theta, q, p, side): the earliest theta in (0, theta_end] where the
+    dense q leaves (q_lo, q_hi), bisected from the first scan point outside.
+    A NaN q there, from overflowed rows, places nothing inside the step: the
+    exit is then the step's end (theta 1, q0 + r0) if that lies outside."""
     hit = _first_exit(seg, 0, theta_end, q_lo, q_hi)
     if hit is None:
         return None
     lo, hi, q_out = hit
+    if q_out != q_out:
+        q, p = seg.q0 + seg.rq[0], seg.p0 + seg.rp[0]
+        return None if q_lo < q < q_hi else (1.0, q, p, SIDE_LOW if q <= q_lo else SIDE_HIGH)
     low = q_out <= q_lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -968,7 +969,7 @@ def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
             hi = mid
         else:
             lo = mid
-    return hi, SIDE_LOW if low else SIDE_HIGH
+    return hi, *seg.eval(hi), SIDE_LOW if low else SIDE_HIGH
 
 
 def _record_due(recorded, times, i, t_now, seg, q=0.0, p=0.0, mode=SLIPPING) -> int:
@@ -1114,9 +1115,8 @@ def integrate(
                     seg = seg or DenseSegment.of_step(field, t0, h, q0, p0, q1, p1, kq, kp)
                     exit_hit = _guard_exit(seg, theta_end, q_lo, q_hi)
                     if exit_hit is not None:
-                        theta_x, side = exit_hit
+                        theta_x, q_x, p_x, side = exit_hit
                         t_x = t0 + theta_x * h
-                        q_x, p_x = seg.eval(theta_x)
                         rec_idx = _record_due(recorded, rec_times, rec_idx, t_x, seg)
                         traj.append(t_x, q_x, p_x, SLIPPING)
                         traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))

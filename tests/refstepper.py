@@ -211,17 +211,24 @@ def _poly_first_sign_change(seg: DenseSegment, sign0: float, theta_max: float = 
 
 
 def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
-    """Earliest theta in (0, theta_end] where the dense q leaves (q_lo, q_hi)
-    or is NaN."""
+    """Earliest theta in (0, theta_end] where the dense q leaves [q_lo, q_hi],
+    as (theta, q, p, side).  A scan point where q is NaN says nothing about
+    where q went; the step's end, where every row but the first drops out,
+    is then the first point known, and the exit is there if it is outside."""
     n = 16
     prev_theta = 0.0
-    prev_q = seg.q0
     for i in range(1, n + 1):
         th = theta_end * i / n
         qv, _ = seg.eval(th)
-        if qv <= q_lo or qv >= q_hi or qv != qv:
+        if math.isnan(qv):
+            q_end, p_end = seg.q0 + seg.rq[0], seg.p0 + seg.rp[0]
+            if q_end <= q_lo:
+                return 1.0, q_end, p_end, SIDE_LOW
+            if q_end >= q_hi:
+                return 1.0, q_end, p_end, SIDE_HIGH
+            return None
+        if qv <= q_lo or qv >= q_hi:
             side = SIDE_LOW if qv <= q_lo else SIDE_HIGH
-            bound = q_lo if side == SIDE_LOW else q_hi
             lo, hi = prev_theta, th
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
@@ -231,6 +238,6 @@ def _guard_exit(seg: DenseSegment, theta_end: float, q_lo: float, q_hi: float):
                     hi = mid
                 else:
                     lo = mid
-            return hi, side
-        prev_theta, prev_q = th, qv
+            return (hi, *seg.eval(hi), side)
+        prev_theta = th
     return None

@@ -627,17 +627,22 @@ def test_event_scans_match_the_reference(seg, theta_max):
         )
 
 
-def test_a_guard_exit_on_overflowed_rows_is_not_missed():
-    # without friction, from p = 1e306, the stages of q all round to p, so
+@pytest.mark.parametrize("p0, side", [(1e306, "high"), (-1e306, "low")])
+def test_a_guard_exit_on_overflowed_rows_is_not_missed(p0, side):
+    # without friction, from |p| = 1e306, the stages of q all round to p, so
     # the step passes its error test while the sums of q's dense rows
-    # overflow: q is NaN at every scan point, and q leaves the guard on the
-    # first step, which the scan reports
+    # overflow: q is NaN at every scan point.  q leaves the guard on the
+    # first step, whose end, about 7.5e302 from the start, is the first
+    # point known outside: the exit is there, on the side q went
     traj = integrate(
-        State(q=1.1, p=1e306, t=0.0), Params(mu=0.0), SinePivot(2.0, 1.0), 0.05,
+        State(q=1.1, p=p0, t=0.0), Params(mu=0.0), SinePivot(2.0, 1.0), 0.05,
         region_guard=(-10.0, 10.0),
     )
-    assert [e.kind for e in traj.events] == ["region_exit"]
-    assert traj.events[0].t < 1e-3
+    (event,) = traj.events
+    assert (event.kind, event.side) == ("region_exit", side)
+    assert 0.0 < event.t < 1e-3
+    assert math.isfinite(event.q) and abs(event.q) > 1e302 and event.q * p0 > 0.0
+    assert traj.final.q == event.q and traj.final.t == event.t
 
 
 # --- the Hermite exclusion: sound, and not vacuous --------------------------

@@ -1,10 +1,10 @@
 """List the benchmark ops whose outputs differ between two drypend trees.
 
-    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--seeds 0-15]
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE
 
 A tree is the root of a drypend checkout.  For each tree, one child
 interpreter imports drypend from the tree's `src/` and the op lists from its
-`perfbench/workloads.py`, then runs every op of one round of each seed of
+`perfbench/workloads.py`, then runs every op of one round of each of seeds 0-15 of
 the three benchmark workloads in-process, as `perfbench/run.py` does: one
 `drypend.cli.main([...])` call on the scenario written to a fresh
 directory.  An op's outputs are its exit code (or the exception it raised)
@@ -39,14 +39,14 @@ def _digest(out_dir: str) -> str:
     return h.hexdigest()
 
 
-def _run_tree(tree: str, seeds: list[int]) -> int:
+def _run_tree(tree: str) -> int:
     """Child mode: print one JSON line [key, exit code, digest] per op."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads
     from drypend import cli
 
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in seeds:
+        for seed in range(16):
             for workload in WORKLOADS:
                 for i, op in enumerate(workloads.round_ops(workload, seed)):
                     work = tempfile.mkdtemp(dir=tmp)
@@ -67,22 +67,16 @@ def _run_tree(tree: str, seeds: list[int]) -> int:
     return 0
 
 
-def _seeds(spec: str) -> list[int]:
-    lo, _, hi = spec.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the first drypend tree")
     parser.add_argument("change", help="root of the second drypend tree")
-    parser.add_argument("--seeds", default="0-15", help="a seed or a range, as 0-15")
     args = parser.parse_args(argv)
 
     # both trees at once, one child interpreter each
     children = [
         subprocess.Popen(
-            [sys.executable, __file__, "--worker", os.path.abspath(tree), args.seeds],
+            [sys.executable, __file__, "--worker", os.path.abspath(tree)],
             stdout=subprocess.PIPE,
             text=True,
             env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},  # no caches left in the trees
@@ -113,6 +107,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--worker"]:  # a child: --worker TREE SEEDS
-        sys.exit(_run_tree(sys.argv[2], _seeds(sys.argv[3])))
+    if sys.argv[1:2] == ["--worker"]:  # a child: --worker TREE
+        sys.exit(_run_tree(sys.argv[2]))
     sys.exit(main())
