@@ -56,11 +56,6 @@ class StepUnderflow(IntegrationError):
     for this explicit scheme or the tolerances are inconsistent."""
 
 
-class ChatterLimit(IntegrationError):
-    """More than the allowed number of events; tolerances almost certainly
-    misconfigured (stick band too small relative to event width)."""
-
-
 class StepLimit(IntegrationError):
     """More steps in one integration, or more points in one release scan,
     than `_MAX_STEPS`: a step cap or a pivot law too fine for the horizon."""
@@ -258,13 +253,16 @@ _D6_0, _D6_5, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14
 )
 
 _MIN_STEP = 1e-14
-_MAX_EVENTS = 10 ** 6
 # The most steps one integration may take, and the most points one release
 # scan may test.  Over every op of every benchmark design and every golden
 # input, the most steps one integration took was 4,277 and the most margin
 # evaluations one stuck stretch made was 161; the budget leaves a margin of
 # about 23 times over the first.  At tens of microseconds a step it stops,
-# within seconds, a run that would not end in hours.
+# within seconds, a run that would not end in hours.  It bounds the events
+# too: each crossing or stick entry ends a stretch of at least one step, and
+# each release follows a stick entry, so a run has at most 2 * _MAX_STEPS + 3
+# events, counting a stick entry at the start, a release from a stuck start
+# and the final event.
 _MAX_STEPS = 100_000
 
 # An event scan is skipped only when the Bernstein coefficients of the step's
@@ -1058,14 +1056,7 @@ def integrate(
     stick_band = tol.stick_band
     add_sample = traj.samples.append
     h_next = initial_dt
-    n_events = 0
     n_steps = 0
-
-    def bump_events():
-        nonlocal n_events
-        n_events += 1
-        if n_events > _MAX_EVENTS:
-            raise ChatterLimit("event count exceeded 1e6")
 
     try:
         while state.t < horizon:
@@ -1082,7 +1073,6 @@ def integrate(
                 rec_idx = _record_due(recorded, rec_times, rec_idx, ev.t, None, q_stuck, 0.0, STUCK)
                 traj.append(ev.t, q_stuck, 0.0, STUCK)
                 traj.events.append(ev)
-                bump_events()
                 if ev.kind == HORIZON:
                     check_escape_trap(traj, params, pivot, horizon)
                     return traj
@@ -1120,7 +1110,6 @@ def integrate(
                         rec_idx = _record_due(recorded, rec_times, rec_idx, t_x, seg)
                         traj.append(t_x, q_x, p_x, SLIPPING)
                         traj.events.append(Event(t=t_x, q=q_x, kind=REGION_EXIT, side=side))
-                        bump_events()
                         check_escape_trap(traj, params, pivot, horizon)
                         return traj
                 if switch is not None:
@@ -1141,12 +1130,10 @@ def integrate(
                 state = State(q=q1, p=0.0, t=t1, mode=STUCK)
                 traj.append(t1, q1, 0.0, STUCK)
                 traj.events.append(Event(t=t1, q=q1, kind=STICK_ENTRY))
-                bump_events()
                 h_next = None
             else:
                 traj.append(t1, q1, p1, SLIPPING)
                 traj.events.append(Event(t=t1, q=q1, kind=CROSSING, direction=direction))
-                bump_events()
                 state = reseed(q1, t1, direction, tol)
                 traj.append(state.t, state.q, state.p, state.mode)
                 h_next = None

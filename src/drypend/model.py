@@ -15,7 +15,8 @@ interval between the two one-sided limits, which `limit_fields` returns.
 The field is written in two kernels only: `branch_field` (off the surface,
 one friction branch) and `stiction_drift_and_bound` (on p = 0), from which
 the one-sided limits are taken; `normal_force` is the argument of the
-first one's friction magnitude, whose sign changes are its kinks.  Every
+first one's friction magnitude, whose sign changes are its kinks, and
+`branch_jacobian` is the first one's derivative in (q, p).  Every
 function takes and returns Python floats; the integrator and the
 verification checks evaluate the same kernels.  numpy is imported only by `PolyPivot`, for the roots behind its
 bounds.
@@ -88,6 +89,11 @@ class PivotLaw:
         step starts from the field value at t_end, which both pieces give
         with these bits."""
         return math.inf, self.accel
+
+    def rate(self, t: float) -> float:
+        """da/dt at t; on a law smooth only piecewise, that of the piece
+        `piece(t)` returns."""
+        raise NotImplementedError
 
     @property
     def lipschitz_bound(self) -> float:
@@ -175,6 +181,9 @@ class ConstantPivot(PivotLaw):
     def accel(self, t: float) -> float:
         return self.a
 
+    def rate(self, t: float) -> float:
+        return 0.0
+
     @property
     def lipschitz_bound(self) -> float:
         return 0.0
@@ -199,6 +208,9 @@ class SinePivot(PivotLaw):
 
     def accel(self, t: float) -> float:
         return self.amp * _sin(self.omega * t + self.phase)
+
+    def rate(self, t: float) -> float:
+        return self.amp * self.omega * math.cos(self.omega * t + self.phase)
 
     @property
     def lipschitz_bound(self) -> float:
@@ -257,6 +269,9 @@ class PolyPivot(PivotLaw):
         for ck in c[-2::-1]:
             acc = ck + acc * x
         return acc
+
+    def rate(self, t: float) -> float:
+        return float(self._deriv(t))
 
     @staticmethod
     def _abs_max(poly, a: float, b: float) -> float:
@@ -326,6 +341,13 @@ class TablePivot(PivotLaw):
 
     def accel(self, t: float) -> float:
         return interp(t, self.times, self.values)
+
+    def rate(self, t: float) -> float:
+        ts, vs = self.times, self.values
+        j = bisect_right(ts, t)
+        if j == 0 or j == len(ts):  # clamped
+            return 0.0
+        return (vs[j] - vs[j - 1]) / (ts[j] - ts[j - 1])
 
     def piece(self, t: float) -> tuple[float, Callable]:
         """The next knot after t and the line of the interval up to it.
@@ -466,6 +488,38 @@ def branch_field(
         return p, (a / l) * s - friction * abs(a * c - l * p * p + g * s) - g_l * c
 
     return f
+
+
+def branch_jacobian(params: Params, pivot: PivotLaw, branch: float) -> Callable:
+    """The Jacobian of `branch_field`'s dp/dt in (q, p), with the normal
+    force: a function (t, q, p, side=0.0) -> (d(dp/dt)/dq, d(dp/dt)/dp, N)
+    for the friction sign `branch`; dq/dt = p has the gradient (0, 1).
+
+    With s = sin q, c = cos q and N = a c - l p^2 + g s, and |N|' taken as
+    sign(N) N':
+
+        d/dq = (a/l) c + (g/l) s - (mu/l) branch sign(N) (g c - a s)
+        d/dp = 2 mu branch sign(N) p
+
+    On the kink N = 0 the sign is `side` (1 or -1), the side of the kink
+    the caller steps on; side 0 takes the sign of N as computed, 0 on it.
+    """
+    l, g = params.l, params.g
+    g_l = g / l
+    friction = (params.mu / l) * branch
+    accel = pivot.accel
+    sin, cos = math.sin, math.cos
+
+    def jac(t, q, p, side=0.0):
+        a = accel(t)
+        s, c = sin(q), cos(q)
+        n = a * c - l * p * p + g * s
+        if not side:
+            side = 1.0 if n > 0.0 else (-1.0 if n < 0.0 else 0.0)
+        k = friction * side
+        return (a / l) * c + g_l * s - k * (g * c - a * s), 2.0 * l * k * p, n
+
+    return jac
 
 
 def normal_force(params: Params, pivot: PivotLaw, accel: Callable | None = None) -> Callable:

@@ -304,12 +304,13 @@ class TestIntegrate:
         times = [e.t for e in traj.events]
         assert all(t2 >= t1 for t1, t2 in zip(times, times[1:]))
 
-    def test_chatter_limit_raised(self, monkeypatch):
+    def test_step_limit_ends_an_event_heavy_run(self, monkeypatch):
+        # the step budget bounds the events as well (see _MAX_STEPS)
         import drypend.integrator as mod
 
-        monkeypatch.setattr(mod, "_MAX_EVENTS", 2)
+        monkeypatch.setattr(mod, "_MAX_STEPS", 2)
         pv = SinePivot(amp=6.0, omega=1.0)  # periodic stick/release cycles
-        with pytest.raises(mod.ChatterLimit):
+        with pytest.raises(mod.IntegrationError):
             integrate(State(q=math.pi / 2, p=0.0, t=0.0), P, pv, 20.0, TOL)
 
 

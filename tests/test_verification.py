@@ -3,12 +3,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from drypend import verification
-from drypend.model import ConstantPivot, Params, SinePivot, State, branch_field, limit_fields
-from drypend.integrator import Tolerances
+from drypend import flowmap, integrator, model, verification
+from drypend.model import (
+    ConstantPivot,
+    Params,
+    SinePivot,
+    State,
+    branch_field,
+    branch_jacobian,
+    limit_fields,
+    linspace,
+)
+from drypend.flowmap import Unresolved, flow_map
+from drypend.integrator import CROSSING, STICK_ENTRY, STICK_RELEASE, Tolerances, integrate
 from drypend.verification import (
     P_MAX,
     T_MAX,
@@ -191,6 +201,135 @@ class TestContinuousDependence:
         with pytest.raises(ValueError):
             check_continuous_dependence(P, ZERO, State(q=1.0, p=0.0, t=0.0), 1.0, [1e-6, 1e-6])
 
+    def test_reversed_friction_fails(self, monkeypatch):
+        # friction that pushes away from p = 0 makes the surface repelling:
+        # from p = 0 at the apex, runs that start on either side part by O(1)
+        # and no saltation matrix maps one side onto the other, so the check
+        # has no flow map to predict with
+        def stiction(params, pivot, q, t):
+            drift, bound = stiction_drift_and_bound(params, pivot, q, t)
+            return drift, -bound
+
+        def reversed_branch(make):
+            return lambda params, pivot, branch, *rest: make(params, pivot, -branch, *rest)
+
+        stiction_drift_and_bound = model.stiction_drift_and_bound
+        monkeypatch.setattr(model, "stiction_drift_and_bound", stiction)
+        monkeypatch.setattr(integrator, "stiction_drift_and_bound", stiction)
+        monkeypatch.setattr(integrator, "branch_field", reversed_branch(branch_field))
+        monkeypatch.setattr(flowmap, "branch_jacobian", reversed_branch(branch_jacobian))
+        # (within 1 s: the reversed term grows like mu p^2 and p soon overflows)
+        r = check_continuous_dependence(P, ZERO, State(q=math.pi / 2, p=0.0, t=0.0), 0.5, [1e-6, 1e-8])
+        assert not r.passed
+        assert r.details["unresolved_deltas"] == [1e-6, 1e-8]
+        assert "crossing" in r.details["unresolved"]
+
+    def test_a_delta_below_the_noise_floor_is_unresolved(self):
+        # perfbench/scenarios/dependence_fault.json at its default tolerances:
+        # with delta 1e-12 added, eps / delta once read 186 against 6.6 and
+        # the check passed on the solver's noise
+        params = Params(mu=0.2)
+        pivot = SinePivot(7.3595623218620245, 2.2508393202379082)
+        start = State(q=2.1865862067472235, p=-1.7490822865394722, t=0.0)
+        r = check_continuous_dependence(params, pivot, start, 5.0, [1e-6, 1e-8, 1e-12])
+        assert r.passed
+        assert 1e-12 in r.details["unresolved_deltas"]
+        assert r.details["deltas"] and 1e-12 not in r.details["deltas"]
+        assert r.details["integrations"] == 2 + 2 * len(r.details["deltas"])
+        assert r.details["eta"] > 1e-12 * max(r.details["growth_ratios"])
+
+
+def _closed_form_apex(t, lam):
+    """The flow map of the frictionless pendulum linearised at the apex."""
+    c, s = math.cosh(lam * t), math.sinh(lam * t)
+    return np.array([[c, s / lam], [lam * s, c]])
+
+
+# tolerances at which a run's error is far below the central differences' step
+TIGHT = Tolerances(rel_tol=1e-11, abs_tol=1e-13, event_tol=1e-12, stick_band=1e-10)
+
+
+class TestFlowMap:
+    def test_apex_flow_map_is_the_closed_form(self):
+        # C5's band [11.4, 45.8] around e^sqrt(g/l) is this map's growth
+        p0 = Params(mu=0.0)
+        tol = Tolerances(rel_tol=1e-12, abs_tol=1e-14, event_tol=1e-12, stick_band=1e-7)
+        grid = linspace(0.0, 1.0, 257)
+        traj = integrate(State(q=math.pi / 2, p=0.0, t=0.0), p0, ZERO, 1.0, tol, record_at=grid)
+        phis, psis = flow_map(p0, ZERO, traj)
+        lam = math.sqrt(p0.g / p0.l)
+        for t, phi, psi in zip(grid, phis, psis):
+            exact = _closed_form_apex(t, lam)
+            assert np.allclose(np.reshape(phi, (2, 2)), exact, rtol=1e-9, atol=1e-12)
+            assert np.allclose(np.reshape(psi, (2, 2)), exact, rtol=1e-5)
+        sigma = np.linalg.norm(np.reshape(phis[-1], (2, 2)), 2)
+        assert sigma == pytest.approx(39.4, abs=0.05)
+        assert math.exp(lam) / 2 <= sigma <= math.exp(lam) * 2
+
+    # a sine law that sticks, releases and sticks again, and one that also crosses
+    @example(mu=0.5, amp=6.0, omega=1.0, phase=0.0, q0=1.2, p0=0.8, horizon=5.0)
+    @example(mu=0.2, amp=7.36, omega=2.25, phase=0.0, q0=2.19, p0=-1.75, horizon=5.0)
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        mu=st.floats(0.05, 0.8),
+        amp=st.floats(0.5, 12.0),
+        omega=st.floats(0.3, 3.0),
+        phase=st.floats(0.0, 6.0),
+        q0=st.floats(0.2, 2.9),
+        p0=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+        horizon=st.floats(1.0, 5.0),
+    )
+    def test_flow_map_matches_central_differences(self, mu, amp, omega, phase, q0, p0, horizon):
+        params, pivot = Params(mu=mu), SinePivot(amp, omega, phase)
+        grid = linspace(0.0, horizon, 257)
+        base = integrate(State(q=q0, p=p0, t=0.0), params, pivot, horizon, TIGHT, record_at=grid)
+        try:
+            phi = np.array(flow_map(params, pivot, base)[0]).reshape(-1, 2, 2)
+        except Unresolved:
+            assume(False)
+        delta = 1e-6
+        columns = []
+        for dq, dp in ((delta, 0.0), (0.0, delta)):
+            ends = []
+            for sign in (1.0, -1.0):
+                ic = State(q=q0 + sign * dq, p=p0 + sign * dp, t=0.0)
+                run = integrate(ic, params, pivot, horizon, TIGHT, record_at=grid)
+                ends.append(np.array([(s.q, s.p) for s in run.recorded]))
+            columns.append((ends[0] - ends[1]) / (2.0 * delta))
+        central = np.stack(columns, axis=2)
+        # a grid time between an event of the base run and the same event of
+        # a perturbed run sees the event's jump, not the flow map
+        away = np.array([all(abs(t - e.t) > 1e-3 for e in base.events) for t in grid])
+        scale = max(1.0, float(np.max(np.abs(central))))
+        assert np.max(np.abs(phi - central)[away]) <= 2e-3 * scale
+
+    def test_the_examples_meet_every_jump(self):
+        # the explicit examples above stick and release, and cross
+        run = integrate(State(q=1.2, p=0.8, t=0.0), P, SinePivot(6.0, 1.0, 0.0), 5.0, TIGHT)
+        assert {STICK_ENTRY, STICK_RELEASE} <= {e.kind for e in run.events}
+        pivot = SinePivot(7.36, 2.25, 0.0)
+        run = integrate(State(q=2.19, p=-1.75, t=0.0), Params(mu=0.2), pivot, 5.0, TIGHT)
+        assert {CROSSING, STICK_ENTRY, STICK_RELEASE} <= {e.kind for e in run.events}
+
+    def test_a_release_at_a_turning_point_of_the_law_is_unresolved(self):
+        # where da/dt = 0 the stiction margin does not change in time: the
+        # release time's derivative -(dm/dq)/(dm/dt) does not exist
+        with pytest.raises(Unresolved, match="tangential release"):
+            flowmap._release_rate(P, SinePivot(3.0, 1.0), 1.0, math.pi / 2)
+        assert math.isfinite(flowmap._release_rate(P, SinePivot(3.0, 1.0), 1.0, 1.0))
+
+    def test_a_start_on_p_0_that_crosses_scales_the_far_probe(self, monkeypatch):
+        # from the apex with a(0) > mu g the run crosses onto p > 0 at once;
+        # the probe that starts with p < 0 crosses there too, and only the
+        # saltation of that crossing predicts its epsilon
+        params, pivot = Params(mu=0.2), ConstantPivot(5.0)
+        start = State(q=math.pi / 2, p=0.0, t=0.0)
+        tol = Tolerances().scaled(100)
+        r = check_continuous_dependence(params, pivot, start, 3.0, [1e-6, 1e-8], tol)
+        assert r.passed and r.details["deltas"] == [1e-6, 1e-8]
+        monkeypatch.setattr(verification, "start_jump", lambda *args: (0, 1.0))
+        assert not check_continuous_dependence(params, pivot, start, 3.0, [1e-6, 1e-8], tol).passed
+
 
 class TestUpperSemicontinuity:
     def test_linear_rate_at_apex(self):
@@ -214,6 +353,31 @@ class TestUpperSemicontinuity:
     def test_rejects_non_decreasing_sequence(self):
         with pytest.raises(ValueError):
             check_upper_semicontinuity(P, ZERO, 1.0, 0.0, [0.5, 0.5])
+
+    def test_an_offset_field_fails(self, monkeypatch):
+        # a field 50 above its limits once passed with a slope of 2.4e7: a
+        # beta that does not shrink with p broke no rule
+        def offset(params, pivot, branch, accel=None):
+            f = branch_field(params, pivot, branch, accel)
+            return lambda t, q, p: (p, f(t, q, p)[1] + 50.0)
+
+        seq = [2.0 ** -k for k in range(1, 20)]
+        assert check_upper_semicontinuity(P, SinePivot(2, 1), math.pi / 4, 0.0, seq).passed
+        monkeypatch.setattr(verification, "branch_field", offset)
+        r = check_upper_semicontinuity(P, SinePivot(2, 1), math.pi / 4, 0.0, seq)
+        assert not r.passed
+        assert r.estimated_constant > 1e6
+        assert r.worst_case["beta"] == pytest.approx(50.0, rel=1e-6)
+
+    def test_both_signs_are_sampled(self):
+        seq = [2.0 ** -k for k in range(1, 6)]
+        r = check_upper_semicontinuity(P, SinePivot(3, 1), 0.3, 0.7, seq)
+        assert r.passed
+        assert len(r.details["betas"]) == len(r.details["betas_negative"]) == len(seq)
+        for p, beta, beta_neg in zip(seq, r.details["betas"], r.details["betas_negative"]):
+            bound = p * math.sqrt(1.0 + (P.mu * p) ** 2)
+            assert p <= beta <= bound + r.details["slack"]
+            assert p <= beta_neg <= bound + r.details["slack"]
 
 
 class TestReporting:

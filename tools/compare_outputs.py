@@ -8,9 +8,10 @@ interpreter imports drypend from the tree's `src/` and the op lists from its
 the three benchmark workloads in-process, as `perfbench/run.py` does: one
 `drypend.cli.main([...])` call on the scenario written to a fresh
 directory.  An op's outputs are its exit code (or the exception it raised)
-and the sha256 over the names and bytes of its artifacts.  The script prints
-each op whose outputs differ between the trees and a summary line, and exits
-with status 1 if any differs.  Seeds 0-15 cover each of the 16 designs of
+and the sha256 of each of its artifacts.  The script prints each op whose
+outputs differ between the trees, with the artifacts that differ (written
+by one tree only, or with other bytes), and a summary line, and exits with
+status 1 if any differs.  Seeds 0-15 cover each of the 16 designs of
 the generated ops once: 1,680 ops.
 """
 
@@ -30,17 +31,19 @@ import tempfile
 WORKLOADS = ("simulate-stickslip", "shoot-bisect", "verify-checks")
 
 
-def _digest(out_dir: str) -> str:
-    h = hashlib.sha256()
+def _digests(out_dir: str) -> dict:
+    """{artifact name: sha256 of its bytes}, {} without an output directory."""
+    if not os.path.isdir(out_dir):
+        return {}
+    out = {}
     for name in sorted(os.listdir(out_dir)):
-        h.update(name.encode() + b"\0")
         with open(os.path.join(out_dir, name), "rb") as fh:
-            h.update(fh.read())
-    return h.hexdigest()
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
 
 
 def _run_tree(tree: str) -> int:
-    """Child mode: print one JSON line [key, exit code, digest] per op."""
+    """Child mode: print one JSON line [key, exit code, digests] per op."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads
     from drypend import cli
@@ -60,9 +63,8 @@ def _run_tree(tree: str) -> int:
                             rc = cli.main([op.command, scen_path, "--out", out_dir, *op.flags])
                         except Exception as exc:  # a traceback is an output too
                             rc = f"{type(exc).__name__}: {exc}"
-                    digest = _digest(out_dir) if os.path.isdir(out_dir) else ""
                     key = f"{workload} seed {seed} op {i} ({op.command} {op.name})"
-                    print(json.dumps([key, rc, digest]), flush=True)
+                    print(json.dumps([key, rc, _digests(out_dir)]), flush=True)
                     shutil.rmtree(work, ignore_errors=True)
     return 0
 
@@ -92,13 +94,14 @@ def main(argv=None) -> int:
         results.append([json.loads(line) for line in out.splitlines()])
     parent, change = results
     differ = 0
-    for (key, rc_a, digest_a), (key_b, rc_b, digest_b) in zip(parent, change):
+    for (key, rc_a, digests_a), (key_b, rc_b, digests_b) in zip(parent, change):
         if key != key_b:
             print(f"compare_outputs: the trees list other ops: {key} / {key_b}", file=sys.stderr)
             return 2
-        if (rc_a, digest_a) != (rc_b, digest_b):
+        names = sorted(n for n in {*digests_a, *digests_b} if digests_a.get(n) != digests_b.get(n))
+        if rc_a != rc_b or names:
             differ += 1
-            print(f"{key}: exit {rc_a} -> {rc_b}, sha256 {digest_a[:12]} -> {digest_b[:12]}")
+            print(f"{key}: exit {rc_a} -> {rc_b}, artifacts differing: {', '.join(names) or 'none'}")
     if len(parent) != len(change):
         print("compare_outputs: the trees ran different numbers of ops", file=sys.stderr)
         return 2
