@@ -19,7 +19,7 @@ integration takes at most `_MAX_STEPS` steps.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import (
     SLIPPING,
@@ -993,6 +993,7 @@ def integrate(
     *,
     record_at: Sequence[float] | None = None,
     initial_dt: float | None = None,
+    certain_exit: Callable[[float, float, float], str | None] | None = None,
 ) -> Trajectory:
     """Drive the mode machine from `initial` until `horizon` or a guard exit.
 
@@ -1002,7 +1003,12 @@ def integrate(
     p = 0 is classified into a crossing (re-seeded at half the stick band on
     the far side) or a stick entry (projected onto the surface and advanced
     with `slide_until_release`).  With a region guard set, integration stops
-    with a RegionExit event the moment q leaves [q_lo, q_hi].
+    with a RegionExit event the moment q leaves [q_lo, q_hi].  A guarded
+    caller may pass `certain_exit(t, q, p)`, which returns the side on which
+    the motion from that state provably leaves the region before the
+    horizon, or None: it is asked at the end of each accepted step that the
+    guard scan found inside, and a side ends the integration there with a
+    RegionExit event on that side, at the step's end and not on the boundary.
 
     The output is reproducible bit-for-bit for identical inputs.  When
     mu > 0, the velocity trap (|p| can never re-exceed p_star once below it)
@@ -1121,6 +1127,12 @@ def integrate(
                     direction = classify_switch(params, pivot, q1, t1)
                     break
                 add_sample((t1, q1, p1, SLIPPING))
+                if certain_exit is not None:
+                    side = certain_exit(t1, q1, p1)
+                    if side is not None:
+                        traj.events.append(Event(t=t1, q=q1, kind=REGION_EXIT, side=side))
+                        check_escape_trap(traj, params, pivot, horizon)
+                        return traj
                 if frictional and abs(p1) < stick_band and classify_switch(params, pivot, q1, t1) == 0:
                     direction = 0
                     break

@@ -24,6 +24,7 @@ from .model import (
     STUCK,
     Params,
     PivotLaw,
+    PolyPivot,
     State,
     interp,
     linspace,
@@ -32,6 +33,7 @@ from .model import (
 from .integrator import (
     HORIZON,
     REGION_EXIT,
+    SIDE_HIGH,
     SIDE_LOW,
     Event,
     IntegrationError,
@@ -107,7 +109,13 @@ class SigmaCurve:
 
 
 class ExitReport(NamedTuple):
-    """Classification of one trajectory against the region G."""
+    """Classification of one trajectory against the region G.
+
+    `exit_event` is the RegionExit event of an exit: on the boundary, or
+    at the release time of a boundary stick, or, without friction, where
+    the exit became certain (`_certain_exit`), inside G; the trajectory's
+    last sample lies there too.
+    """
 
     outcome: str
     q0: float
@@ -162,6 +170,62 @@ def _survival_report(q0, p0, horizon, strict, traj) -> ExitReport:
     )
 
 
+# the certain-exit test's margin on p^2/2, relative to the size of its
+# terms: it covers their rounding and the integrator's error on the rest
+# of the descent
+_CERTAIN_SLACK = 1e-6
+
+
+def _certain_exit(params: Params, pivot: PivotLaw, horizon: float, tol: Tolerances):
+    """The test `certain_exit(t, q, p)` that `integrate` asks at each step's
+    end: the side on which the frictionless motion from (t, q, p) in G
+    provably leaves G before the horizon, or None.  There is no test (None)
+    with friction, which can stick the motion before the boundary, without a
+    finite bound A of |a(t)|, or for a poly law, whose bound covers only
+    [0, t_max], when the horizon lies past t_max.
+
+    On G the field is p' = (a sin q - g cos q)/l <= (A sin q - g cos q)/l,
+    and d(p^2/2)/dq = p'.  So along a descent (p < 0) from q down to 0,
+    p^2/2 falls by at most F(q) - F(q_c) where q > q_c, and not at all
+    where q <= q_c, with F(u) = -(A cos u + g sin u)/l and q_c = atan(g/A)
+    its minimum; the worst case is the constant law a = A.  If p^2/2 less
+    that loss and the slack `_CERTAIN_SLACK` leaves e > 0, |p| stays >= sqrt(2e) all
+    the way down, and q reaches 0 by t + q/sqrt(2e).  The high side is the
+    mirror image (q -> pi - q, p -> -p, worst case a = -A).  The test also
+    asks sqrt(2e) > stick_band: the motion then reaches the boundary off
+    the stick band, where the corner rule of `classify_exit` does not
+    apply, so the exit counts on that side as it would on the boundary.
+    """
+    if params.mu != 0.0 or (isinstance(pivot, PolyPivot) and horizon > pivot.t_max):
+        return None
+    a_max = pivot.accel_bound
+    if not math.isfinite(a_max):
+        return None
+    l, g = params.l, params.g
+    f_c = math.hypot(a_max, g)  # -l F(q_c)
+    q_c = math.atan2(g, a_max)
+    scale = (a_max + g) / l
+    floor = 0.5 * tol.stick_band ** 2
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
+
+    def certain_exit(t: float, q: float, p: float) -> str | None:
+        if p < 0.0:
+            u, side = q, SIDE_LOW
+        elif p > 0.0:
+            u, side = Q_HI - q, SIDE_HIGH
+        else:
+            return None
+        e = 0.5 * p * p
+        e -= _CERTAIN_SLACK * (e + scale)
+        if u > q_c:
+            e -= (f_c - a_max * cos(u) - g * sin(u)) / l
+        if e > floor and t + u / sqrt(2.0 * e) < horizon:
+            return side
+        return None
+
+    return certain_exit
+
+
 def classify_exit(
     q0: float,
     curve: SigmaCurve,
@@ -180,12 +244,21 @@ def classify_exit(
     is an exit at the release time.  Motion that turns back inside from the
     boundary raises IntegrationError: the drift points outward at q = 0,
     and at q = fl(pi) unless a < -g / sin(fl(pi)), about -8e16 for g = 9.8.
+
+    Without friction the integration ends at the first step's end from
+    which the motion provably leaves G on one side before the horizon
+    (`_certain_exit`), with |p| off the stick band at the boundary, and
+    that is the exit: its event and last sample lie there, inside G.  The
+    outcome and the side are those the integration to the boundary gives.
     """
     if not (Q_LO <= q0 <= Q_HI):
         raise ValueError(f"q0 = {q0} outside [0, pi]")
     p0 = curve(q0)
     start = State(q=q0, p=p0, t=0.0, mode=SLIPPING)
-    traj = integrate(start, params, pivot, horizon, tol, region_guard=(Q_LO, Q_HI))
+    traj = integrate(
+        start, params, pivot, horizon, tol, region_guard=(Q_LO, Q_HI),
+        certain_exit=_certain_exit(params, pivot, horizon, tol),
+    )
     last = traj.events[-1]
     if last.kind != REGION_EXIT:
         return _survival_report(q0, p0, horizon, strict, traj)
@@ -218,7 +291,9 @@ class HistoryEntry(NamedTuple):
     q0: float
     outcome: str
     exit_event: Event | None
-    exit_p: float | None  # velocity at the exit sample, for corner audits
+    # velocity at the exit sample, for corner audits: on the boundary, or
+    # for a frictionless exit where it became certain, inside G
+    exit_p: float | None
 
 
 class BisectionResult(NamedTuple):

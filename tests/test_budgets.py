@@ -137,10 +137,14 @@ def stuck_states(draw):
         pivot = TablePivot([1.5 * k for k in range(len(values))], values)
     else:
         pivot = PolyPivot([amp / 2, draw(st.floats(-1.0, 1.0)), -amp / 50], t_max=10.0)
-    q = draw(st.floats(0.6, 2.5))
     t0 = draw(st.floats(0.0, 3.0))
+    # stiction holds at entry: with a = a(t0), |a sin q - g cos q| <=
+    # mu |a cos q + g sin q| is |tan(q - phi)| <= mu, phi = atan2(g, a),
+    # so q is drawn from the inner 99% of that interval, within [0.6, 2.5]
+    phi, half = math.atan2(params.g, pivot.accel(t0)), 0.99 * math.atan(params.mu)
+    q = draw(st.floats(max(0.6, phi - half), min(2.5, phi + half)))
     drift_bound = integrator.stiction_drift_and_bound(params, pivot, q, t0)
-    assume(abs(drift_bound[0]) - drift_bound[1] <= 0)  # stiction holds at entry
+    assert abs(drift_bound[0]) - drift_bound[1] <= 0
     return State(q=q, p=0.0, t=t0, mode="stuck"), params, pivot, t0 + draw(st.floats(0.5, 6.0))
 
 
