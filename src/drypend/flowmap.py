@@ -2,14 +2,14 @@
 
 `flow_map` computes Phi(t) = dx(t)/dx(t0), the 2x2 variational matrix of a
 trajectory that `integrator.integrate` recorded, from that run alone: the
-closed-form Jacobian of the slipping field between the recorded times, and
-the jump of each event, the saltation matrix of a crossing (Leine &
-Nijmeijer, Dynamics and Bifurcations of Non-Smooth Mechanical Systems,
-2004; Hiskens & Pai, IEEE TCAS-I 47, 2000), the loss of dp at a stick
-entry and the time shift of a release.  `verification`'s continuous-
-dependence check predicts its epsilon(delta) with it.  Where an event
-grazes, the map has no derivative, and `Unresolved` says so instead of
-dividing by a near-zero denominator.
+closed-form Jacobian of the slipping field, stepped over the run's own step
+ends and its recorded times, and the jump of each event, the saltation
+matrix of a crossing (Leine & Nijmeijer, Dynamics and Bifurcations of
+Non-Smooth Mechanical Systems, 2004; Hiskens & Pai, IEEE TCAS-I 47, 2000),
+the loss of dp at a stick entry and the time shift of a release.
+`verification`'s continuous-dependence check predicts its epsilon(delta)
+with it.  Where an event grazes, the map has no derivative, and
+`Unresolved` says so instead of dividing by a near-zero denominator.
 """
 
 from __future__ import annotations
@@ -85,17 +85,6 @@ def _hermite(theta, h, qa, pa, fa, qb, pb, fb):
     )
 
 
-def _rk4_state(f, t, q, p, h):
-    """(q, p) one classical Runge-Kutta step of h from (t, q, p) under the
-    field f."""
-    k1q, k1p = f(t, q, p)
-    k2q, k2p = f(t + 0.5 * h, q + 0.5 * h * k1q, p + 0.5 * h * k1p)
-    k3q, k3p = f(t + 0.5 * h, q + 0.5 * h * k2q, p + 0.5 * h * k2p)
-    k4q, k4p = f(t + h, q + h * k3q, p + h * k3p)
-    w = h / 6.0
-    return q + w * (k1q + 2.0 * k2q + 2.0 * k3q + k4q), p + w * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-
-
 def _release_rate(params: Params, pivot: PivotLaw, q: float, t: float) -> float:
     """dt/dq of a release at (q, t): -(dm/dq)/(dm/dt) for the stiction margin
     m = |drift| - bound.  Unresolved where dm/dt is near zero: a tangential
@@ -117,15 +106,16 @@ def flow_map(params: Params, pivot: PivotLaw, traj: Trajectory) -> tuple[list, l
     of its recorded times, with a 3rd-order companion, as row-major 4-tuples.
 
     The trajectory must be recorded at its start and at its end.  Between
-    the recorded times and the events, Phi' = J Phi is stepped by the
-    classical Runge-Kutta method, with J the closed-form Jacobian of the
-    slipping field (`model.branch_jacobian`) at the ends and at the middle
-    of the cubic Hermite through them.  Where the normal force N changes
-    sign on that Hermite, J jumps: the stretch is split at the root of N,
-    placed by Newton steps on states stepped from the stretch's start by
-    Runge-Kutta (the Hermite of p, whose slope has a kink there, misplaces
-    it), and J takes each part's side there.  Stuck, Phi stays.  At each
-    event Phi takes the event's jump:
+    the events, Phi' = J Phi is stepped by the classical Runge-Kutta method
+    over the run's own step ends merged with its recorded times,
+    with J the closed-form Jacobian of the slipping field
+    (`model.branch_jacobian`) at each interval's ends and at the middle of
+    the cubic Hermite through them.  The run ends a step on every knot of
+    the pivot law and every sign change of the normal force N, where J has
+    a kink, so no interval straddles one: J takes the side of N at the
+    interval's middle, also at an end whose N rounds to the other side.  A
+    step end at the time of an event is left out, as the event's jump
+    covers it.  Stuck, Phi stays.  At each event Phi takes the event's jump:
 
     - a crossing the saltation matrix I + (f+ - f-) n^T / (n^T f-) with
       n = (0, 1), that is diag(1, f+/f-) for the one-sided dp/dt f- of the
@@ -136,73 +126,44 @@ def flow_map(params: Params, pivot: PivotLaw, traj: Trajectory) -> tuple[list, l
 
     Unresolved where a crossing's f- is near zero or does not share the sign
     of f+, where a release is tangential (`_release_rate`), and where p
-    changes sign between two recorded times with no event.  The companion
-    is stepped alike by Kutta's 3rd-order method; its distance from Phi
-    bounds Phi's own discretisation error.  The pass evaluates each kernel
-    a few times per recorded time, far fewer times than a run does.
+    changes sign between two step ends with no event.  The companion is
+    stepped alike by Kutta's 3rd-order method; its distance from Phi bounds
+    Phi's own discretisation error.  The pass evaluates each kernel a few
+    times per step end and recorded time, far fewer times than a run does.
     """
-    l, g, mu = params.l, params.g, params.mu
+    mu = params.mu
     kernels = {
         b: (branch_field(params, pivot, b), branch_jacobian(params, pivot, b))
         for b in ((1.0, -1.0) if mu != 0.0 else (0.0,))
     }
 
-    def node(f, jac, t, q, p, side=0.0):
-        # (dp/dt, d(dp/dt)/dq, d(dp/dt)/dp, N) at a stretch's end
-        return (f(t, q, p)[1], *jac(t, q, p, side))
+    def node(f, jac, t, q, p):
+        # (dp/dt, d(dp/dt)/dq, d(dp/dt)/dp, N) at an interval's end
+        return (f(t, q, p)[1], *jac(t, q, p))
 
-    def steps(phi, psi, jac, ta, qa, pa, la, tb, qb, pb, lb, jm=None):
-        # one step from a to b, J in the middle at the Hermite's state
-        h = tb - ta
-        if jm is None:
-            jm = jac(ta + 0.5 * h, *_hermite(0.5, h, qa, pa, la[0], qb, pb, lb[0]))
-        return _rk(phi, psi, h, la[1:3], jm[:2], lb[1:3])
-
-    def slipping(phi, psi, f, jac, ta, qa, pa, la, tb, qb, pb, lb):
-        # la, lb: node() at the ends
+    def slipping(phi, psi, jac, ta, qa, pa, la, tb, qb, pb, lb):
+        # one step from a to b, with la and lb node() at the ends
         h = tb - ta
         if not h > 0.0:
             return phi, psi
-        t_knot = pivot.piece(ta)[0]
-        if t_knot < tb:
-            # dJ/dt jumps at a knot of the pivot law: step to it and on
-            qk, pk = _rk4_state(f, ta, qa, pa, t_knot - ta)
-            lk = node(f, jac, t_knot, qk, pk)
-            phi, psi = slipping(phi, psi, f, jac, ta, qa, pa, la, t_knot, qk, pk, lk)
-            return slipping(phi, psi, f, jac, t_knot, qk, pk, lk, tb, qb, pb, lb)
         jm = jac(ta + 0.5 * h, *_hermite(0.5, h, qa, pa, la[0], qb, pb, lb[0]))
-        na, nm = la[3] > 0.0, jm[2] > 0.0
-        if mu == 0.0 or na == nm == (lb[3] > 0.0):
-            return steps(phi, psi, jac, ta, qa, pa, la, tb, qb, pb, lb, jm)
-        # bracket the first sign change of N on the Hermite, then place it
-        # by Newton steps on Runge-Kutta states from a
-        lo, hi = (0.0, 0.5) if na != nm else (0.5, 1.0)
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            q, p = _hermite(mid, h, qa, pa, la[0], qb, pb, lb[0])
-            if (jac(ta + mid * h, q, p)[2] > 0.0) == na:
-                lo = mid
-            else:
-                hi = mid
-        tk = ta + hi * h
-        for _ in range(3):
-            qk, pk = _rk4_state(f, ta, qa, pa, tk - ta)
-            dp, _, _, n = node(f, jac, tk, qk, pk)
-            a, sk, ck = pivot.accel(tk), math.sin(qk), math.cos(qk)
-            n_dot = pivot.rate(tk) * ck + (g * ck - a * sk) * pk - 2.0 * l * pk * dp
-            if not n_dot:
-                break
-            tk = min(max(tk - n / n_dot, ta), tb)
-        qk, pk = _rk4_state(f, ta, qa, pa, tk - ta)
-        side = 1.0 if na else -1.0
-        phi, psi = steps(phi, psi, jac, ta, qa, pa, la, tk, qk, pk, node(f, jac, tk, qk, pk, side))
-        return steps(phi, psi, jac, tk, qk, pk, node(f, jac, tk, qk, pk, -side), tb, qb, pb, lb)
+        positive = jm[2] > 0.0
+        side = 1.0 if positive else -1.0
+        ja = la[1:3] if (la[3] > 0.0) == positive else jac(ta, qa, pa, side)[:2]
+        jb = lb[1:3] if (lb[3] > 0.0) == positive else jac(tb, qb, pb, side)[:2]
+        return _rk(phi, psi, h, ja, jm[:2], jb)
 
     rec = traj.recorded
     events = [
         e for e in traj.events
         if e.kind in (CROSSING, STICK_RELEASE) or (e.kind == STICK_ENTRY and e.t > rec[0].t)
     ]
+    at_event = {e.t for e in traj.events}
+    # (t, q, p, recorded?): the recorded times and the run's step ends
+    points = sorted(
+        [(s.t, s.q, s.p, True) for s in rec[1:]]
+        + [(t, q, p, False) for t, q, p, _ in traj.samples[1:] if t not in at_event]
+    )
     start = rec[0]
     branch = None if start.mode == STUCK else (math.copysign(1.0, start.p) if mu != 0.0 else 0.0)
     phi = psi = (1.0, 0.0, 0.0, 1.0)
@@ -213,13 +174,13 @@ def flow_map(params: Params, pivot: PivotLaw, traj: Trajectory) -> tuple[list, l
     f, jac = kernels.get(branch, (None, None))
     la = node(f, jac, ta, qa, pa) if f else None
     i = 0
-    for s in rec[1:]:
-        while i < len(events) and events[i].t <= s.t:
+    for t, q, p, recorded in points:
+        while i < len(events) and events[i].t <= t:
             e = events[i]
             i += 1
             if branch is not None:
                 lb = node(f, jac, e.t, e.q, 0.0)
-                phi, psi = slipping(phi, psi, f, jac, ta, qa, pa, la, e.t, e.q, 0.0, lb)
+                phi, psi = slipping(phi, psi, jac, ta, qa, pa, la, e.t, e.q, 0.0, lb)
             if e.kind == STICK_ENTRY:
                 phi, psi, branch = (*phi[:2], 0.0, 0.0), (*psi[:2], 0.0, 0.0), None
             else:
@@ -235,14 +196,15 @@ def flow_map(params: Params, pivot: PivotLaw, traj: Trajectory) -> tuple[list, l
                 la = node(f, jac, e.t, e.q, 0.0)
             ta, qa, pa = e.t, e.q, 0.0
         if branch is not None:
-            if s.p * branch < 0.0:
-                raise Unresolved(f"p changes sign with no event by t = {s.t!r}")
-            lb = node(f, jac, s.t, s.q, s.p)
-            phi, psi = slipping(phi, psi, f, jac, ta, qa, pa, la, s.t, s.q, s.p, lb)
+            if p * branch < 0.0:
+                raise Unresolved(f"p changes sign with no event by t = {t!r}")
+            lb = node(f, jac, t, q, p)
+            phi, psi = slipping(phi, psi, jac, ta, qa, pa, la, t, q, p, lb)
             la = lb
-        phis.append(phi)
-        psis.append(psi)
-        ta, qa, pa = s.t, s.q, s.p
+        if recorded:
+            phis.append(phi)
+            psis.append(psi)
+        ta, qa, pa = t, q, p
     return phis, psis
 
 

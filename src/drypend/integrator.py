@@ -992,7 +992,6 @@ def integrate(
     region_guard: tuple[float, float] | None = None,
     *,
     record_at: Sequence[float] | None = None,
-    initial_dt: float | None = None,
     certain_exit: Callable[[float, float, float], str | None] | None = None,
 ) -> Trajectory:
     """Drive the mode machine from `initial` until `horizon` or a guard exit.
@@ -1061,7 +1060,7 @@ def integrate(
     guarded = region_guard is not None
     stick_band = tol.stick_band
     add_sample = traj.samples.append
-    h_next = initial_dt
+    h_next = None
     n_steps = 0
 
     try:

@@ -391,8 +391,10 @@ def check_upper_semicontinuity(
     `integrator._never_releases`.  The estimated constant is the worst
     ratio beta / bound, and the worst case is that sample.
     """
-    if any(abs(p_sequence[i + 1]) >= abs(p_sequence[i]) for i in range(len(p_sequence) - 1)):
-        raise ValueError("p_sequence must strictly decrease in magnitude")
+    if len(p_sequence) == 0 or any(
+        abs(p_sequence[i + 1]) >= abs(p_sequence[i]) for i in range(len(p_sequence) - 1)
+    ):
+        raise ValueError("p_sequence must be non-empty and strictly decrease in magnitude")
     if any(p == 0.0 for p in p_sequence):
         raise ValueError("p_sequence must avoid 0")
     l, g, mu = params.l, params.g, params.mu

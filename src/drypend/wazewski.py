@@ -388,15 +388,13 @@ def recheck_witness(
     params: Params,
     pivot: PivotLaw,
     tol: Tolerances = Tolerances(),
-    factor: float = 10.0,
 ) -> ExitReport:
-    """Re-integrate a witness at tightened tolerances; the region membership
-    must survive for the report to stand."""
+    """Re-integrate a witness at tolerances 10 times tighter; the region
+    membership must survive for the report to stand."""
     if not report.is_witness:
         raise ValueError("no witness to recheck")
-    tight = tol.scaled(factor)
     return classify_exit(
-        report.q0, curve, params, pivot, report.horizon, tight, strict=report.strict
+        report.q0, curve, params, pivot, report.horizon, tol.scaled(10.0), strict=report.strict
     )
 
 

@@ -143,7 +143,10 @@ def test_c3_one_sided_lipschitz_hundred_thousand_pairs():
 def test_c4_right_uniqueness_surrogate():
     t0 = time.time()
     rng = random.Random(20260810)
-    tol = Tolerances(rel_tol=1e-12, abs_tol=1e-11, event_tol=1e-13, stick_band=1e-7)
+    tols = [
+        Tolerances(rel_tol=1e-12, abs_tol=1e-11, event_tol=1e-13, stick_band=1e-7, max_dt=max_dt)
+        for max_dt in (0.05, 0.0137)
+    ]
     grid = list(np.linspace(0.0, 20.0, 401))
     worst = 0.0
     ok = True
@@ -157,8 +160,8 @@ def test_c4_right_uniqueness_surrogate():
             pivot = SinePivot(rng.uniform(0.1, 0.6), rng.uniform(0.5, 2.0), rng.uniform(0, 3))
         ic = State(q=rng.uniform(1.25, 1.95), p=rng.uniform(-0.25, 0.25), t=0.0)
         runs = []
-        for h0 in (1e-3, 1e-5):
-            traj = integrate(ic, params, pivot, 20.0, tol, record_at=grid, initial_dt=h0)
+        for tol in tols:
+            traj = integrate(ic, params, pivot, 20.0, tol, record_at=grid)
             runs.append(np.array([(s.q, s.p) for s in traj.recorded]))
         diff = float(np.max(np.hypot(*(runs[0] - runs[1]).T)))
         worst = max(worst, diff)
@@ -232,7 +235,7 @@ def test_c7_proposition1_witness():
     ok = w is not None and w.outcome == NON_FALLING
     ok = ok and w.stuck_q is not None and lo <= w.stuck_q <= hi
     if ok:
-        tight = recheck_witness(w, curve, params, pivot, tol, factor=10.0)
+        tight = recheck_witness(w, curve, params, pivot, tol)
         qs = [q for _, q, _, _ in tight.trajectory.samples]
         ok = (
             tight.is_witness

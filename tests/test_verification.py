@@ -12,6 +12,7 @@ from drypend.model import (
     Params,
     SinePivot,
     State,
+    TablePivot,
     branch_field,
     branch_jacobian,
     limit_fields,
@@ -267,20 +268,37 @@ class TestFlowMap:
         assert math.exp(lam) / 2 <= sigma <= math.exp(lam) * 2
 
     # a sine law that sticks, releases and sticks again, and one that also crosses
-    @example(mu=0.5, amp=6.0, omega=1.0, phase=0.0, q0=1.2, p0=0.8, horizon=5.0)
-    @example(mu=0.2, amp=7.36, omega=2.25, phase=0.0, q0=2.19, p0=-1.75, horizon=5.0)
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(mu=0.5, pivot=SinePivot(6.0, 1.0, 0.0), q0=1.2, p0=0.8, horizon=5.0)
+    @example(mu=0.2, pivot=SinePivot(7.36, 2.25, 0.0), q0=2.19, p0=-1.75, horizon=5.0)
+    # a table law whose run ends steps where N changes sign: there J must
+    # take the side of N that the interval's middle lies on (3.8e-3 off if not)
+    @example(
+        mu=0.5454392376536706,
+        pivot=TablePivot(
+            [0.9187994237965507 * k for k in range(5)],
+            [-0.5272141297439941, -7.715478759898234, 6.939250344486634, -4.019587203249362,
+             7.219765653520586],
+        ),
+        q0=2.3775553514869294,
+        p0=1.873562677926424,
+        horizon=3.38,
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         mu=st.floats(0.05, 0.8),
-        amp=st.floats(0.5, 12.0),
-        omega=st.floats(0.3, 3.0),
-        phase=st.floats(0.0, 6.0),
+        # a table law's knots fall inside the recorded intervals
+        pivot=st.builds(SinePivot, st.floats(0.5, 12.0), st.floats(0.3, 3.0), st.floats(0.0, 6.0))
+        | st.builds(
+            lambda step, values: TablePivot([step * k for k in range(len(values))], values),
+            st.floats(0.1, 1.0),
+            st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=40),
+        ),
         q0=st.floats(0.2, 2.9),
         p0=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
         horizon=st.floats(1.0, 5.0),
     )
-    def test_flow_map_matches_central_differences(self, mu, amp, omega, phase, q0, p0, horizon):
-        params, pivot = Params(mu=mu), SinePivot(amp, omega, phase)
+    def test_flow_map_matches_central_differences(self, mu, pivot, q0, p0, horizon):
+        params = Params(mu=mu)
         grid = linspace(0.0, horizon, 257)
         base = integrate(State(q=q0, p=p0, t=0.0), params, pivot, horizon, TIGHT, record_at=grid)
         try:
@@ -351,8 +369,9 @@ class TestUpperSemicontinuity:
         assert r.passed
 
     def test_rejects_non_decreasing_sequence(self):
-        with pytest.raises(ValueError):
-            check_upper_semicontinuity(P, ZERO, 1.0, 0.0, [0.5, 0.5])
+        for seq in ([0.5, 0.5], []):
+            with pytest.raises(ValueError):
+                check_upper_semicontinuity(P, ZERO, 1.0, 0.0, seq)
 
     def test_an_offset_field_fails(self, monkeypatch):
         # a field 50 above its limits once passed with a slope of 2.4e7: a

@@ -157,7 +157,7 @@ class TestBisectCurve:
     def test_witness_revalidates_at_tighter_tolerance(self):
         curve = SigmaCurve.line()
         res = bisect_curve(curve, P, ZERO, 50.0, TOL)
-        again = recheck_witness(res.witness, curve, P, ZERO, TOL, factor=10.0)
+        again = recheck_witness(res.witness, curve, P, ZERO, TOL)
         assert again.is_witness
         qs = [q for _, q, _, _ in again.trajectory.samples]
         assert min(qs) >= 0.0

@@ -12,9 +12,10 @@ from pair to pair.  Pick seeds that were not used while developing the
 change.  OUT_JSON gets each run's end-to-end metrics and outcome and, per
 metric, the quartiles of each side (statistics.quantiles, inclusive
 method), the pairs in which the change is lower or higher, the change of the
-median in percent, the parent's interquartile range and whether the medians
-differ by more than it.  Entries that say what the change is and what it
-claims are left to the author of the file.
+median in percent, the parent's interquartile range and whether the change
+is resolved: on the same side of the parent in at least 9 of the 10 pairs,
+with medians that differ by more than that range.  Entries that say what
+the change is and what it claims are left to the author of the file.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+# the pairs that must lie on one side for a difference to count as resolved
+RESOLVING_PAIRS = 9
 
 
 def _git(*args: str) -> bytes:
@@ -67,14 +70,16 @@ def _quartiles(values: list[float]) -> dict:
 def _summary(parent: list[float], change: list[float]) -> dict:
     p, c = _quartiles(parent), _quartiles(change)
     iqr = p["q3"] - p["q1"]
+    lower = sum(b < a for a, b in zip(parent, change))
+    higher = sum(b > a for a, b in zip(parent, change))
     return {
         "parent": p,
         "change": c,
-        "change_lower_in_pairs": sum(b < a for a, b in zip(parent, change)),
-        "change_higher_in_pairs": sum(b > a for a, b in zip(parent, change)),
+        "change_lower_in_pairs": lower,
+        "change_higher_in_pairs": higher,
         "median_change_pct": 100.0 * (c["median"] - p["median"]) / p["median"],
         "parent_iqr": iqr,
-        "resolved": abs(c["median"] - p["median"]) > iqr,
+        "resolved": abs(c["median"] - p["median"]) > iqr and max(lower, higher) >= RESOLVING_PAIRS,
     }
 
 
@@ -96,7 +101,9 @@ def main(argv: list[str]) -> int:
         ),
         "statistics": (
             "q1, median and q3 over the runs of a side (statistics.quantiles, inclusive method); "
-            "resolved means the medians differ by more than the parent's interquartile range"
+            "resolved means the change is on the same side of the parent in at least "
+            f"{RESOLVING_PAIRS} of the {PAIRS} pairs and the medians differ by more than the "
+            "parent's interquartile range"
         ),
         "workloads": {},
     }
