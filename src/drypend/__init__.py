@@ -5,8 +5,8 @@ for never-falling trajectories, and empirical verification of the
 structural inequalities the method rests on.
 
 The model and the solver run on Python floats.  The verification checks
-live in `drypend.verification`, which is not imported here: it builds its
-sample grids with numpy, and the other commands run without numpy.
+live in `drypend.verification`, which is not imported here: it evaluates
+the model on numpy arrays of samples, and the other commands run without numpy.
 """
 
 from .model import (

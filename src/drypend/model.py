@@ -17,9 +17,9 @@ one friction branch) and `stiction_drift_and_bound` (on p = 0), from which
 the one-sided limits are taken; `normal_force` is the argument of the
 first one's friction magnitude, whose sign changes are its kinks, and
 `branch_jacobian` is the first one's derivative in (q, p).  Every
-function takes and returns Python floats; the integrator and the
-verification checks evaluate the same kernels.  numpy is imported only by `PolyPivot`, for the roots behind its
-bounds.
+function takes and returns Python floats, but the two kernels also take
+the pointwise checks' numpy arrays of samples, importing numpy then, as
+`PolyPivot` does for the roots behind its bounds.
 """
 
 from __future__ import annotations
@@ -452,6 +452,8 @@ def branch_field(
     integrator steps it between events, and the checks evaluate it at their
     sample points with the branch of sign(p).  `accel`, when given, stands
     for `pivot.accel`: the integrator passes the one of a `pivot.piece`.
+    An ndarray `branch` makes the checks' form, for arrays q, p and a(t),
+    with numpy's sin and cos.
 
     The kernel is built for what `params` hold, in one of two forms.  Each
     has the bits of the general form (a/l) s - (mu/l) |N| branch - (g/l) c,
@@ -471,7 +473,11 @@ def branch_field(
     g_l = g / l
     if accel is None:
         accel = pivot.accel
-    sin, cos = math.sin, math.cos
+    friction = (mu / l) * branch
+    if isinstance(friction, float):
+        sin, cos = math.sin, math.cos
+    else:  # an ndarray of branches: the checks' arrays of samples
+        from numpy import cos, sin
 
     if mu == 0.0:
 
@@ -479,8 +485,6 @@ def branch_field(
             return p, (accel(t) / l) * sin(q) - g_l * cos(q)
 
         return f
-
-    friction = (mu / l) * branch
 
     def f(t, q, p):
         a = accel(t)
@@ -546,10 +550,16 @@ def stiction_drift_and_bound(params: Params, pivot: PivotLaw, q: float, t: float
     scan (on |drift| - bound) read this one pair, and the sign of a rounded
     sum or difference is exact, so f_plus <= 0 <= f_minus and
     |drift| - bound <= 0 are the same predicate in floating point too.
+    `q` may also be an ndarray of angles, for which the pair is arrays.
     """
     a = pivot.accel(t)
     l, g, mu = params.l, params.g, params.mu
-    s, c = math.sin(q), math.cos(q)
+    try:
+        s, c = math.sin(q), math.cos(q)
+    except TypeError:  # an ndarray of angles: the jump check's samples
+        from numpy import cos, sin
+
+        s, c = sin(q), cos(q)
     drift = (a / l) * s - (g / l) * c
     bound = (mu / l) * abs(a * c + g * s)
     return drift, bound

@@ -5,9 +5,9 @@ returns a CheckReport with the worst margin found and the inputs that
 produced it, so every reported number can be recomputed directly.  These
 are falsification tests with explicit constants, not proofs.
 
-The pointwise checks evaluate the model's float kernels, the ones the
-integrator steps, at each sample point; numpy builds the sample grids and
-reduces the continuous-dependence distances.  A worst case is the first
+The pointwise checks evaluate the model's kernels, the ones the integrator
+steps, on numpy arrays of samples, with a(t) from the law's own float
+`accel`; overflow is silent, as in floats.  A worst case is the first
 extreme in row-major order, and a NaN anywhere is the worst case.
 """
 
@@ -33,8 +33,8 @@ def _halton(n: int, base: int, start: int = 0) -> np.ndarray:
     r = np.zeros(n)
     while i.any():
         f /= base
-        r += f * (i % base)
-        i //= base
+        i, digit = np.divmod(i, base)
+        r += f * digit
     return r
 
 
@@ -136,28 +136,23 @@ def check_jump_inequality(params: Params, pivot: PivotLaw, grid: SampleGrid) -> 
     scale since the gap itself passes through zero.
     """
     mu_l, g = params.mu / params.l, params.g
-    ts = grid.t_points.tolist()
-    accels = [pivot.accel(t) for t in ts]
-    margin = worst_q = worst_t = None
-    worst_agree = 0.0
-    for q in grid.q_points.tolist():
-        s, c = math.sin(q), math.cos(q)
-        for t, a in zip(ts, accels):
-            f_plus, f_minus = limit_fields(params, pivot, q, t)
-            gap = f_minus - f_plus
-            closed = 2.0 * (mu_l * abs(a * c + g * s))
-            scale = _max(_max(abs(f_plus), abs(f_minus)), closed)
-            if scale == 0.0:
-                scale = 1.0
-            worst_agree = _max(worst_agree, abs(gap - closed) / scale)
-            if margin is None or _worse(gap, margin, lower=True):
-                margin, worst_q, worst_t = gap, q, t
+    q, ts = grid.q_points, grid.t_points.tolist()
+    with np.errstate(all="ignore"):
+        limits = [limit_fields(params, pivot, q, t) for t in ts]  # each over all the angles
+        f_plus, f_minus = (np.column_stack(f) for f in zip(*limits))  # row-major: q outer, t inner
+        a = np.array([pivot.accel(t) for t in ts])
+        gap = f_minus - f_plus
+        closed = 2.0 * (mu_l * np.abs(a * np.cos(q)[:, None] + g * np.sin(q)[:, None]))
+        scale = np.maximum(np.maximum(np.abs(f_plus), np.abs(f_minus)), closed)
+        worst_agree = float(np.max(np.abs(gap - closed) / np.where(scale == 0.0, 1.0, scale)))
+    i, j = np.unravel_index(np.argmin(gap), gap.shape)
+    margin = float(gap[i, j])
     passed = margin >= 0.0 and worst_agree <= 1e-12
     return CheckReport(
         name="jump_inequality",
         passed=passed,
         margin=margin,
-        worst_case={"q": worst_q, "t": worst_t},
+        worst_case={"q": float(q[i]), "t": ts[j]},
         details={"max_relative_disagreement": worst_agree},
     )
 
@@ -166,11 +161,7 @@ def _pair_sets(grid: SampleGrid, fingerprint: str):
     """Same-t sample pairs: half same-side of p = 0, half straddling."""
     n = grid.pair_count
     off = _seed_offset(fingerprint + "pairs")
-    u = _halton(n, 2, off)
-    v = _halton(n, 3, off)
-    w = _halton(n, 5, off)
-    x = _halton(n, 7, off)
-    s = _halton(n, 11, off)
+    u, v, w, x, s = (_halton(n, base, off) for base in (2, 3, 5, 7, 11))
     q_lo, q_hi = float(np.min(grid.q_points)), float(np.max(grid.q_points))
     p_hi = float(np.max(np.abs(grid.p_points)))
     t_lo, t_hi = float(np.min(grid.t_points)), float(np.max(grid.t_points))
@@ -205,28 +196,24 @@ def check_one_sided_lipschitz(
     """
     if not (l_est > 0):
         raise ValueError("l_est must be positive")
-    pairs = zip(*(axis.tolist() for axis in _pair_sets(grid, fingerprint)))
-    # every sampled p is at least 1e-6 away from 0, on the branch of its sign
-    above, below = branch_field(params, pivot, 1.0), branch_field(params, pivot, -1.0)
-    sufficient = worst = None
-    violations = 0
-    for q1, p1, q2, p2, t in pairs:
-        _, f1p = (above if p1 > 0 else below)(t, q1, p1)
-        _, f2p = (above if p2 > 0 else below)(t, q2, p2)
+    pairs = q1, p1, q2, p2, t = _pair_sets(grid, fingerprint)
+    # the law's own a(t), once per pair; every sampled p is at least 1e-6
+    # away from 0, on the branch of its sign
+    a = np.array([pivot.accel(x) for x in t.tolist()])
+    with np.errstate(all="ignore"):
+        _, f1p = branch_field(params, pivot, np.where(p1 > 0, 1.0, -1.0), lambda _: a)(t, q1, p1)
+        _, f2p = branch_field(params, pivot, np.where(p2 > 0, 1.0, -1.0), lambda _: a)(t, q2, p2)
         dq = q1 - q2
         dp = p1 - p2
-        dot = dq * dp + dp * (f1p - f2p)
-        nsq = dq * dq + dp * dp
-        ratio = dot / nsq
-        if not ratio <= l_est:
-            violations += 1
-        if sufficient is None or _worse(ratio, sufficient, lower=False):
-            sufficient, worst = ratio, {"q1": q1, "p1": p1, "q2": q2, "p2": p2, "t": t}
+        ratio = (dq * dp + dp * (f1p - f2p)) / (dq * dq + dp * dp)
+    violations = int(np.count_nonzero(~(ratio <= l_est)))  # a NaN ratio is one
+    k = int(np.argmax(ratio))
+    sufficient = float(ratio[k])
     return CheckReport(
         name="one_sided_lipschitz",
         passed=violations == 0,
         margin=l_est - sufficient,
-        worst_case=worst,
+        worst_case={name: float(x[k]) for name, x in zip(("q1", "p1", "q2", "p2", "t"), pairs)},
         estimated_constant=sufficient,
         details={"l_est": l_est, "violations": violations, "pairs": grid.pair_count},
     )

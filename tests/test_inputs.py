@@ -199,3 +199,25 @@ def test_semicontinuity_counts_a_nan_excess_as_a_failure(tmp_path):
     report = _strict_json(tmp_path / "out" / "verify.json")["reports"][0]
     assert report["passed"] is False
     assert report["details"]["betas"] == ["NaN"] * len(report["details"]["betas"])
+
+
+@pytest.mark.parametrize(
+    "params, pivot, message",
+    [
+        # omega * t past the float range: math.sin(inf) in the law's own accel
+        ({"mu": 0.3}, {"kind": "sine", "amp": 2.0, "omega": 1e308}, "math domain error"),
+        # the jump check runs on both first; then the Lipschitz bound overflows
+        ({"mu": 0.3, "g": 1e308}, {"kind": "sine", "amp": 1e308, "omega": 1.0},
+         "the field's Lipschitz bound overflows"),
+        # the friction bound overflows in the jump check's arrays first
+        ({"mu": 1e308}, BASE["pivot"], "the field's Lipschitz bound overflows"),
+    ],
+    ids=["sine-omega", "lipschitz-bound", "friction-bound"],
+)
+def test_pointwise_checks_past_the_float_range_print_no_warnings(tmp_path, params, pivot, message):
+    # the checks evaluate numpy arrays, whose overflow would print RuntimeWarnings
+    scen = {**BASE, "params": params, "pivot": pivot}
+    proc = run_cli(tmp_path, "verify", scen, "--checks", "jump,lipschitz")
+    assert proc.returncode == 2
+    assert proc.stderr == f"verification failed: {message}\n"
+    assert not (tmp_path / "out").exists()

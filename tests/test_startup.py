@@ -3,8 +3,8 @@
 numpy's import is about as long as a whole simulation.  scipy, which the
 tests use as an oracle, stays off every run path: the stepper's tableau is
 written out in `drypend.integrator`, so no command imports it.  The model runs on
-floats, and numpy builds only the verification checks' sample grids (and a
-poly pivot's bounds).  Nor does the CLI's import load `dataclasses` and the
+floats, and numpy only builds and evaluates the verification checks' sample
+grids (and a poly pivot's bounds).  Nor does the CLI's import load `dataclasses` and the
 `inspect` it brings: the value types are named tuples and slotted classes.
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.
