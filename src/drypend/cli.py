@@ -11,6 +11,7 @@ Exit codes: 0 success / witness found; 2 validation or integration failure;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -452,7 +453,10 @@ def cmd_verify(scen: Scenario, out_dir: str, checks: list[str] | None = None) ->
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it takes some
+    20 times as long as parsing one command line with it."""
     parser = argparse.ArgumentParser(
         prog="drypend",
         description="Friction pendulum simulation, shooting and verification",
@@ -470,7 +474,11 @@ def main(argv: list[str] | None = None) -> int:
             sp.add_argument(
                 "--checks", default=None, help="comma separated subset of: " + ",".join(_CHECK_NAMES)
             )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         scen = load_scenario(args.scenario, horizon=args.horizon)

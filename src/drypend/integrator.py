@@ -12,7 +12,8 @@ fires or a recorded time falls.  Steps are cut at roots of p so that no
 accepted step straddles the switching surface, and the surface itself is
 handled by classifying the one-sided limit fields: either the trajectory
 crosses and is re-seeded on the far side, or it sticks and time is advanced
-analytically at fixed angle until static friction is defeated.  Each
+analytically at fixed angle until static friction is defeated, which can
+happen only where the pivot acceleration meets one of two levels.  Each
 integration takes at most `_MAX_STEPS` steps.
 """
 
@@ -57,7 +58,7 @@ class StepUnderflow(IntegrationError):
 
 
 class StepLimit(IntegrationError):
-    """More steps in one integration, or more points in one release scan,
+    """More steps in one integration, or more intervals in one release search,
     than `_MAX_STEPS`: a step cap or a pivot law too fine for the horizon."""
 
 
@@ -253,16 +254,16 @@ _D6_0, _D6_5, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14
 )
 
 _MIN_STEP = 1e-14
-# The most steps one integration may take, and the most points one release
-# scan may test.  Over every op of every benchmark design and every golden
-# input, the most steps one integration took was 4,277 and the most margin
-# evaluations one stuck stretch made was 161; the budget leaves a margin of
-# about 23 times over the first.  At tens of microseconds a step it stops,
-# within seconds, a run that would not end in hours.  It bounds the events
-# too: each crossing or stick entry ends a stretch of at least one step, and
-# each release follows a stick entry, so a run has at most 2 * _MAX_STEPS + 3
-# events, counting a stick entry at the start, a release from a stuck start
-# and the final event.
+# The most steps one integration may take, and the most intervals one
+# release search may examine.  Over every op of every benchmark design and
+# every golden input, the most steps one integration took was 4,277 and the
+# most intervals one search examined was 2 (only touches of a level, not
+# crossings, add more); the budget leaves a margin of about 23 times.  At
+# tens of microseconds a step it stops, within seconds, a run that would not
+# end in hours.  It bounds the events too: each crossing or stick entry ends
+# a stretch of at least one step, and each release follows a stick entry, so
+# a run has at most 2 * _MAX_STEPS + 3 events, counting a stick entry at the
+# start, a release from a stuck start and the final event.
 _MAX_STEPS = 100_000
 
 # An event scan is skipped only when the Bernstein coefficients of the step's
@@ -860,22 +861,33 @@ def reseed(q: float, t: float, direction: int, tol: Tolerances) -> State:
     return State(q=q, p=direction * tol.stick_band / 2, t=t, mode=SLIPPING)
 
 
+def _margin_breaks(params: Params, q: float) -> tuple[list[float], list[float]]:
+    """(kinks, levels) in a of the margin l (|drift| - bound) at the angle q,
+    |a s - g c| - mu |a c + g s| (s = sin q, c = cos q), which is piecewise
+    linear in a: its kinks a = g c / s and -g s / c, and its zeros, the levels
+    g (c + mu s) / (s - mu c) and g (c - mu s) / (s + mu c), but where a
+    denominator is 0."""
+    g, mu = params.g, params.mu
+    s, c = math.sin(q), math.cos(q)
+    kinks = [g * c / s] if s != 0.0 else []
+    if c != 0.0:
+        kinks.append(-g * s / c)
+    levels = [g * (c + mu * s) / (s - mu * c)] if s != mu * c else []
+    if s != -mu * c:
+        levels.append(g * (c - mu * s) / (s + mu * c))
+    return kinks, levels
+
+
 def _never_releases(params: Params, a_max: float, q: float) -> bool:
     """Whether static friction holds at the angle q for every pivot
     acceleration a in [-a_max, a_max], with room for the kernel's rounding.
 
-    At a fixed q the margin l (|drift| - bound) = |a s - g c| - mu |a c + g s|
-    (s = sin q, c = cos q) is piecewise linear in a, with kinks at
-    a = g c / s and a = -g s / c.  So its largest value on the interval is
-    at an end or at a kink inside it, where the on-surface kernel decides.
+    The margin is piecewise linear in a (`_margin_breaks`), so its largest
+    value on the interval is at an end or at a kink inside it, where the
+    on-surface kernel decides.
     """
     l, g, mu = params.l, params.g, params.mu
-    s, c = math.sin(q), math.cos(q)
-    candidates = [-a_max, a_max]
-    if s != 0.0 and -a_max < g * c / s < a_max:
-        candidates.append(g * c / s)
-    if c != 0.0 and -a_max < -g * s / c < a_max:
-        candidates.append(-g * s / c)
+    candidates = [-a_max, a_max, *(a for a in _margin_breaks(params, q)[0] if -a_max < a < a_max)]
     # |drift| + bound is at most this, which scales the kernel's rounding
     slack = _EXCLUSION_SLACK * (a_max + g) * (1.0 + mu) / l + _EXCLUSION_FLOOR
     for a in candidates:
@@ -897,11 +909,17 @@ def slide_until_release(
     Returns a StickRelease event at the release time whose direction is the
     sign of the unbalanced drift, or a HorizonReached event at `horizon` if
     friction holds throughout; the state stays at the event's angle with
-    p = 0 until then.  The release time is the first root of |drift| - bound,
-    located to event_tol.  A stuck state holds to the horizon outright when
-    the pivot law is constant, or when no acceleration the law can reach
-    (`pivot.accel_bound`) releases it at this angle.  A scan of more than
-    `_MAX_STEPS` points raises StepLimit.
+    p = 0 until then.  A stuck state holds to the horizon outright when the
+    pivot law is constant, or when no acceleration the law can reach
+    (`pivot.accel_bound`) releases it at this angle.
+
+    Otherwise the margin |drift| - bound changes sign only where a(t) meets a
+    level of `_margin_breaks`, so the kernel's margin in the middle of each
+    interval between successive `pivot.next_level_time`s decides whether it
+    releases.  The first that does releases at its start: a bracket of
+    event_tol about it that the kernel confirms, or else the last point
+    found stuck and that middle, is bisected to event_tol with the released
+    side on top.  More than `_MAX_STEPS` intervals raise StepLimit.
     """
     if state.mode != STUCK:
         raise ValueError("slide_until_release requires a stuck state")
@@ -917,23 +935,26 @@ def slide_until_release(
     if pivot.lipschitz_bound == 0.0 or _never_releases(params, pivot.accel_bound, q):
         return Event(t=horizon, q=q, kind=HORIZON)
 
-    # margin(t) inherits the pivot's Lipschitz constant; refine the scan when
-    # the law wiggles fast so short release windows are not skipped over
-    l_margin = (pivot.lipschitz_bound / params.l) * (abs(math.sin(q)) + params.mu * abs(math.cos(q)))
-    dt = min(tol.max_dt, 0.5 / (1.0 + l_margin))
-    t_lo = t0
+    levels, d = tuple(_margin_breaks(params, q)[1]), tol.event_tol
+    stuck = t = t0  # the last point found stuck, and the interval's start
     n = 0
-    while t_lo < horizon:
+    while t < horizon:
+        # a level time that does not pass t, as under a law faster than the
+        # spacing of doubles, is taken one double on
+        t_end = pivot.next_level_time(levels, t, horizon)
+        t_end = min(max(t_end, math.nextafter(t, _INF)), horizon)
         n += 1
         if n > _MAX_STEPS:
             raise StepLimit(
-                f"more than {_MAX_STEPS} release-scan points at t = {t_lo!r}, h = {dt!r}"
+                f"more than {_MAX_STEPS} release-scan points at t = {t!r}, h = {t_end - t!r}"
             )
-        t_hi = min(t_lo + dt, horizon)
-        if margin(t_hi) > 0.0:
-            # bisect the first sign change; keep the released side on top
-            lo, hi = t_lo, t_hi
-            while hi - lo > tol.event_tol:
+        mid = t + 0.5 * (t_end - t)
+        if margin(mid) > 0.0:
+            lo, hi = max(t - d, stuck), min(t + d, mid)
+            if not margin(lo) <= 0.0 < margin(hi):
+                lo, hi = stuck, mid
+            # bisect the sign change; keep the released side on top
+            while hi - lo > d:
                 mid = 0.5 * (lo + hi)
                 if not lo < mid < hi:  # an event_tol below the spacing of doubles
                     break
@@ -943,7 +964,7 @@ def slide_until_release(
                     lo = mid
             drift, _ = stiction_drift_and_bound(params, pivot, q, hi)
             return Event(t=hi, q=q, kind=STICK_RELEASE, direction=1 if drift > 0 else -1)
-        t_lo = t_hi
+        stuck, t = mid, t_end
     return Event(t=horizon, q=q, kind=HORIZON)
 
 

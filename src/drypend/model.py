@@ -95,6 +95,12 @@ class PivotLaw:
         `piece(t)` returns."""
         raise NotImplementedError
 
+    def next_level_time(self, levels: Sequence[float], t: float, t1: float) -> float:
+        """The first time in (t, t1) at which a(t) equals one of `levels`,
+        else t1; rounding may give one that does not pass t.  The release
+        search steps from each to the next, so none may be missed."""
+        raise NotImplementedError
+
     @property
     def lipschitz_bound(self) -> float:
         raise NotImplementedError
@@ -184,6 +190,9 @@ class ConstantPivot(PivotLaw):
     def rate(self, t: float) -> float:
         return 0.0
 
+    def next_level_time(self, levels, t, t1):
+        return t1
+
     @property
     def lipschitz_bound(self) -> float:
         return 0.0
@@ -211,6 +220,26 @@ class SinePivot(PivotLaw):
 
     def rate(self, t: float) -> float:
         return self.amp * self.omega * math.cos(self.omega * t + self.phase)
+
+    def next_level_time(self, levels, t, t1):
+        """The next phase asin(L/amp) or pi - asin(L/amp), modulo 2 pi, past
+        the one at t, or the one after it where that rounds back to t."""
+        x = self.omega * t + self.phase
+        if self.amp == 0.0 or self.omega == 0.0 or not math.isfinite(x):  # NaN past the float range
+            return t1
+        turn, best = math.copysign(2.0 * math.pi, self.omega), t1
+        for level in levels:
+            r = level / self.amp
+            if not -1.0 <= r <= 1.0:
+                continue
+            base = math.asin(r)
+            for theta in (base, math.pi - base):
+                phase = theta + turn * (math.floor((x - theta) / turn) + 1)
+                time = (phase - self.phase) / self.omega
+                if time <= t:
+                    time = (phase + turn - self.phase) / self.omega
+                best = min(best, time)
+        return best
 
     @property
     def lipschitz_bound(self) -> float:
@@ -259,6 +288,7 @@ class PolyPivot(PivotLaw):
         self._poly = np.polynomial.Polynomial(self.coeffs)
         self._deriv = self._poly.deriv()
         self._accel_bound = None  # sup_bound(0, t_max), when first read
+        self._level_key = self._level_times = None  # the last (levels, t1) asked, and their times
 
     def accel(self, t: float) -> float:
         # Polynomial.__call__'s arithmetic in pure Python: the map of the
@@ -272,6 +302,30 @@ class PolyPivot(PivotLaw):
 
     def rate(self, t: float) -> float:
         return float(self._deriv(t))
+
+    def next_level_time(self, levels, t, t1):
+        """The real parts of all roots of a(t) - L in the variable t / |t1|,
+        found once per stuck stretch, with terms below the rounding of the
+        largest dropped, as they would leave the companion matrix's roots
+        without a correct digit."""
+        if (levels, t1) != self._level_key:
+            import numpy as np
+            from numpy.polynomial import polynomial, polyutils
+
+            times, span = [], abs(t1) or 1.0
+            with np.errstate(all="ignore"):
+                scale = span ** np.arange(len(self.coeffs), dtype=float)
+                for level in levels:
+                    terms = np.array([self.coeffs[0] - level, *self.coeffs[1:]]) * scale
+                    try:  # no roots where the terms leave the float range
+                        terms = polyutils.trimcoef(terms, 2.0 ** -52 * np.abs(terms).max())
+                        roots = polynomial.polyroots(terms) * span
+                    except (ValueError, np.linalg.LinAlgError):
+                        continue
+                    times += [r for r in roots.real.tolist() if r == r]
+            self._level_key, self._level_times = (levels, t1), sorted(times)
+        i = bisect_right(self._level_times, t)
+        return min(self._level_times[i], t1) if i < len(self._level_times) else t1
 
     @staticmethod
     def _abs_max(poly, a: float, b: float) -> float:
@@ -331,11 +385,11 @@ class TablePivot(PivotLaw):
             raise ValueError("table pivot times must be strictly increasing")
         slopes = [(v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(ts, ts[1:], vs, vs[1:])]
         # an overflowed slope between finite values would make the line give
-        # an infinite a(t) inside its interval and the release scan step zero
+        # an infinite a(t) inside its interval
         for t0, v0, v1, slope in zip(ts, vs, vs[1:], slopes):
             if math.isinf(slope) and math.isfinite(v0) and math.isfinite(v1):
                 raise ValueError(f"table pivot slope overflows on the interval from t = {t0!r}")
-        # computed once: the release scan reads them for every stuck stretch
+        # computed once: the release search reads them for every stuck stretch
         self._lipschitz = max(abs(slope) for slope in slopes)
         self._accel_bound = max(abs(v) for v in vs)
 
@@ -348,6 +402,22 @@ class TablePivot(PivotLaw):
         if j == 0 or j == len(ts):  # clamped
             return 0.0
         return (vs[j] - vs[j - 1]) / (ts[j] - ts[j - 1])
+
+    def next_level_time(self, levels, t, t1):
+        """Where the line of a knot interval meets a level, interval by
+        interval from the one that holds t; the clamped ends meet none."""
+        ts, vs = self.times, self.values
+        for j in range(max(bisect_right(ts, t), 1), len(ts)):
+            if ts[j - 1] >= t1:
+                break
+            t0, v0, v1 = ts[j - 1], vs[j - 1], vs[j]
+            slope = (v1 - v0) / (ts[j] - t0)
+            lo, hi = min(v0, v1), max(v0, v1)
+            met = [min(max(t0 + (v - v0) / slope, t0), ts[j]) for v in levels if slope and lo <= v <= hi]
+            best = min((time for time in met if time > t), default=t1)
+            if best < t1:
+                return best
+        return t1
 
     def piece(self, t: float) -> tuple[float, Callable]:
         """The next knot after t and the line of the interval up to it.

@@ -114,13 +114,18 @@ def test_step_limit_names_the_step_its_time_and_size(monkeypatch):
 
 
 def test_release_scan_is_bounded_by_the_step_budget(monkeypatch):
-    # a stuck state that a strong law releases late: the scan of its margin
-    # takes more points than a budget of 40 allows
+    # a stuck state that a strong law releases late: the law touches the
+    # release level 45 times and crosses it only after, so the search
+    # examines more intervals than a budget of 40 allows
+    params, q = Params(mu=0.5), math.pi / 2
+    stuck = State(q=q, p=0.0, t=0.0, mode="stuck")
+    level = max(integrator._margin_breaks(params, q)[1])
+    law = TablePivot(range(92), [0.0, level] * 45 + [0.0, 30.0])
+    event = slide_until_release(stuck, params, law, 100.0, Tolerances())
+    assert event.kind == "stick_release" and 90.0 < event.t < 91.0
     monkeypatch.setattr(integrator, "_MAX_STEPS", 40)
-    stuck = State(q=math.pi / 2, p=0.0, t=0.0, mode="stuck")
-    law = TablePivot([0.0, 10.0, 10.5], [0.0, 0.0, 30.0])
     with pytest.raises(StepLimit, match="release-scan points"):
-        slide_until_release(stuck, Params(mu=0.5), law, 20.0, Tolerances())
+        slide_until_release(stuck, params, law, 100.0, Tolerances())
 
 
 @st.composite
@@ -155,7 +160,7 @@ def test_the_shortcut_fires_only_where_the_scan_finds_no_release(case):
     tol = Tolerances()
     assume(integrator._never_releases(params, pivot.accel_bound, state.q))
     assert slide_until_release(state, params, pivot, horizon, tol).kind == HORIZON
-    # the margin scan, with the shortcut taken away, finds no release either
+    # the release search, with the shortcut taken away, finds no release either
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(integrator, "_never_releases", lambda *args: False)
         assert slide_until_release(state, params, pivot, horizon, tol).kind == HORIZON

@@ -8,13 +8,20 @@ time box.
 
 The physics draws keep the work of a run bounded: the pivot's rate times the
 horizon, |da/dt| (1 + mu) / l * horizon, stays below RATE_TIMES_HORIZON, and
-no mutation gives the horizon, the start time or a rate-bearing field an
-extreme magnitude.  Beyond that bound no hang is known: a sine pivot with
-amp 1 and omega 1e17, started at rest at q = pi/2, holds to the horizon at
-once, since no acceleration the law reaches releases it, and omega 1e308
-exits 2 once an integration takes more than the step budget (both in
-`test_budgets.py`).  The pointwise checks of `verify` integrate nothing, so
-they run on those extreme magnitudes too.
+no mutation gives the horizon or the start time an extreme magnitude.  A
+mutation may give a rate-bearing field one, and the step cap `max_dt` is
+drawn at extremes too: past the float range, below the spacing of doubles,
+or just inside or just outside the step budget.  Those runs end through the
+budget, which the commands run under lowered to FUZZ_STEPS, so that one that
+exhausts it takes a fraction of a second rather than several; any budget
+allows the same exits.  A sine pivot with amp 1 and omega 1e17, started at
+rest at q = pi/2, holds to the horizon at once, since no acceleration the
+law reaches releases it (`test_budgets.py`).  With a larger amp, or with
+omega 1e308, successive times at which a(t) meets a release level round to
+the same double; the release search then steps one double at a time, and
+the slipping stretch after the release exhausts the step budget, so the run
+exits 2.  The pointwise checks of `verify` integrate nothing, so they run
+on every extreme magnitude.
 """
 
 import contextlib
@@ -29,20 +36,20 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from drypend import cli
+from drypend import cli, integrator
 from drypend.model import pivot_from_dict
 
 # numpy warns of the overflows that huge coefficients cause in a poly pivot's bounds
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
-RATE_TIMES_HORIZON = 2000.0
+RATE_TIMES_HORIZON = 20000.0
 TIME_BOX_S = 10
+FUZZ_STEPS = 20_000
 COMMANDS = ("simulate", "shoot", "sweep", "verify")
 
 # fields whose extreme magnitudes make a long window or a steep pivot law
 WINDOW = {"horizon", "t0"}
 RATE = {"l", "mu", "amp", "omega", "coeffs", "times", "values"}
-RATE_OR_WINDOW = WINDOW | RATE
 EXTREME = [1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308]
 INVALID = [None, True, "x", "1.5", "inf", "nan", [], {}, math.nan, math.inf, -math.inf, 0, -1, 10 ** 400]
 
@@ -62,7 +69,7 @@ def pivots(draw, horizon):
     if kind == "constant":
         return {"kind": kind, "a": draw(numbers(-20, 20))}
     if kind == "sine":
-        spec = {"kind": kind, "amp": draw(numbers(-20, 20)), "omega": draw(numbers(0, 5))}
+        spec = {"kind": kind, "amp": draw(numbers(-20, 20)), "omega": draw(numbers(0, 50))}
         if draw(st.booleans()):
             spec["phase"] = draw(reals(-4, 4))
         return spec
@@ -71,7 +78,7 @@ def pivots(draw, horizon):
         return {"kind": kind, "coeffs": coeffs, "t_max": draw(reals(horizon, 2 * horizon + 1))}
     n = draw(st.integers(2, 5))
     times = sorted(draw(st.lists(reals(-1, 6), min_size=n, max_size=n, unique=True)))
-    assume(min(b - a for a, b in zip(times, times[1:])) >= 0.05)
+    assume(min(b - a for a, b in zip(times, times[1:])) >= 0.01)
     return {"kind": kind, "times": times, "values": draw(st.lists(numbers(-20, 20), min_size=n, max_size=n))}
 
 
@@ -105,8 +112,12 @@ def physics(draw):
         initial = draw(curves())
     scenario = {"params": params, "pivot": pivot, "initial": initial, "horizon": horizon}
     if draw(st.booleans()):
+        # the step cap: the usual, past the float range, below the spacing of
+        # doubles, or just inside and just outside the step budget
+        budget = horizon / cli._MAX_STEPS
+        max_dt = draw(st.sampled_from([0.1, 1e308, 5e-324, budget * (1 + 1e-9), budget * (1 - 1e-9)]))
         scenario["tolerances"] = {
-            "rel_tol": 1e-8, "abs_tol": 1e-10, "event_tol": 1e-9, "stick_band": 1e-7, "max_dt": 0.1
+            "rel_tol": 1e-8, "abs_tol": 1e-10, "event_tol": 1e-9, "stick_band": 1e-7, "max_dt": max_dt
         }
     if draw(st.booleans()):
         scenario["mode"] = "strict"
@@ -133,7 +144,7 @@ def mutated(draw, scenario):
     for step in path:
         parent = parent[step]
     name = key if isinstance(key, str) else path[-1]
-    values = INVALID + ([] if name in RATE_OR_WINDOW else EXTREME)
+    values = INVALID + ([] if name in WINDOW else EXTREME)
     action = draw(st.sampled_from(["delete", "set", "set", "set", "repeat"]))
     if action == "delete":
         del parent[key]
@@ -155,13 +166,16 @@ def _time_box(signum, frame):
 
 
 def run(argv):
-    """(exit code, stderr) of one in-process CLI call under the time box."""
+    """(exit code, stderr) of one in-process CLI call under the time box, with
+    the step budget lowered to FUZZ_STEPS."""
     err = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _time_box)
     signal.alarm(TIME_BOX_S)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrator, "_MAX_STEPS", FUZZ_STEPS)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -215,6 +229,18 @@ def point(**overrides):
 @example(scenario=point(params={"mu": 0, "l": 1e200}, pivot={"kind": "constant", "a": 0}))  # energy drift
 @example(scenario=point(initial={"kind": "point", "q0": 1e308, "p0": 0.2}))  # a flat phase portrait
 @example(scenario=point(pivot={"kind": ["sine"]}))
+# laws faster than the spacing of doubles, at rest at the apex and on a curve
+@example(
+    scenario=point(
+        params={"mu": 0.5},
+        pivot={"kind": "sine", "amp": 6, "omega": 1e17},
+        initial={"kind": "point", "q0": 1.5707963267948966, "p0": 0},
+    )
+)
+@example(scenario=point(pivot={"kind": "sine", "amp": 2, "omega": 1e308}))
+@example(scenario=point(pivot={"kind": "sine", "amp": 6, "omega": 1e17}, initial={"kind": "curve"}))
+# a step cap just inside the step budget
+@example(scenario=point(tolerances={"max_dt": 2 / 99_999}))
 # releases located with an event_tol below the spacing of doubles
 @example(
     scenario=point(
@@ -250,8 +276,8 @@ def test_every_command_exits_cleanly_and_reruns_identically(scenario):
 @st.composite
 def steep(draw):
     """A valid scenario with one pivot or params field set to an extreme
-    magnitude that `test_every_command_exits_cleanly_and_reruns_identically`
-    keeps from the stepper."""
+    magnitude, which `test_every_command_exits_cleanly_and_reruns_identically`
+    draws only now and then."""
     scenario = draw(physics())
     leaves = [
         (path, key)

@@ -3,7 +3,7 @@
 The slipping kernel (`branch_field`), which the integrator steps and the
 checks sample, is compared with the equation of motion evaluated in exact
 rational arithmetic.  The stick/cross rule and the stiction test on entry
-to the release scan both read the on-surface kernel
+to the release search both read the on-surface kernel
 (`stiction_drift_and_bound`), so they must agree exactly.
 """
 
@@ -60,8 +60,8 @@ params_st = st.builds(
 )
 def test_stick_rule_and_stiction_test_agree_exactly(params, pivot, q, t):
     # the integrator sticks by the rule and then hands the stuck state to
-    # the release scan, whose entry test is |drift| - bound <= 0; with the
-    # horizon at the stuck time only that test runs, not the scan
+    # the release search, whose entry test is |drift| - bound <= 0; with the
+    # horizon at the stuck time only that test runs, not the search
     sticks = classify_switch(params, pivot, q, t) == 0
     drift, bound = stiction_drift_and_bound(params, pivot, q, t)
     assert sticks == (abs(drift) - bound <= 0)

@@ -91,7 +91,7 @@ class TestCorner:
         # cos t = 9.8 / 15
         r = classify_exit(0.0, self.CURVE, P, SinePivot(30.0, 1.0, math.pi / 2), 5.0, TOL)
         assert r.outcome == EXIT_LOW
-        assert r.exit_event.t == 0.8588172718882561
+        assert r.exit_event.t == 0.8588172719323293
         assert r.exit_event.t == pytest.approx(math.acos(9.8 / 15.0), abs=1e-9)
 
     def test_outward_crossing_exits_at_once(self):
