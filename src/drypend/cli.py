@@ -40,7 +40,6 @@ from .wazewski import (
     family_sweep,
     sweep_json,
 )
-from .svgplot import phase_portrait_svg
 
 
 class ParseError(ValueError):
@@ -342,6 +341,8 @@ def cmd_simulate(scen: Scenario, out_dir: str, svg: bool = False) -> int:
     }
     _write_atomic(os.path.join(out_dir, "events.json"), _canonical_json(events))
     if svg:
+        from .svgplot import phase_portrait_svg  # loaded only for --svg
+
         _write_atomic(
             os.path.join(out_dir, "phase.svg"), phase_portrait_svg(traj, title=scen.name)
         )

@@ -4,7 +4,9 @@ Between events the motion follows one ODE, the slipping field with the
 friction sign frozen to the current branch, smooth but for the kinks of its
 friction term and the knots of a table pivot law.  One generator (`_slip`)
 steps each such stretch with the Dormand-Prince 8(5,3) pair (DOP853), and a
-step that would cross a kink or a knot is cut to end on it.
+step that would cross a kink or a knot is cut to end on it.  Its stages
+evaluate `model.branch_field`'s expressions inline, as tools/gen_stages.py
+writes them, with one pivot-law call each.
 Events are detected on each step's quintic Hermite, which the step's ends
 and their field values give for free, and located on DOP853's 7th-order
 dense output, whose three extra stages are formed only where detection
@@ -34,6 +36,7 @@ from .model import (
     limit_fields,
     normal_force,
     p_star,
+    slip_constants,
     stiction_drift_and_bound,
 )
 
@@ -537,24 +540,25 @@ def _kink_theta(seg: DenseSegment, normal, positive: bool) -> float:
 
 
 def _branch_pieces(params: Params, pivot: PivotLaw, branch: float):
-    """`_slip`'s piece(t) -> (t_end, field, normal) on the branch `branch`:
-    the end of `pivot.piece(t)`, and the field and normal force (None
-    without friction) of its a(t)."""
+    """`_slip`'s piece(t) -> (t_end, field, normal, accel) on the branch
+    `branch`: the end of `pivot.piece(t)`, the field and normal force (None
+    without friction) of its a(t), and that a(t)."""
     frictional = params.mu != 0.0
 
     def piece(t):
         t_end, accel = pivot.piece(t)
         normal = normal_force(params, pivot, accel) if frictional else None
-        return t_end, branch_field(params, pivot, branch, accel), normal
+        return t_end, branch_field(params, pivot, branch, accel), normal, accel
 
     return piece
 
 
-def _slip(piece, branch, t, q, p, h, t_end, tol):
+def _slip(piece, consts, branch, t, q, p, h, t_end, tol):
     """The accepted steps of one slipping stretch, from (t, q, p) to the
     next event, with the friction sign frozen to `branch`.  piece(t) gives
-    (t_limit, f, normal): the end of the pivot law's smooth piece that
-    holds t, the field there and its normal force, None without friction.
+    (t_limit, f, normal, accel): the end of the pivot law's smooth piece
+    that holds t, the field there, its normal force, None without friction,
+    and its a(t).  consts are `model.slip_constants(params, branch)`.
 
     Each step is yielded as (t, h, q, p, f, kq, kp, seg, t1, q1, p1, h_next,
     switch): its start, size, field and stages 0-12, the DenseSegment of
@@ -572,17 +576,21 @@ def _slip(piece, branch, t, q, p, h, t_end, tol):
     Each attempt is one DOP853 step to the end time t1, which is t + h or a
     time that t + h only rounds near.  Every stage sum is written out in the
     order of the tableau, its zero entries left out, so the arithmetic is
-    that of a loop over the tableau's nonzero entries.  The products
-    h * a_ij, h * b_j and c_i * h are formed once per step size, when h
-    differs from the one they were formed for, and read by every attempt of
-    that size; a rejection, a landing and a kink cut each change h.  The
-    error is Hairer's combination of the 5th- and 3rd-order estimates, and
-    the step factor is 0.9 * err ** -1/8 within [0.2, 5].  At the cap
-    max_dt, a step whose 5th-order estimate alone bounds that error by 0.4
-    (h^2 err5 <= 0.32), and whose 3rd-order one is not NaN, is accepted
-    with max_dt as the next step, as the norm would decide, without forming
-    the norm or the step factor.  A step that reaches a piece's end or
-    `t_end` is cut to end on it exactly, with its last stage evaluated
+    that of a loop over the tableau's nonzero entries.  Stages 1-12 call no
+    field: tools/gen_stages.py writes each as f's expressions in
+    `branch_field`, dq/dt its p sum and dp/dt at its q sum and
+    a = accel(t + c_i h), frictionless where consts' friction is None; with
+    friction, stage 12's normal force stands for normal(t1, q1, p1).  The
+    products h * a_ij, h * b_j and c_i * h are formed once per step size,
+    when h differs from the one they were formed for, and read by every
+    attempt of that size; a rejection, a landing and a kink cut each change
+    h.  The error is Hairer's combination of the 5th- and 3rd-order
+    estimates, and the step factor is 0.9 * err ** -1/8 within [0.2, 5].
+    At the cap max_dt, a step whose 5th-order estimate alone bounds that
+    error by 0.4 (h^2 err5 <= 0.32), and whose 3rd-order one is not NaN, is
+    accepted with max_dt as the next step, as the norm would decide,
+    without forming the norm or the step factor.  A step that reaches a
+    piece's end or `t_end` is cut to end on it exactly, with its last stage evaluated
     there, and passes on as `h_next` no less than the step it was cut from,
     so a cut to a knot of the pivot law does not shrink the steps after it;
     past a piece's end the next piece's field and normal force take over,
@@ -595,10 +603,12 @@ def _slip(piece, branch, t, q, p, h, t_end, tol):
     stepped over.  Each step's first stage is the last stage of the step
     before (FSAL); that last stage is evaluated only on an accepted
     attempt.  The first step's is f(t, q, p), which rejected attempts share,
-    as does the starting-step estimate when `h` is None.
+    as does the starting-step estimate when `h` is None.  A None `normal`
+    drops the p = 0 test and the kink cuts, whatever form the stages take.
     """
-    t_limit, f, normal = piece(t)
+    t_limit, f, normal, accel = piece(t)
     t_limit = min(t_end, t_limit)
+    l, g, g_l, friction = consts
     frictional = normal is not None
     if frictional and branch == 0.0:
         raise ValueError("stepping requires p != 0 when mu > 0")
@@ -606,7 +616,7 @@ def _slip(piece, branch, t, q, p, h, t_end, tol):
     if h is None:
         h = _initial_step(q, p, kq0, kp0, tol)
     abs_tol, rel_tol, max_dt = tol.abs_tol, tol.rel_tol, tol.max_dt
-    sqrt = math.sqrt
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
     e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = (
         _E5_0, _E5_5, _E5_6, _E5_7, _E5_8, _E5_9, _E5_10, _E5_11
     )
@@ -662,57 +672,104 @@ def _slip(piece, branch, t, q, p, h, t_end, tol):
                     _C1 * h, _C2 * h, _C3 * h, _C4 * h, _C5 * h, _C6 * h, _C7 * h, _C8 * h,
                     _C9 * h, _C10 * h, _C11 * h,
                 )
-            kq1, kp1 = f(t + hc1, q + wa1_0 * kq0, p + wa1_0 * kp0)
-            kq2, kp2 = f(t + hc2, q + wa2_0 * kq0 + wa2_1 * kq1, p + wa2_0 * kp0 + wa2_1 * kp1)
-            kq3, kp3 = f(t + hc3, q + wa3_0 * kq0 + wa3_2 * kq2, p + wa3_0 * kp0 + wa3_2 * kp2)
-            kq4, kp4 = f(
-                t + hc4,
-                q + wa4_0 * kq0 + wa4_2 * kq2 + wa4_3 * kq3,
-                p + wa4_0 * kp0 + wa4_2 * kp2 + wa4_3 * kp3,
-            )
-            kq5, kp5 = f(
-                t + hc5,
-                q + wa5_0 * kq0 + wa5_3 * kq3 + wa5_4 * kq4,
-                p + wa5_0 * kp0 + wa5_3 * kp3 + wa5_4 * kp4,
-            )
-            kq6, kp6 = f(
-                t + hc6,
-                q + wa6_0 * kq0 + wa6_3 * kq3 + wa6_4 * kq4 + wa6_5 * kq5,
-                p + wa6_0 * kp0 + wa6_3 * kp3 + wa6_4 * kp4 + wa6_5 * kp5,
-            )
-            kq7, kp7 = f(
-                t + hc7,
-                q + wa7_0 * kq0 + wa7_3 * kq3 + wa7_4 * kq4 + wa7_5 * kq5 + wa7_6 * kq6,
-                p + wa7_0 * kp0 + wa7_3 * kp3 + wa7_4 * kp4 + wa7_5 * kp5 + wa7_6 * kp6,
-            )
-            kq8, kp8 = f(
-                t + hc8,
-                q + wa8_0 * kq0 + wa8_3 * kq3 + wa8_4 * kq4 + wa8_5 * kq5 + wa8_6 * kq6
-                + wa8_7 * kq7,
-                p + wa8_0 * kp0 + wa8_3 * kp3 + wa8_4 * kp4 + wa8_5 * kp5 + wa8_6 * kp6
-                + wa8_7 * kp7,
-            )
-            kq9, kp9 = f(
-                t + hc9,
-                q + wa9_0 * kq0 + wa9_3 * kq3 + wa9_4 * kq4 + wa9_5 * kq5 + wa9_6 * kq6
-                + wa9_7 * kq7 + wa9_8 * kq8,
-                p + wa9_0 * kp0 + wa9_3 * kp3 + wa9_4 * kp4 + wa9_5 * kp5 + wa9_6 * kp6
-                + wa9_7 * kp7 + wa9_8 * kp8,
-            )
-            kq10, kp10 = f(
-                t + hc10,
-                q + wa10_0 * kq0 + wa10_3 * kq3 + wa10_4 * kq4 + wa10_5 * kq5 + wa10_6 * kq6
-                + wa10_7 * kq7 + wa10_8 * kq8 + wa10_9 * kq9,
-                p + wa10_0 * kp0 + wa10_3 * kp3 + wa10_4 * kp4 + wa10_5 * kp5 + wa10_6 * kp6
-                + wa10_7 * kp7 + wa10_8 * kp8 + wa10_9 * kp9,
-            )
-            kq11, kp11 = f(
-                t + hc11,
-                q + wa11_0 * kq0 + wa11_3 * kq3 + wa11_4 * kq4 + wa11_5 * kq5 + wa11_6 * kq6
-                + wa11_7 * kq7 + wa11_8 * kq8 + wa11_9 * kq9 + wa11_10 * kq10,
-                p + wa11_0 * kp0 + wa11_3 * kp3 + wa11_4 * kp4 + wa11_5 * kp5 + wa11_6 * kp6
-                + wa11_7 * kp7 + wa11_8 * kp8 + wa11_9 * kp9 + wa11_10 * kp10,
-            )
+            # BEGIN stages 1-11, written by tools/gen_stages.py from model.branch_field
+            x = q + wa1_0 * kq0
+            kq1 = p + wa1_0 * kp0
+            a = accel(t + hc1)
+            if friction is None:
+                kp1 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp1 = (a / l) * s - friction * abs(a * c - l * kq1 * kq1 + g * s) - g_l * c
+            x = q + wa2_0 * kq0 + wa2_1 * kq1
+            kq2 = p + wa2_0 * kp0 + wa2_1 * kp1
+            a = accel(t + hc2)
+            if friction is None:
+                kp2 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp2 = (a / l) * s - friction * abs(a * c - l * kq2 * kq2 + g * s) - g_l * c
+            x = q + wa3_0 * kq0 + wa3_2 * kq2
+            kq3 = p + wa3_0 * kp0 + wa3_2 * kp2
+            a = accel(t + hc3)
+            if friction is None:
+                kp3 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp3 = (a / l) * s - friction * abs(a * c - l * kq3 * kq3 + g * s) - g_l * c
+            x = q + wa4_0 * kq0 + wa4_2 * kq2 + wa4_3 * kq3
+            kq4 = p + wa4_0 * kp0 + wa4_2 * kp2 + wa4_3 * kp3
+            a = accel(t + hc4)
+            if friction is None:
+                kp4 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp4 = (a / l) * s - friction * abs(a * c - l * kq4 * kq4 + g * s) - g_l * c
+            x = q + wa5_0 * kq0 + wa5_3 * kq3 + wa5_4 * kq4
+            kq5 = p + wa5_0 * kp0 + wa5_3 * kp3 + wa5_4 * kp4
+            a = accel(t + hc5)
+            if friction is None:
+                kp5 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp5 = (a / l) * s - friction * abs(a * c - l * kq5 * kq5 + g * s) - g_l * c
+            x = q + wa6_0 * kq0 + wa6_3 * kq3 + wa6_4 * kq4 + wa6_5 * kq5
+            kq6 = p + wa6_0 * kp0 + wa6_3 * kp3 + wa6_4 * kp4 + wa6_5 * kp5
+            a = accel(t + hc6)
+            if friction is None:
+                kp6 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp6 = (a / l) * s - friction * abs(a * c - l * kq6 * kq6 + g * s) - g_l * c
+            x = q + wa7_0 * kq0 + wa7_3 * kq3 + wa7_4 * kq4 + wa7_5 * kq5 + wa7_6 * kq6
+            kq7 = p + wa7_0 * kp0 + wa7_3 * kp3 + wa7_4 * kp4 + wa7_5 * kp5 + wa7_6 * kp6
+            a = accel(t + hc7)
+            if friction is None:
+                kp7 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp7 = (a / l) * s - friction * abs(a * c - l * kq7 * kq7 + g * s) - g_l * c
+            x = (q + wa8_0 * kq0 + wa8_3 * kq3 + wa8_4 * kq4 + wa8_5 * kq5 + wa8_6 * kq6
+                 + wa8_7 * kq7)
+            kq8 = (p + wa8_0 * kp0 + wa8_3 * kp3 + wa8_4 * kp4 + wa8_5 * kp5 + wa8_6 * kp6
+                   + wa8_7 * kp7)
+            a = accel(t + hc8)
+            if friction is None:
+                kp8 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp8 = (a / l) * s - friction * abs(a * c - l * kq8 * kq8 + g * s) - g_l * c
+            x = (q + wa9_0 * kq0 + wa9_3 * kq3 + wa9_4 * kq4 + wa9_5 * kq5 + wa9_6 * kq6
+                 + wa9_7 * kq7 + wa9_8 * kq8)
+            kq9 = (p + wa9_0 * kp0 + wa9_3 * kp3 + wa9_4 * kp4 + wa9_5 * kp5 + wa9_6 * kp6
+                   + wa9_7 * kp7 + wa9_8 * kp8)
+            a = accel(t + hc9)
+            if friction is None:
+                kp9 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp9 = (a / l) * s - friction * abs(a * c - l * kq9 * kq9 + g * s) - g_l * c
+            x = (q + wa10_0 * kq0 + wa10_3 * kq3 + wa10_4 * kq4 + wa10_5 * kq5 + wa10_6 * kq6
+                 + wa10_7 * kq7 + wa10_8 * kq8 + wa10_9 * kq9)
+            kq10 = (p + wa10_0 * kp0 + wa10_3 * kp3 + wa10_4 * kp4 + wa10_5 * kp5 + wa10_6 * kp6
+                    + wa10_7 * kp7 + wa10_8 * kp8 + wa10_9 * kp9)
+            a = accel(t + hc10)
+            if friction is None:
+                kp10 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp10 = (a / l) * s - friction * abs(a * c - l * kq10 * kq10 + g * s) - g_l * c
+            x = (q + wa11_0 * kq0 + wa11_3 * kq3 + wa11_4 * kq4 + wa11_5 * kq5 + wa11_6 * kq6
+                 + wa11_7 * kq7 + wa11_8 * kq8 + wa11_9 * kq9 + wa11_10 * kq10)
+            kq11 = (p + wa11_0 * kp0 + wa11_3 * kp3 + wa11_4 * kp4 + wa11_5 * kp5 + wa11_6 * kp6
+                    + wa11_7 * kp7 + wa11_8 * kp8 + wa11_9 * kp9 + wa11_10 * kp10)
+            a = accel(t + hc11)
+            if friction is None:
+                kp11 = (a / l) * sin(x) - g_l * cos(x)
+            else:
+                s, c = sin(x), cos(x)
+                kp11 = (a / l) * s - friction * abs(a * c - l * kq11 * kq11 + g * s) - g_l * c
+            # END stages 1-11
             q1 = (
                 q + wb0 * kq0 + wb5 * kq5 + wb6 * kq6 + wb7 * kq7 + wb8 * kq8 + wb9 * kq9
                 + wb10 * kq10 + wb11 * kq11
@@ -769,13 +826,20 @@ def _slip(piece, branch, t, q, p, h, t_end, tol):
                     continue
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
                 h_next = min(h * factor, max_dt)
-            kq12, kp12 = f(t1, q1, p1)
-            kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6, kq7, kq8, kq9, kq10, kq11, kq12)
+            # BEGIN stage 12, written by tools/gen_stages.py from model.branch_field
+            a = accel(t1)
+            if friction is None:
+                kp12 = (a / l) * sin(q1) - g_l * cos(q1)
+            else:
+                s, c = sin(q1), cos(q1)
+                n = a * c - l * p1 * p1 + g * s
+                kp12 = (a / l) * s - friction * abs(n) - g_l * c
+                n_end = n > 0.0
+            # END stage 12
+            # stage 12 of q, dq/dt at the step's end, is p1
+            kq = (kq0, kq1, kq2, kq3, kq4, kq5, kq6, kq7, kq8, kq9, kq10, kq11, p1)
             kp = (kp0, kp1, kp2, kp3, kp4, kp5, kp6, kp7, kp8, kp9, kp10, kp11, kp12)
-            if not frictional:
-                break
-            n_end = normal(t1, q1, p1) > 0.0
-            if on_kink or n_end == n_pos:
+            if not frictional or on_kink or n_end == n_pos:
                 break
             # the normal force changes sign on the step: end it there
             seg = DenseSegment.of_step(f, t, h, q, p, q1, p1, kq, kp)
@@ -805,9 +869,9 @@ def _slip(piece, branch, t, q, p, h, t_end, tol):
         if t1 >= t_limit:
             if t1 >= t_end:
                 return
-            t_limit, f, normal = piece(t1)
+            t_limit, f, normal, accel = piece(t1)
             t_limit = min(t_end, t_limit)
-        t, q, p, h, kq0, kp0, n_pos = t1, q1, p1, h_next, kq12, kp12, n_end
+        t, q, p, h, kq0, kp0, n_pos = t1, q1, p1, h_next, p1, kp12, n_end
 
 
 def step_smooth(
@@ -826,8 +890,8 @@ def step_smooth(
     t, p = state.t, state.p
     branch = 1.0 if p > 0 else (-1.0 if p < 0 else 0.0)
     stretch = _slip(
-        _branch_pieces(params, pivot, branch), branch, t, state.q, p, h,
-        math.inf if t_limit is None else t_limit, tol,
+        _branch_pieces(params, pivot, branch), slip_constants(params, branch), branch, t, state.q,
+        p, h, math.inf if t_limit is None else t_limit, tol,
     )
     _, h, *_, t1, q1, p1, h_next, switch = next(stretch)
     if switch is not None:
@@ -1110,8 +1174,8 @@ def integrate(
             # a slipping stretch, from its start to the next event
             branch = 1.0 if state.p > 0 else (-1.0 if state.p < 0 else 0.0)
             stretch = _slip(
-                _branch_pieces(params, pivot, branch), branch, state.t, state.q, state.p, h_next,
-                horizon, tol,
+                _branch_pieces(params, pivot, branch), slip_constants(params, branch), branch,
+                state.t, state.q, state.p, h_next, horizon, tol,
             )
             direction = None  # how the stretch ends on p = 0: 0 sticks, else crosses
             for t0, h, q0, p0, field, kq, kp, seg, t1, q1, p1, h_next, switch in stretch:

@@ -12,11 +12,13 @@ where a(t) is the prescribed horizontal pivot acceleration.  On p = 0 the
 friction term is set-valued and the right-hand side becomes the convex
 interval between the two one-sided limits, which `limit_fields` returns.
 
-The field is written in two kernels only: `branch_field` (off the surface,
-one friction branch) and `stiction_drift_and_bound` (on p = 0), from which
-the one-sided limits are taken; `normal_force` is the argument of the
-first one's friction magnitude, whose sign changes are its kinks, and
-`branch_jacobian` is the first one's derivative in (q, p).  Every
+The field is written by hand in two kernels only: `branch_field` (off the
+surface, one friction branch) and `stiction_drift_and_bound` (on p = 0),
+from which the one-sided limits are taken; `normal_force` is the argument
+of the first one's friction magnitude, whose sign changes are its kinks,
+and `branch_jacobian` is the first one's derivative in (q, p).  The
+integrator's stages are the first one's forms written out by
+tools/gen_stages.py, with the constants of `slip_constants`.  Every
 function takes and returns Python floats, but the two kernels also take
 the pointwise checks' numpy arrays of samples, importing numpy then, as
 `PolyPivot` does for the roots behind its bounds.
@@ -329,8 +331,20 @@ class PolyPivot(PivotLaw):
 
     @staticmethod
     def _abs_max(poly, a: float, b: float) -> float:
+        """An upper bound of |poly| on [a, b]: its max at the ends and critical
+        points with the terms c_k x^k (x = max(|a|, |b|)) below the rounding
+        of the largest dropped, as in `next_level_time`, plus sum |c_k| x^k
+        of those dropped."""
         import numpy as np
 
+        x = max(abs(a), abs(b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.abs(poly.coef) * x ** np.arange(len(poly.coef), dtype=float)
+            terms[poly.coef == 0.0] = 0.0  # not 0 * inf where x^k overflows
+            kept = np.flatnonzero(terms > 2.0 ** -52 * terms.max())
+            n = int(kept[-1]) + 1 if len(kept) else 1
+            dropped = float(terms[n:].sum())
+            poly = np.polynomial.Polynomial(poly.coef[:n])
         cand = [a, b]
         deriv = poly.deriv()
         if deriv.degree() >= 1:
@@ -338,14 +352,13 @@ class PolyPivot(PivotLaw):
                 with np.errstate(over="ignore", invalid="ignore"):
                     roots = deriv.roots()
             except np.linalg.LinAlgError:
-                # a leading coefficient tiny against the others overflows the
-                # companion matrix; bound |poly| by its terms' magnitudes
-                x = max(abs(a), abs(b))
-                return sum(abs(float(c)) * x ** k for k, c in enumerate(poly.coef))
+                # a companion matrix that overflows still; bound |poly| by
+                # its terms' magnitudes
+                return float(terms.sum())
             for r in roots:
                 if abs(r.imag) < 1e-12 and a <= r.real <= b:
                     cand.append(float(r.real))
-        return max(abs(float(poly(c))) for c in cand)
+        return max(abs(float(poly(c))) for c in cand) + dropped
 
     @property
     def lipschitz_bound(self) -> float:
@@ -512,6 +525,14 @@ class State(_StateFields):
         return tuple.__new__(cls, (q, p, t, mode))
 
 
+def slip_constants(params: Params, branch: float) -> tuple:
+    """(l, g, g / l, friction) of `branch_field`'s dp/dt and of the
+    integrator's stages written out from it: friction is (mu / l) branch,
+    or None where mu = 0 and dp/dt takes its frictionless form."""
+    l, g, mu = params.l, params.g, params.mu
+    return l, g, g / l, None if mu == 0.0 else (mu / l) * branch
+
+
 def branch_field(
     params: Params, pivot: PivotLaw, branch: float, accel: Callable | None = None
 ) -> Callable:
@@ -522,6 +543,8 @@ def branch_field(
     integrator steps it between events, and the checks evaluate it at their
     sample points with the branch of sign(p).  `accel`, when given, stands
     for `pivot.accel`: the integrator passes the one of a `pivot.piece`.
+    Its two forms of f are the source of the integrator's inline stages,
+    which tools/gen_stages.py writes from them: rerun it after an edit.
     An ndarray `branch` makes the checks' form, for arrays q, p and a(t),
     with numpy's sin and cos.
 
@@ -539,17 +562,15 @@ def branch_field(
       integrator never steps with friction, the general form gives NaN
       where (mu/l) |N| overflows, and this one 0.
     """
-    l, g, mu = params.l, params.g, params.mu
-    g_l = g / l
+    l, g, g_l, friction = slip_constants(params, branch)
     if accel is None:
         accel = pivot.accel
-    friction = (mu / l) * branch
-    if isinstance(friction, float):
+    if isinstance(branch, (int, float)):
         sin, cos = math.sin, math.cos
     else:  # an ndarray of branches: the checks' arrays of samples
         from numpy import cos, sin
 
-    if mu == 0.0:
+    if friction is None:
 
         def f(t, q, p):
             return p, (accel(t) / l) * sin(q) - g_l * cos(q)

@@ -234,6 +234,15 @@ def stick_slip(draw):
 # releases through the upper level of a poly law, and through both levels of a sine law
 @example((Params(l=0.5, mu=0.216), PolyPivot([0.0, 5.95, 0.0, 0.0], t_max=2.0), State(1.3793, 0.0, 0.0), 1.0))
 @example((Params(mu=0.5), SinePivot(6.0, 1.0), State(math.pi / 2, 0.0, 0.0), 4.0))
+# a negligible cubic term once hid the extremum a(1.5) = -4.5 from the
+# poly law's bound, which then read 0: the state was held to the horizon
+# and its stuck rows broke stiction from t = 1.05 on
+@example(
+    (
+        Params(mu=0.5), PolyPivot([0.0, -6.0, 2.0, 1.3935687331406293e-200], t_max=3.0),
+        State(1.5, 0.0, 0.0), 2.0,
+    )
+)
 def test_events_match_the_oracle_on_drawn_stick_slip_runs(case):
     params, pivot, state, horizon = case
     got = compare(params, pivot, state, horizon, TIGHT)

@@ -109,6 +109,22 @@ class TestPivotLaws:
     def test_sup_bound_dominates_a_dense_grid(self, pv, t0, span):
         assert_sup_bound_dominates(pv, t0, t0 + span)
 
+    @pytest.mark.parametrize(
+        "coeffs, peak, slope",
+        [
+            ([0.0, -6.0, 2.0, 1.3935687331406293e-200], 4.5, 6.0),  # |a(1.5)|, |a'(0)|
+            ([2.75, 3.0, -1.0, 1e-20], 5.0, 3.0),  # a(1.5), |a'(0)| and |a'(3)|
+        ],
+    )
+    def test_poly_bounds_see_past_a_negligible_leading_term(self, coeffs, peak, slope):
+        # the companion matrix of the untrimmed derivative once gave no root
+        # inside the window, and the bounds read only the ends: 0.0 and 2.75
+        pv = PolyPivot(coeffs, t_max=3.0)
+        assert pv.accel_bound >= peak
+        assert pv.lipschitz_bound >= slope
+        assert pv.accel_bound == pytest.approx(peak) and pv.lipschitz_bound == pytest.approx(slope)
+        assert_sup_bound_dominates(pv, 0.0, 3.0)
+
     def test_round_trip_through_dict(self):
         for pv in (ConstantPivot(1), SinePivot(2, 3, 0.1), PolyPivot([1, 2]), TablePivot([0, 1], [1, 2])):
             clone = pivot_from_dict(pv.to_dict())

@@ -5,7 +5,8 @@ tests use as an oracle, stays off every run path: the stepper's tableau is
 written out in `drypend.integrator`, so no command imports it.  The model runs on
 floats, and numpy only builds and evaluates the verification checks' sample
 grids (and a poly pivot's bounds).  Nor does the CLI's import load `dataclasses` and the
-`inspect` it brings: the value types are named tuples and slotted classes.
+`inspect` it brings: the value types are named tuples and slotted classes.  The SVG writer
+is loaded only for `simulate --svg`.
 Each case runs in a fresh interpreter, since this test process has numpy
 loaded already.
 """
@@ -63,12 +64,13 @@ def test_import_leaves_numpy_out():
     assert run_child(None) == {"at_import": False, "rc": None, "after": False, "scipy": False}
 
 
-def test_import_leaves_dataclasses_and_inspect_out():
+def loaded_at_import(modules):
+    """Which of `modules` a fresh `import drypend.cli` loads."""
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, drypend.cli; print([m for m in ('dataclasses', 'inspect') if m in sys.modules])",
+            f"import sys, drypend.cli; print([m for m in {modules!r} if m in sys.modules])",
         ],
         capture_output=True,
         text=True,
@@ -76,7 +78,16 @@ def test_import_leaves_dataclasses_and_inspect_out():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    assert loaded_at_import(("dataclasses", "inspect")) == "[]"
+
+
+def test_import_leaves_the_svg_writer_out():
+    # only `simulate --svg` loads it
+    assert loaded_at_import(("drypend.svgplot",)) == "[]"
 
 
 @pytest.mark.parametrize(

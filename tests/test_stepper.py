@@ -23,9 +23,12 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +41,8 @@ from drypend.model import ConstantPivot, Params, PolyPivot, SinePivot, State, Ta
 
 import refstepper
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SCENARIOS = os.path.join(ROOT, "scenarios")
 PROPERTY = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -145,6 +149,16 @@ def _rows():
     return c, a, b, e5, e3
 
 
+def test_stage_block_is_generated():
+    # `_slip`'s inline stages are what tools/gen_stages.py writes from
+    # `branch_field` and the tableau; an edit to either needs a rerun
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "gen_stages.py"), "--check"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_row_sums_and_quadrature_conditions():
     c, a, b, e5, e3 = _rows()
     # each to the rounding of coefficients up to about 40 in magnitude
@@ -161,20 +175,35 @@ def test_row_sums_and_quadrature_conditions():
     assert abs(float(sum(e3))) <= ulps * float(sum(map(abs, e3)))
 
 
-def slip_one_piece(f, branch, t, q, p, h, t_end, tol, normal=None):
-    """The steps `_slip` yields for a field f that is smooth for all time,
-    with its normal force, or None for a field without friction."""
-    return integrator._slip(lambda _: (math.inf, f, normal), branch, t, q, p, h, t_end, tol)
+def kernel(params, pivot, branch, accel=None):
+    """What `_slip` steps on the branch `branch`: (f, consts, accel), the
+    field closure of `branch_field`, the constants its inline stages read
+    and the a(t) they call, `pivot.accel` unless `accel` is given.  params
+    needs only l, g and mu, so any floats can stand for them."""
+    accel = pivot.accel if accel is None else accel
+    return (
+        model.branch_field(params, pivot, branch, accel), model.slip_constants(params, branch),
+        accel,
+    )
+
+
+def slip_one_piece(field, branch, t, q, p, h, t_end, tol, normal=None):
+    """The steps `_slip` yields for a `kernel` field that is smooth for all
+    time, with its normal force, or None for no p = 0 test and no kink cut;
+    the stages take the friction form of the field's constants either way."""
+    f, consts, accel = field
+    return integrator._slip(
+        lambda _: (math.inf, f, normal, accel), consts, branch, t, q, p, h, t_end, tol
+    )
 
 
 def _fixed_step_end(h, t_end):
     """(q, p) at t_end of a frictionless, forced stretch stepped at fixed h:
     tolerances so loose that every attempt is accepted, and a cap of h."""
     params, pivot = Params(mu=0.0, l=2.0), SinePivot(2.0, 1.0)
-    f = model.branch_field(params, pivot, 1.0)
     tol = Tolerances(rel_tol=1.0, abs_tol=1.0, event_tol=1.0, stick_band=10.0, max_dt=h)
     # without friction the stretch runs on where p changes sign
-    for step in slip_one_piece(f, 1.0, 0.0, 1.1, 0.7, h, t_end, tol):
+    for step in slip_one_piece(kernel(params, pivot, 1.0), 1.0, 0.0, 1.1, 0.7, h, t_end, tol):
         assert step[1] == h or step[8] == t_end
     assert step[8] == t_end
     return step[9:11], (params, pivot)
@@ -224,10 +253,11 @@ def test_stretch_end_matches_radau(stretch):
     from scipy.integrate import solve_ivp
 
     params, pivot, branch, q0, p0, t_limit = stretch
-    f = model.branch_field(params, pivot, branch)
+    field = kernel(params, pivot, branch)
+    f = field[0]
     # with friction, steps end where the normal force changes sign, as in `integrate`
     normal = model.normal_force(params, pivot) if params.mu > 0 else None
-    for step in slip_one_piece(f, branch, 0.0, q0, p0, None, t_limit, Tolerances(), normal):
+    for step in slip_one_piece(field, branch, 0.0, q0, p0, None, t_limit, Tolerances(), normal):
         pass
     # the stretch ends at t_limit or, with friction, where p changes sign
     t1, q1, p1 = step[8:11]
@@ -249,13 +279,14 @@ def outcome(fn, *args):
         return "raises", type(exc).__name__
 
 
-def first_step(f, branch, t, q, p, h, tol):
-    """The first step `_slip` yields from (t, q, p) with no end time and no
-    event test, in the form of `refstepper._accepted_step`."""
+def first_step(field, branch, t, q, p, h, tol):
+    """The first step `_slip` yields from (t, q, p) for a `kernel` field
+    with no end time and no event test, in the form of
+    `refstepper._accepted_step`."""
     t0, h, q0, p0, f0, kq, kp, seg, t1, q1, p1, h_next, switch = next(
-        slip_one_piece(f, branch, t, q, p, h, math.inf, tol)
+        slip_one_piece(field, branch, t, q, p, h, math.inf, tol)
     )
-    assert (t0, q0, p0, f0, seg, switch) == (t, q, p, f, None, None)
+    assert (t0, q0, p0, f0, seg, switch) == (t, q, p, field[0], None, None)
     assert bits(t1) == bits(t + h)
     return h, q1, p1, kq, kp, h_next
 
@@ -291,11 +322,14 @@ def tolerances(draw):
 def test_field_and_step_match_the_looped_reference(case, tol):
     params, pivot, branch, t, q, p, h = case
     f_ref = refstepper._field(params, pivot, branch)
-    f_new = model.branch_field(params, pivot, branch)
+    field = kernel(params, pivot, branch)
+    f_new = field[0]
     assert bits(f_new(t, q, p)) == bits(f_ref(t, q, p))
 
+    # the inline stages in the field's friction form, with friction and
+    # branch 0 too, which `integrate` never steps
     ref = outcome(refstepper._accepted_step, f_ref, t, q, p, h, tol)
-    new = outcome(first_step, f_new, branch, t, q, p, h, tol)
+    new = outcome(first_step, field, branch, t, q, p, h, tol)
     assert new == ref
     if ref[0] == "raises":
         return
@@ -321,9 +355,25 @@ def _segment_rows(f, t, h, q, p, q1, p1, kq, kp):
     return outcome(rows)
 
 
+def far_field(spec):
+    """The `kernel` field of constants far from a pendulum's: spec is (l, g,
+    mu, alpha, beta, branch), any floats but l = 0, with a(t) = alpha t +
+    beta."""
+    l, g, mu, alpha, beta, branch = spec
+    return kernel(SimpleNamespace(l=l, g=g, mu=mu), None, branch, lambda t: alpha * t + beta)
+
+
+_any = st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+far_specs = st.tuples(
+    st.one_of(finite.filter(bool), st.sampled_from([1.0, -1.0, 5e-324])), _any,
+    st.one_of(_any, st.just(0.0)),  # mu, 0 often: the frictionless form
+    _any, _any, st.sampled_from([1.0, -1.0, 0.0]),
+)
+
+
 @PROPERTY
 @given(
-    coef=st.tuples(*[st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0, -1.0]))] * 4),
+    spec=far_specs,
     t=st.one_of(finite, st.sampled_from([0.0, -0.0])),
     q=st.one_of(finite, st.sampled_from([0.0, -0.0])),
     p=st.one_of(finite, st.sampled_from([0.0, -0.0])),
@@ -333,16 +383,18 @@ def _segment_rows(f, t, h, q, p, q1, p1, kq, kp):
     ),
     tol=tolerances(),
 )
-@example(coef=(0.0, -0.0, 0.0, -0.0), t=0.0, q=-0.0, p=-0.0, h=0.05, tol=Tolerances())
-def test_step_matches_the_looped_reference_on_linear_fields(coef, t, q, p, h, tol):
-    """Fields far from the pendulum's: signed zeros, huge and tiny slopes."""
-    alpha, beta, gamma, delta = coef
-
-    def f(t, q, p):
-        return alpha * p + beta * t, gamma * q + delta
-
+# signed zeros in both friction forms
+@example(spec=(1.0, -0.0, 0.0, 0.0, -0.0, 1.0), t=0.0, q=-0.0, p=-0.0, h=0.05, tol=Tolerances())
+@example(spec=(-1.0, 0.0, -0.0, -0.0, 0.0, -1.0), t=-0.0, q=0.0, p=-0.0, h=0.05, tol=Tolerances())
+@example(spec=(1.0, -0.0, 1.0, 0.0, -0.0, 0.0), t=0.0, q=-0.0, p=-0.0, h=0.05, tol=Tolerances())
+def test_step_matches_the_looped_reference_far_from_the_pendulum(spec, t, q, p, h, tol):
+    """The stages of both friction forms of `branch_field` for constants
+    and pivot laws far from the pendulum's: signed zeros, huge and tiny
+    slopes, negative lengths."""
+    field = far_field(spec)
+    f = field[0]
     ref = outcome(refstepper._accepted_step, f, t, q, p, h, tol)
-    assert outcome(first_step, f, 1.0, t, q, p, h, tol) == ref
+    assert outcome(first_step, field, spec[-1], t, q, p, h, tol) == ref
     if ref[0] == "raises":
         return
     h1, q1, p1, kq, kp, _ = refstepper._accepted_step(f, t, q, p, h, tol)
@@ -351,28 +403,31 @@ def test_step_matches_the_looped_reference_on_linear_fields(coef, t, q, p, h, to
     )
 
 
-def _stretch_field(spec):
-    """The field of a stretch case: the frictionless pendulum of (params,
-    pivot), or the linear field of four coefficients."""
+def _stretch_field(spec, branch):
+    """(piece, consts, f, knots) of a stretch case: the pendulum of (params,
+    pivot) on its pieces, with the p = 0 test and kink cuts where it has
+    friction, and the knots of a table law; or the `far_field` of spec,
+    with neither, on one piece."""
     if len(spec) == 2:
-        return model.branch_field(spec[0], spec[1], 1.0)
-    alpha, beta, gamma, delta = spec
-
-    def f(t, q, p):
-        return alpha * p + beta * t, gamma * q + delta
-
-    return f
+        params, pivot = spec
+        f, consts, _ = kernel(params, pivot, branch)
+        knots = pivot.times if isinstance(pivot, TablePivot) else ()
+        return integrator._branch_pieces(params, pivot, branch), consts, f, knots
+    f, consts, accel = far_field((*spec, branch))
+    return (lambda _: (math.inf, f, None, accel)), consts, f, ()
 
 
 @st.composite
 def stretch_cases(draw):
-    """A frictionless or a linear field, a start and a first step: stretches
-    that run at the cap, change h, and meet rejections."""
+    """A frictionless pendulum or a `far_field`, a start and a first step:
+    stretches that run at the cap, change h, meet rejections and land on
+    the knots of table laws."""
     if draw(st.booleans()):
         spec = (Params(l=draw(reals(0.2, 3)), g=draw(reals(1, 20)), mu=0.0), draw(pivots()))
     else:
         coef = st.one_of(reals(-10, 10), finite, st.sampled_from([0.0, -0.0, 1.0, -1.0]))
-        spec = tuple(draw(coef) for _ in range(4))
+        length = draw(st.one_of(reals(0.2, 3), finite.filter(bool)))
+        spec = (length, *(draw(coef) for _ in range(4)))
     t = draw(st.one_of(reals(0, 100), st.sampled_from([0.0, -0.0])))
     q = draw(st.one_of(reals(-4, 7), st.sampled_from([0.0, -0.0])))
     p = draw(st.one_of(reals(-10, 10), finite, st.sampled_from([1e-300, -5e-324])))
@@ -383,13 +438,13 @@ def stretch_cases(draw):
 _STRETCH_STEPS = 40
 
 
-def _stretch_steps(f, branch, t, q, p, h, tol):
+def _stretch_steps(piece, consts, branch, t, q, p, h, tol):
     """The first steps `_slip` yields from (t, q, p) with no end time, as
     (t, h, q1, p1, kq, kp, h_next) bits, then the name of what it raised."""
     steps = []
     try:
-        for t0, h, _, _, _, kq, kp, _, _, q1, p1, h_next, _ in slip_one_piece(
-            f, branch, t, q, p, h, math.inf, tol
+        for t0, h, _, _, _, kq, kp, _, _, q1, p1, h_next, _ in integrator._slip(
+            piece, consts, branch, t, q, p, h, math.inf, tol
         ):
             steps.append(bits((t0, h, q1, p1, kq, kp, h_next)))
             if len(steps) == _STRETCH_STEPS:
@@ -399,19 +454,30 @@ def _stretch_steps(f, branch, t, q, p, h, tol):
     return steps
 
 
-def _chained_steps(f, branch, t, q, p, h, tol):
+def _chained_steps(f, t, q, p, h, tol, knots=()):
     """The same from chained `refstepper._accepted_step` calls, each from
-    the last one's end and h_next; these fields have no friction, so the
-    stretch runs on where p changes sign."""
+    the last one's end and h_next; the stretch must not meet p = 0 or a kink
+    where it has friction.  A step whose first try reaches a knot, the end
+    of a piece, is cut to end on it: its last stage is evaluated on the
+    knot, and the step after it is no shorter than the one that was cut."""
     steps = []
     while len(steps) < _STRETCH_STEPS:
+        knot = min((k for k in knots if k > t), default=math.inf)
+        h_uncut = min(h, tol.max_dt)
+        landing = knot - t <= h_uncut
         try:
-            h1, q1, p1, kq, kp, h = refstepper._accepted_step(f, t, q, p, h, tol)
+            h1, q1, p1, kq, kp, h = refstepper._accepted_step(
+                f, t, q, p, knot - t if landing else h_uncut, tol
+            )
+            t1 = t + h1
+            if landing and h1 == knot - t:
+                t1, h = knot, max(h, h_uncut)
+                kq, kp = kq[:12] + (p1,), kp[:12] + (f(t1, q1, p1)[1],)
         except (ArithmeticError, ValueError, RuntimeError) as exc:
             steps.append(type(exc).__name__)
             break
         steps.append(bits((t, h1, q1, p1, kq, kp, h)))
-        t, q, p = t + h1, q1, p1
+        t, q, p = t1, q1, p1
     return steps
 
 
@@ -439,14 +505,32 @@ def _chained_steps(f, branch, t, q, p, h, tol):
     case=((Params(mu=0.0), SinePivot(2.0, 1.0)), 0.0, 1.1, 1e308, 0.01),
     tol=Tolerances(max_dt=0.01),
 )
+# a frictional whirl, on which the normal force stays negative: no step is
+# cut at a kink, so every stage 12 must give N the sign it had at the start
+@example(case=((Params(mu=0.1), SinePivot(2.0, 1.0)), 0.0, 1.0, 10.0, 0.05), tol=Tolerances())
+# a frictional whirl under a table law: the steps land on four knots, the
+# stages of each piece read its own line
+@example(
+    case=(
+        (
+            Params(mu=0.05),
+            TablePivot([0.0, 0.13, 0.4, 0.9, 1.5, 2.5], [1.0, -3.0, 4.0, 0.5, 2.0, 0.0]),
+        ),
+        0.0, 1.1, 14.0, 0.05,
+    ),
+    tol=Tolerances(),
+)
 def test_stretch_matches_chained_reference_steps(case, tol):
     """Every step of a stretch, not only the first: each attempt must use
     the weights of its own h, and the cap's shortcut must decide as the
-    norm would, across rejections, changes of h and runs at the cap."""
+    norm would, across rejections, changes of h, runs at the cap and
+    landings on the knots of a table law."""
     spec, t, q, p, h = case
-    f = _stretch_field(spec)
     branch = -1.0 if p < 0 else 1.0
-    assert _stretch_steps(f, branch, t, q, p, h, tol) == _chained_steps(f, branch, t, q, p, h, tol)
+    piece, consts, f, knots = _stretch_field(spec, branch)
+    assert _stretch_steps(piece, consts, branch, t, q, p, h, tol) == _chained_steps(
+        f, t, q, p, h, tol, knots
+    )
 
 
 _stages = st.tuples(
@@ -998,9 +1082,9 @@ def _without_fsal(monkeypatch):
     ended, which reads the piece that holds that end."""
     original = integrator._slip
 
-    def first_steps(piece, branch, t, q, p, h, t_end, tol):
+    def first_steps(piece, consts, branch, t, q, p, h, t_end, tol):
         while True:
-            step = next(original(piece, branch, t, q, p, h, t_end, tol))
+            step = next(original(piece, consts, branch, t, q, p, h, t_end, tol))
             yield step
             *_, t, q, p, h, switch = step
             # where `_slip` ends a stretch: on p = 0, at t_end or, with
@@ -1034,8 +1118,9 @@ def test_fsal_reuse_leaves_the_integration_unchanged(monkeypatch, params, pivot,
     record = [horizon * k / 37 for k in range(38)]
 
     def run():
-        # count the evaluations of every field the integrator steps, which
-        # for a table law read the piece's line and not `accel`
+        # count the calls of every field closure the integrator builds, for
+        # the first stage of a `_slip` and the dense output's stages; for a
+        # table law they read the piece's line and not `accel`
         calls = [0]
         original = integrator.branch_field
 
@@ -1067,15 +1152,15 @@ def test_fsal_reuse_leaves_the_integration_unchanged(monkeypatch, params, pivot,
 
 def test_fsal_stage_is_not_used_for_another_start():
     params, pivot, tol = Params(mu=0.5), SinePivot(3.0, 1.0), Tolerances()
-    piece = integrator._branch_pieces(params, pivot, 1.0)
-    stretch = integrator._slip(piece, 1.0, 0.0, 1.0, 0.5, None, math.inf, tol)
+    piece, consts = integrator._branch_pieces(params, pivot, 1.0), model.slip_constants(params, 1.0)
+    stretch = integrator._slip(piece, consts, 1.0, 0.0, 1.0, 0.5, None, math.inf, tol)
     first, second = next(stretch), next(stretch)
     *_, t1, q1, p1, h_next, _ = first
     # the last stage of a step is the first stage of the step from its end
     assert second[0] == t1 and second[2:4] == (q1, p1)
     assert bits((second[5][0], second[6][0])) == bits((first[5][12], first[6][12]))
     # on its own start it is the field value there, so it gives the same step
-    fresh = next(integrator._slip(piece, 1.0, t1, q1, p1, h_next, math.inf, tol))
+    fresh = next(integrator._slip(piece, consts, 1.0, t1, q1, p1, h_next, math.inf, tol))
     assert bits(second[5:7] + second[8:12]) == bits(fresh[5:7] + fresh[8:12])
 
 
@@ -1110,7 +1195,7 @@ def test_one_slip_per_stretch_between_events(monkeypatch, params, pivot, start, 
     original = integrator._slip
 
     def slip(*args):
-        span = [args[2], args[2]]
+        span = [args[3], args[3]]
         spans.append(span)
         for step in original(*args):
             switch = step[-1]

@@ -218,10 +218,17 @@ class TestContinuousDependence:
         def reversed_branch(make):
             return lambda params, pivot, branch, *rest: make(params, pivot, -branch, *rest)
 
+        def reversed_constants(params, branch):
+            return slip_constants(params, -branch)
+
         stiction_drift_and_bound = model.stiction_drift_and_bound
+        slip_constants = model.slip_constants
         monkeypatch.setattr(model, "stiction_drift_and_bound", stiction)
         monkeypatch.setattr(integrator, "stiction_drift_and_bound", stiction)
-        monkeypatch.setattr(integrator, "branch_field", reversed_branch(branch_field))
+        # the slipping field's constants, of `branch_field` and of the
+        # stepper's inline stages
+        monkeypatch.setattr(model, "slip_constants", reversed_constants)
+        monkeypatch.setattr(integrator, "slip_constants", reversed_constants)
         monkeypatch.setattr(flowmap, "branch_jacobian", reversed_branch(branch_jacobian))
         # (within 1 s: the reversed term grows like mu p^2 and p soon overflows)
         r = check_continuous_dependence(P, ZERO, State(q=math.pi / 2, p=0.0, t=0.0), 0.5, [1e-6, 1e-8])
