@@ -25,6 +25,7 @@ from .model import (
     Params,
     PivotLaw,
     PolyPivot,
+    SinePivot,
     State,
     energy,
     fingerprint_of,
@@ -105,9 +106,10 @@ def _parse_pivot(spec) -> PivotLaw:
 
 
 def _check_horizon(pivot: PivotLaw, tolerances: Tolerances, t0: float, horizon: float):
-    """The rules that tie fields together.  The run covers [t0, horizon], the
-    step cap must advance time anywhere on it within the step budget, and the
-    pivot's bounds, which the velocity trap relies on, must hold there."""
+    """The rules that tie fields together.  The run covers [t0, horizon], on
+    which the step cap must advance time within the step budget, a sine
+    pivot's period exceed the spacing of doubles, and the pivot's bounds,
+    which the velocity trap relies on, hold."""
     if not (0 < horizon < math.inf):
         raise ValidationError("horizon must be positive and finite")
     if not (t0 < horizon):
@@ -122,6 +124,11 @@ def _check_horizon(pivot: PivotLaw, tolerances: Tolerances, t0: float, horizon: 
         raise ValidationError(
             f"tolerances.max_dt = {tolerances.max_dt} asks for more than {_MAX_STEPS} "
             f"steps over [{t0}, {horizon}], the most one integration may take"
+        )
+    if isinstance(pivot, SinePivot) and not abs(pivot.omega) < 2.0 * math.pi / spacing:
+        raise ValidationError(
+            f"pivot.omega = {pivot.omega} gives the period {2.0 * math.pi / abs(pivot.omega)}, "
+            f"which must exceed {spacing}, the spacing of doubles near the times of the run"
         )
     if isinstance(pivot, PolyPivot):
         if t0 < 0:

@@ -20,13 +20,15 @@ and `branch_jacobian` is the first one's derivative in (q, p).  The
 integrator's stages are the first one's forms written out by
 tools/gen_stages.py, with the constants of `slip_constants`.  Every
 function takes and returns Python floats, but the two kernels also take
-the pointwise checks' numpy arrays of samples, importing numpy then, as
-`PolyPivot` does for the roots behind its bounds.
+the pointwise checks' numpy arrays of samples, importing numpy then.  The
+pivot laws are pure Python: a poly law's bounds and level times come from
+its Bernstein coefficients (`_bernstein`), with no root-finder.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import numbers
@@ -71,10 +73,13 @@ class Params(_ParamsFields):
 class PivotLaw:
     """Prescribed pivot acceleration a(t), Lipschitz in t.
 
-    Subclasses provide `accel`, an exact or conservative `sup_bound` and a
-    Lipschitz constant `lipschitz_bound`.  `sup_bound` must over-estimate
-    max |a| on the interval: the velocity trap threshold computed from it is
-    only valid as an upper bound.  `accel` maps a float to a float.
+    Subclasses provide `accel`, an exact or conservative `sup_bound`, and
+    set when built `accel_bound` and `lipschitz_bound`, upper bounds of |a|
+    and |da/dt| wherever the law is used (a poly law's [0, t_max]), inf
+    where they overflow; the release search reads both at every stuck
+    stretch.  `sup_bound` must over-estimate max |a| on the interval: the
+    velocity trap threshold computed from it is only valid as an upper
+    bound.  `accel` maps a float to a float.
     A law that is smooth only piecewise also overrides `piece`.
     """
 
@@ -103,18 +108,7 @@ class PivotLaw:
         search steps from each to the next, so none may be missed."""
         raise NotImplementedError
 
-    @property
-    def lipschitz_bound(self) -> float:
-        raise NotImplementedError
-
     def sup_bound(self, t0: float, t1: float) -> float:
-        raise NotImplementedError
-
-    @property
-    def accel_bound(self) -> float:
-        """An upper bound of |a(t)| for every t the law is used at (a poly
-        law's window [0, t_max]); the release test reads it at every stuck
-        stretch, so a law computes it at most once."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -185,6 +179,7 @@ class ConstantPivot(PivotLaw):
 
     def __init__(self, a: float):
         self.a = float(a)
+        self.accel_bound, self.lipschitz_bound = abs(self.a), 0.0
 
     def accel(self, t: float) -> float:
         return self.a
@@ -195,15 +190,7 @@ class ConstantPivot(PivotLaw):
     def next_level_time(self, levels, t, t1):
         return t1
 
-    @property
-    def lipschitz_bound(self) -> float:
-        return 0.0
-
     def sup_bound(self, t0, t1):
-        return abs(self.a)
-
-    @property
-    def accel_bound(self) -> float:
         return abs(self.a)
 
 
@@ -216,6 +203,7 @@ class SinePivot(PivotLaw):
         self.amp = float(amp)
         self.omega = float(omega)
         self.phase = float(phase)
+        self.accel_bound, self.lipschitz_bound = abs(self.amp), abs(self.amp * self.omega)
 
     def accel(self, t: float) -> float:
         return self.amp * _sin(self.omega * t + self.phase)
@@ -243,14 +231,6 @@ class SinePivot(PivotLaw):
                 best = min(best, time)
         return best
 
-    @property
-    def lipschitz_bound(self) -> float:
-        return abs(self.amp * self.omega)
-
-    @property
-    def accel_bound(self) -> float:
-        return abs(self.amp)
-
     def sup_bound(self, t0, t1):
         if t1 < t0:
             raise ValueError("empty interval")
@@ -269,11 +249,61 @@ class SinePivot(PivotLaw):
         return abs(self.amp) * max(abs(math.sin(lo)), abs(math.sin(hi)))
 
 
+# A poly law's bounds exceed max |a| by at most _BOUND_SLACK of it, plus a
+# rounding slack per degree of _ROUNDING of its terms' magnitude sum |c_k| x^k
+# (the conversion, a halving and `accel` round by about degree * 2^-53 of it)
+# and 2^-1022 below the normal floats.  Past _MAGNITUDE_CAP, it counts as inf.
+_BOUND_SLACK, _ROUNDING, _MAGNITUDE_CAP = 2.0 ** -30, 2.0 ** -46, 2.0 ** 1020
+
+
+def _bernstein(coeffs: Sequence[float], a: float, b: float) -> tuple[list[float], float]:
+    """(the Bernstein coefficients on [a, b] of sum_k coeffs[k] t^k, their
+    rounding slack).  Their range holds the polynomial's on [a, b] (Lane &
+    Riesenfeld, BIT 21, 1981), as that of each half's does on the half."""
+    n, h, x = len(coeffs) - 1, b - a, abs(a) + abs(b - a)
+    power, magnitude = [coeffs[-1]], abs(coeffs[-1])  # p(a + h u) in powers of u, by Horner
+    for c in coeffs[-2::-1]:
+        power = [a * power[0] + c] + [a * p + h * q for p, q in zip(power[1:], power)] + [h * power[-1]]
+        magnitude = magnitude * x + abs(c)
+    coef = [sum(math.comb(i, j) / math.comb(n, j) * power[j] for j in range(i + 1)) for i in range(n + 1)]
+    return coef, n * (_ROUNDING * magnitude + 2.0 ** -1022) if magnitude <= _MAGNITUDE_CAP else math.inf
+
+
+def _halves(coef: list[float]) -> tuple[list[float], list[float]]:
+    """The Bernstein coefficients of a piece's halves (de Casteljau; Farouki, CAGD 29, 2012)."""
+    left, right = [coef[0]], [coef[-1]]
+    while len(coef) > 1:
+        coef = [0.5 * (p + q) for p, q in zip(coef, coef[1:])]
+        left.append(coef[0])
+        right.append(coef[-1])
+    return left, right[::-1]
+
+
+def _abs_bound(coeffs: Sequence[float], a: float, b: float) -> float:
+    """An upper bound of |sum_k coeffs[k] t^k| on [a, b], inf where it
+    overflows: the largest |Bernstein coefficient| of the pieces, with the
+    piece that holds it halved until that is within _BOUND_SLACK of the
+    largest |value| at their ends, plus the rounding slack."""
+    coef, slack = _bernstein(coeffs, a, b)
+    if not slack < math.inf:
+        return math.inf
+    best, pieces = max(abs(coef[0]), abs(coef[-1])), [(-max(map(abs, coef)), a, b, coef)]
+    while True:
+        hull, lo, hi, coef = heapq.heappop(pieces)
+        mid = lo + 0.5 * (hi - lo)
+        if -hull <= best * (1.0 + _BOUND_SLACK) + slack or not lo < mid < hi:
+            return slack - hull
+        for piece, ends in zip(_halves(coef), ((lo, mid), (mid, hi))):
+            heapq.heappush(pieces, (-max(map(abs, piece)), *ends, piece))
+        best = max(best, abs(piece[0]))  # the value at mid
+
+
 class PolyPivot(PivotLaw):
     """a(t) = sum_k coeffs[k] * t^k, used on a bounded window [0, t_max].
 
     Polynomials are not globally Lipschitz, so the constant is taken over the
-    declared window; scenarios must keep their horizon inside it.
+    declared window; scenarios must keep their horizon inside it.  Bounds and
+    level times come from Bernstein coefficients, with no root-finder.
     """
 
     kind = "poly"
@@ -283,13 +313,11 @@ class PolyPivot(PivotLaw):
             raise ValueError("poly pivot needs at least one coefficient")
         if not (t_max > 0):
             raise ValueError("t_max must be positive")
-        import numpy as np
-
         self.coeffs = tuple(float(c) for c in coeffs)
         self.t_max = float(t_max)
-        self._poly = np.polynomial.Polynomial(self.coeffs)
-        self._deriv = self._poly.deriv()
-        self._accel_bound = None  # sup_bound(0, t_max), when first read
+        self._slopes = tuple(k * c for k, c in enumerate(self.coeffs))[1:] or (0.0,)  # of a'(t)
+        self.accel_bound = _abs_bound(self.coeffs, 0.0, self.t_max)
+        self.lipschitz_bound = _abs_bound(self._slopes, 0.0, self.t_max)
         self._level_key = self._level_times = None  # the last (levels, t1) asked, and their times
 
     def accel(self, t: float) -> float:
@@ -303,79 +331,52 @@ class PolyPivot(PivotLaw):
         return acc
 
     def rate(self, t: float) -> float:
-        return float(self._deriv(t))
+        x, c = 0.0 + t, self._slopes  # `accel`'s arithmetic on a'(t)
+        acc = c[-1] + x * 0
+        for ck in c[-2::-1]:
+            acc = ck + acc * x
+        return acc
 
     def next_level_time(self, levels, t, t1):
-        """The real parts of all roots of a(t) - L in the variable t / |t1|,
-        found once per stuck stretch, with terms below the rounding of the
-        largest dropped, as they would leave the companion matrix's roots
-        without a correct digit."""
+        """The times in [0, t1] at which a(t) meets a level, found once per
+        stuck stretch from the Bernstein coefficients of a(t) - level.  A
+        piece whose coefficients clear 0 by their slack meets it nowhere, on
+        `accel`'s arithmetic too.  One they show monotone but for rounding,
+        or flat, gives one time: the sign change of a(t) - level between its
+        ends, bisected on `accel`, else its end nearer the level.  Any other
+        is halved; one too short to halve, or overflowed, gives one time
+        too, as an extra time only splits an interval of the release search."""
         if (levels, t1) != self._level_key:
-            import numpy as np
-            from numpy.polynomial import polynomial, polyutils
-
-            times, span = [], abs(t1) or 1.0
-            with np.errstate(all="ignore"):
-                scale = span ** np.arange(len(self.coeffs), dtype=float)
-                for level in levels:
-                    terms = np.array([self.coeffs[0] - level, *self.coeffs[1:]]) * scale
-                    try:  # no roots where the terms leave the float range
-                        terms = polyutils.trimcoef(terms, 2.0 ** -52 * np.abs(terms).max())
-                        roots = polynomial.polyroots(terms) * span
-                    except (ValueError, np.linalg.LinAlgError):
+            coef, slack = _bernstein(self.coeffs, 0.0, t1)
+            accel, times, n = self.accel, [], len(coef) - 1
+            for level in levels:
+                room = slack + n * _ROUNDING * abs(level)
+                pieces = [(0.0, t1, [c - level for c in coef])]  # the basis sums to 1
+                while pieces:
+                    lo, hi, piece = pieces.pop()
+                    if min(piece) > room or max(piece) < -room:
                         continue
-                    times += [r for r in roots.real.tolist() if r == r]
+                    mid, steps = lo + 0.5 * (hi - lo), [q - p for p, q in zip(piece, piece[1:])] or [0.0]
+                    if lo < mid < hi and max(map(abs, piece)) > room and min(steps) < 0.0 < max(steps):
+                        left, right = _halves(piece)
+                        pieces += [(mid, hi, right), (lo, mid, left)]
+                        continue
+                    f_lo, f_hi = accel(lo) - level, accel(hi) - level
+                    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+                        times.append(lo if abs(f_lo) <= abs(f_hi) else hi)
+                        continue
+                    while lo < mid < hi:
+                        lo, hi = (mid, hi) if (accel(mid) < level) == (f_lo < 0.0) else (lo, mid)
+                        mid = lo + 0.5 * (hi - lo)
+                    times.append(hi)
             self._level_key, self._level_times = (levels, t1), sorted(times)
         i = bisect_right(self._level_times, t)
         return min(self._level_times[i], t1) if i < len(self._level_times) else t1
 
-    @staticmethod
-    def _abs_max(poly, a: float, b: float) -> float:
-        """An upper bound of |poly| on [a, b]: its max at the ends and critical
-        points with the terms c_k x^k (x = max(|a|, |b|)) below the rounding
-        of the largest dropped, as in `next_level_time`, plus sum |c_k| x^k
-        of those dropped."""
-        import numpy as np
-
-        x = max(abs(a), abs(b))
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.abs(poly.coef) * x ** np.arange(len(poly.coef), dtype=float)
-            terms[poly.coef == 0.0] = 0.0  # not 0 * inf where x^k overflows
-            kept = np.flatnonzero(terms > 2.0 ** -52 * terms.max())
-            n = int(kept[-1]) + 1 if len(kept) else 1
-            dropped = float(terms[n:].sum())
-            poly = np.polynomial.Polynomial(poly.coef[:n])
-        cand = [a, b]
-        deriv = poly.deriv()
-        if deriv.degree() >= 1:
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    roots = deriv.roots()
-            except np.linalg.LinAlgError:
-                # a companion matrix that overflows still; bound |poly| by
-                # its terms' magnitudes
-                return float(terms.sum())
-            for r in roots:
-                if abs(r.imag) < 1e-12 and a <= r.real <= b:
-                    cand.append(float(r.real))
-        return max(abs(float(poly(c))) for c in cand) + dropped
-
-    @property
-    def lipschitz_bound(self) -> float:
-        if self._deriv.degree() < 0 or (self._deriv.degree() == 0 and self._deriv.coef[0] == 0):
-            return 0.0
-        return self._abs_max(self._deriv, 0.0, self.t_max)
-
     def sup_bound(self, t0, t1):
         if t1 < t0:
             raise ValueError("empty interval")
-        return self._abs_max(self._poly, t0, t1)
-
-    @property
-    def accel_bound(self) -> float:
-        if self._accel_bound is None:
-            self._accel_bound = self.sup_bound(0.0, self.t_max)
-        return self._accel_bound
+        return _abs_bound(self.coeffs, t0, t1)
 
 
 class TablePivot(PivotLaw):
@@ -402,9 +403,8 @@ class TablePivot(PivotLaw):
         for t0, v0, v1, slope in zip(ts, vs, vs[1:], slopes):
             if math.isinf(slope) and math.isfinite(v0) and math.isfinite(v1):
                 raise ValueError(f"table pivot slope overflows on the interval from t = {t0!r}")
-        # computed once: the release search reads them for every stuck stretch
-        self._lipschitz = max(abs(slope) for slope in slopes)
-        self._accel_bound = max(abs(v) for v in vs)
+        self.lipschitz_bound = max(abs(slope) for slope in slopes)
+        self.accel_bound = max(abs(v) for v in vs)
 
     def accel(self, t: float) -> float:
         return interp(t, self.times, self.values)
@@ -458,14 +458,6 @@ class TablePivot(PivotLaw):
             return accel(t)
 
         return t1, line
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return self._lipschitz
-
-    @property
-    def accel_bound(self) -> float:
-        return self._accel_bound
 
     def sup_bound(self, t0, t1):
         if t1 < t0:

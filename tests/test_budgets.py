@@ -47,6 +47,12 @@ def test_unreleasable_stuck_state_holds_to_the_horizon_at_once(tmp_path):
     # at q = pi/2 static friction holds for |a| <= mu g = 4.9, and the law
     # never exceeds 1; its rate, 1e17, once made the release scan's step
     # fall below the spacing of doubles
+    start = time.monotonic()
+    traj = integrate(State(q=1.5707963267948966, p=0.0, t=0.0), Params(mu=0.5), SinePivot(1.0, 1e17), 2.0)
+    assert time.monotonic() - start < 5
+    assert [e.kind for e in traj.events] == ["stick_entry", "horizon"]
+    # its period, 6.3e-17 s, lies below the spacing of doubles near t = 2,
+    # so a scenario file with it is refused when loaded
     scenario = {
         "params": {"mu": 0.5},
         "pivot": {"kind": "sine", "amp": 1, "omega": 1e17},
@@ -54,10 +60,10 @@ def test_unreleasable_stuck_state_holds_to_the_horizon_at_once(tmp_path):
         "horizon": 2,
     }
     proc, seconds = run_cli(tmp_path, scenario)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 2
+    assert "pivot.omega" in proc.stderr
     assert seconds < 5
-    events = json.loads((tmp_path / "out" / "events.json").read_text())["events"]
-    assert [e["kind"] for e in events] == ["stick_entry", "horizon"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_cap_over_the_budget_is_rejected(tmp_path):
@@ -75,11 +81,11 @@ def test_step_cap_over_the_budget_is_rejected(tmp_path):
 
 
 def test_a_law_too_fine_for_the_horizon_exhausts_the_step_budget(tmp_path):
-    # the steps this law allows are about 1e-8 s, so the 2 s horizon would
-    # take some 1e8 of them
+    # the steps this law allows are about 1e-10 s, so the 2 s horizon would
+    # take some 1e10 of them
     scenario = {
         "params": {"mu": 0.3},
-        "pivot": {"kind": "sine", "amp": 2, "omega": 1e308},
+        "pivot": {"kind": "sine", "amp": 2, "omega": 1e13},
         "initial": {"kind": "point", "q0": 1, "p0": 0.2},
         "horizon": 2,
     }

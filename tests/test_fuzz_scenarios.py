@@ -14,14 +14,11 @@ drawn at extremes too: past the float range, below the spacing of doubles,
 or just inside or just outside the step budget.  Those runs end through the
 budget, which the commands run under lowered to FUZZ_STEPS, so that one that
 exhausts it takes a fraction of a second rather than several; any budget
-allows the same exits.  A sine pivot with amp 1 and omega 1e17, started at
-rest at q = pi/2, holds to the horizon at once, since no acceleration the
-law reaches releases it (`test_budgets.py`).  With a larger amp, or with
-omega 1e308, successive times at which a(t) meets a release level round to
-the same double; the release search then steps one double at a time, and
-the slipping stretch after the release exhausts the step budget, so the run
-exits 2.  The pointwise checks of `verify` integrate nothing, so they run
-on every extreme magnitude.
+allows the same exits.  A sine pivot whose period lies at or below the
+spacing of doubles near the times of the run, such as omega 1e17 or 1e308,
+is rejected when the file is loaded, with exit 2 (`test_budgets.py`).  The
+pointwise checks of `verify` integrate nothing, so they run on every other
+extreme magnitude.
 """
 
 import contextlib
@@ -38,9 +35,6 @@ from hypothesis import strategies as st
 
 from drypend import cli, integrator
 from drypend.model import pivot_from_dict
-
-# numpy warns of the overflows that huge coefficients cause in a poly pivot's bounds
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 RATE_TIMES_HORIZON = 20000.0
 TIME_BOX_S = 10
@@ -229,7 +223,8 @@ def point(**overrides):
 @example(scenario=point(params={"mu": 0, "l": 1e200}, pivot={"kind": "constant", "a": 0}))  # energy drift
 @example(scenario=point(initial={"kind": "point", "q0": 1e308, "p0": 0.2}))  # a flat phase portrait
 @example(scenario=point(pivot={"kind": ["sine"]}))
-# laws faster than the spacing of doubles, at rest at the apex and on a curve
+# laws faster than the spacing of doubles, at rest at the apex and on a
+# curve, which the loader rejects
 @example(
     scenario=point(
         params={"mu": 0.5},

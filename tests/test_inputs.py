@@ -202,22 +202,28 @@ def test_semicontinuity_counts_a_nan_excess_as_a_failure(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "params, pivot, message",
+    "params, pivot, stderr",
     [
-        # omega * t past the float range: math.sin(inf) in the law's own accel
-        ({"mu": 0.3}, {"kind": "sine", "amp": 2.0, "omega": 1e308}, "math domain error"),
+        # omega * t past the float range took math.sin(inf) in the law's own
+        # accel; its period lies below the spacing of doubles near t = 2
+        (
+            {"mu": 0.3},
+            {"kind": "sine", "amp": 2.0, "omega": 1e308},
+            f"scenario error: pivot.omega = 1e+308 gives the period {2 * math.pi / 1e308}, "
+            f"which must exceed {math.ulp(2.0)}, the spacing of doubles near the times of the run",
+        ),
         # the jump check runs on both first; then the Lipschitz bound overflows
         ({"mu": 0.3, "g": 1e308}, {"kind": "sine", "amp": 1e308, "omega": 1.0},
-         "the field's Lipschitz bound overflows"),
+         "verification failed: the field's Lipschitz bound overflows"),
         # the friction bound overflows in the jump check's arrays first
-        ({"mu": 1e308}, BASE["pivot"], "the field's Lipschitz bound overflows"),
+        ({"mu": 1e308}, BASE["pivot"], "verification failed: the field's Lipschitz bound overflows"),
     ],
     ids=["sine-omega", "lipschitz-bound", "friction-bound"],
 )
-def test_pointwise_checks_past_the_float_range_print_no_warnings(tmp_path, params, pivot, message):
+def test_pointwise_checks_past_the_float_range_print_no_warnings(tmp_path, params, pivot, stderr):
     # the checks evaluate numpy arrays, whose overflow would print RuntimeWarnings
     scen = {**BASE, "params": params, "pivot": pivot}
     proc = run_cli(tmp_path, "verify", scen, "--checks", "jump,lipschitz")
     assert proc.returncode == 2
-    assert proc.stderr == f"verification failed: {message}\n"
+    assert proc.stderr == f"{stderr}\n"
     assert not (tmp_path / "out").exists()

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from drypend import model
 from drypend.model import (
     ConstantPivot,
     Params,
@@ -27,6 +29,46 @@ ZERO = ConstantPivot(0.0)
 def slipping_accel(params, pivot, q, p, t):
     """dp/dt off the surface, on the branch of sign(p)."""
     return branch_field(params, pivot, math.copysign(1.0, p))(t, q, p)[1]
+
+
+def horner(coeffs, ts):
+    """sum_k coeffs[k] t^k at each of the array `ts`, by the Horner loop of
+    `PolyPivot.accel`, whose bits it has where ts is finite."""
+    acc = np.full_like(ts, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = c + acc * ts
+    return acc
+
+
+def dense_peak(coeffs, a, b):
+    """(max |p| on a 20,001-point grid over [a, b], an upper bound of max |p|
+    on [a, b]) for p(t) = sum_k coeffs[k] t^k, up to the rounding of p.
+
+    On a cell of width h, |p| exceeds the larger end by at most
+    h^2 / 8 sup |p''|.  Where that is not below 1e-12 of the grid's largest
+    value, each cell that may hold more is sampled again 1,000 times finer."""
+    x = max(abs(a), abs(b))
+    curvature = sum(k * (k - 1) * abs(c) * x ** (k - 2) for k, c in enumerate(coeffs) if k >= 2)
+    ts = np.linspace(a, b, 20_001)
+    ends = np.abs(horner(coeffs, ts))
+    top = float(np.max(ends))
+    h = float(ts[1] - ts[0])
+    excess = h * h / 8 * curvature
+    if excess <= 1e-12 * top:
+        return top, top + excess
+    cells = np.flatnonzero(np.maximum(ends[:-1], ends[1:]) >= top - excess)
+    assert len(cells) <= 2_000
+    fine = np.concatenate([np.linspace(ts[i], ts[i + 1], 1_001) for i in cells])
+    return top, max(top, float(np.max(np.abs(horner(coeffs, fine))))) + (h / 1_000) ** 2 / 8 * curvature
+
+
+@st.composite
+def ill_scaled_polys(draw):
+    """(coeffs, t_max): a poly law of degree 1 to 6 whose coefficients span
+    up to 23 decades, on a window of 0.1 to 30 s."""
+    magnitudes = st.builds(lambda m, e: m * 10.0 ** e, reals(-1, 1), st.integers(-20, 3))
+    coeffs = draw(st.lists(magnitudes, min_size=2, max_size=7))
+    return coeffs, draw(reals(0.1, 30))
 
 
 def assert_sup_bound_dominates(pv, t0, t1):
@@ -65,7 +107,7 @@ class TestPivotLaws:
         assert pv.sup_bound(0.0, 100.0) == 2.0
         assert pv.lipschitz_bound == 2.0
 
-    def test_poly_sup_uses_critical_points(self):
+    def test_poly_sup_finds_an_interior_peak(self):
         pv = PolyPivot([0.0, 2.0, -1.0])  # 2t - t^2, peak 1 at t=1
         assert pv.sup_bound(0.0, 2.0) == pytest.approx(1.0)
         assert pv.sup_bound(0.0, 3.0) == pytest.approx(3.0)  # |a(3)| = 3
@@ -124,6 +166,65 @@ class TestPivotLaws:
         assert pv.lipschitz_bound >= slope
         assert pv.accel_bound == pytest.approx(peak) and pv.lipschitz_bound == pytest.approx(slope)
         assert_sup_bound_dominates(pv, 0.0, 3.0)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(law=ill_scaled_polys(), start=reals(0, 1), width=reals(0, 1))
+    @example(law=([0.0, -6.0, 2.0, 1.3935687331406293e-200], 3.0), start=0.0, width=1.0)
+    @example(law=([2.75, 3.0, -1.0, 1e-20], 3.0), start=0.0, width=1.0)
+    # a flat peak: a(t) = 1000 - (t - 5)^4
+    @example(law=([375.0, 500.0, -150.0, 20.0, -1.0], 10.0), start=0.0, width=1.0)
+    def test_poly_bounds_lie_within_their_slack_above_a_dense_grid(self, law, start, width):
+        coeffs, t_max = law
+        pv = PolyPivot(coeffs, t_max=t_max)
+        t0 = start * t_max
+        t1 = t0 + width * (t_max - t0)
+        slopes = [k * c for k, c in enumerate(coeffs)][1:]
+        for bound, terms, a, b in [
+            (pv.sup_bound(t0, t1), coeffs, t0, t1),
+            (pv.accel_bound, coeffs, 0.0, t_max),
+            (pv.lipschitz_bound, slopes, 0.0, t_max),
+        ]:
+            on_grid, peak = dense_peak(terms, a, b)
+            # the bound is its pieces' largest value, with the relative slack,
+            # plus a rounding slack for the coefficients and for the values
+            rounding = model._bernstein(terms, a, b)[1]
+            assert on_grid <= bound <= peak * (1 + model._BOUND_SLACK) + 5 * rounding
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        pv=pivots(),
+        levels=st.lists(reals(-30, 30), min_size=1, max_size=3).map(tuple),
+        t1=reals(0.5, 100),
+    )
+    @example(pv=PolyPivot([0.0, -6.0, 2.0, 1.3935687331406293e-200], t_max=3.0), levels=(-4.5, -2.0, 0.0), t1=3.0)
+    @example(pv=PolyPivot([2.75, 3.0, -1.0, 1e-20], t_max=3.0), levels=(5.0, 2.75, 4.0), t1=3.0)
+    @example(pv=PolyPivot([1e308, 1e308]), levels=(1e308, 4.9, -4.9), t1=2.0)
+    def test_level_times_meet_every_sign_change_on_a_dense_grid(self, pv, levels, t1):
+        if isinstance(pv, PolyPivot):
+            t1 = min(t1, pv.t_max)
+        # the times the release search steps through from t = 0, where its
+        # first interval starts
+        times, t = [0.0], 0.0
+        while t < t1:
+            t = min(max(pv.next_level_time(levels, t, t1), math.nextafter(t, math.inf)), t1)
+            times.append(t)
+        grid = np.linspace(0.0, t1, 5_001)
+        values = np.array([pv.accel(t) for t in grid.tolist()])
+        for level in levels:
+            above = values > level
+            below = values < level
+            for i in np.flatnonzero((above[:-1] & below[1:]) | (below[:-1] & above[1:])).tolist():
+                assert any(grid[i] <= time <= grid[i + 1] for time in times), (level, grid[i])
+
+    def test_a_poly_law_past_the_float_range_has_infinite_bounds(self):
+        # a(t) = 1e308 (1 + t) leaves the float range at t = 0.8; halving the
+        # window where a(t) is not finite once never ended
+        pv = PolyPivot([1e308, 1e308])
+        assert pv.accel_bound == math.inf
+        # terms past _MAGNITUDE_CAP give inf too, never a bound below max |a'| = 1e308
+        # or max |a| = 1.5e308 on [0, 0.5]
+        assert pv.lipschitz_bound >= 1e308 and pv.sup_bound(0.0, 0.5) >= 1.5e308
+        assert pv.next_level_time((4.9, -4.9), 0.0, 2.0) == 2.0
 
     def test_round_trip_through_dict(self):
         for pv in (ConstantPivot(1), SinePivot(2, 3, 0.1), PolyPivot([1, 2]), TablePivot([0, 1], [1, 2])):

@@ -3,8 +3,8 @@
 numpy's import is about as long as a whole simulation.  scipy, which the
 tests use as an oracle, stays off every run path: the stepper's tableau is
 written out in `drypend.integrator`, so no command imports it.  The model runs on
-floats, and numpy only builds and evaluates the verification checks' sample
-grids (and a poly pivot's bounds).  Nor does the CLI's import load `dataclasses` and the
+floats, a poly pivot's bounds and level times included, and numpy only builds
+and evaluates the verification checks' sample grids.  Nor does the CLI's import load `dataclasses` and the
 `inspect` it brings: the value types are named tuples and slotted classes.  The SVG writer
 is loaded only for `simulate --svg`.
 Each case runs in a fresh interpreter, since this test process has numpy
@@ -27,6 +27,14 @@ TABLE_POINT = {
     "pivot": {"kind": "table", "times": [0, 1, 2.5, 4, 6], "values": [0, 9, -7, 8, 1]},
     "initial": {"kind": "point", "q0": 1.2, "p0": 0.5},
     "horizon": 6,
+}
+# poly laws; the point run sticks and releases, so its level times are searched
+POLY = os.path.join(ROOT, "tests", "golden_inputs", "poly_point.json")
+POLY_CURVE = {
+    "params": {"mu": 0.3},
+    "pivot": {"kind": "poly", "coeffs": [0.5, -0.4, 0.05], "t_max": 20},
+    "initial": {"kind": "curve", "sigma": {"kind": "line"}},
+    "horizon": 10,
 }
 # frictionless and unforced: simulate also reports the energy drift
 FRICTIONLESS = {
@@ -97,10 +105,21 @@ def test_import_leaves_the_svg_writer_out():
         ("simulate", TABLE_POINT, ["--svg"]),
         ("simulate", "stuck_equilibrium.json", []),  # constant pivot
         ("simulate", FRICTIONLESS, []),
+        ("simulate", POLY, []),
         ("shoot", "shoot_default.json", []),
+        ("shoot", POLY_CURVE, []),
         ("sweep", "family_sweep.json", []),
     ],
-    ids=["simulate-sine", "simulate-table", "simulate-constant", "simulate-energy", "shoot", "sweep"],
+    ids=[
+        "simulate-sine",
+        "simulate-table",
+        "simulate-constant",
+        "simulate-energy",
+        "simulate-poly",
+        "shoot",
+        "shoot-poly",
+        "sweep",
+    ],
 )
 def test_commands_run_without_numpy(tmp_path, command, scenario, flags):
     if isinstance(scenario, dict):
